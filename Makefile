@@ -1,18 +1,13 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-batched lint lint-json lint-flow lint-effects lint-contracts lint-changed baseline-update baseline-update-effects baseline-update-contracts update-schema-registry ordering-check selfcheck suite-parallel suite-traced golden bench bench-smoke bench-guard bench-backends crosscheck serve service-smoke
+.PHONY: test lint lint-json lint-flow lint-effects lint-contracts lint-changed baseline-update baseline-update-effects baseline-update-contracts update-schema-registry ordering-check selfcheck suite-parallel suite-traced golden bench bench-smoke bench-guard serve service-smoke
 
 # The default gate: static analysis first (DET001/SIM001/... keep the
 # cache/parallel code deterministic), then the full pytest tree — which
 # includes the golden-snapshot suite regression.
 test: lint
 	$(PYTHON) -m pytest -x -q
-
-# The whole tier-1 tree again with the batched simulation backend as the
-# default (the CI backend-matrix leg; see docs/backends.md).
-test-batched:
-	REPRO_SIM_BACKEND=batched $(PYTHON) -m pytest -x -q
 
 # Per-module rules over the whole tree, plus the whole-program effects
 # and contracts passes over src/repro against their checked-in
@@ -43,9 +38,9 @@ lint-effects:
 baseline-update-effects:
 	$(PYTHON) -m repro.lint src/repro --effects --effects-baseline lint-effects.baseline.json --update-effects-baseline
 
-# Whole-program structural contracts: backend-pair parity
-# (lint-contracts.pairs.json), layer-boundary imports, and the schema
-# registry snapshot (lint-contracts.schemas.json) — vs the baseline.
+# Whole-program structural contracts: layer-boundary imports against the
+# layer DAG (lint-contracts.pairs.json) and the schema registry snapshot
+# (lint-contracts.schemas.json) — vs the baseline.
 lint-contracts:
 	$(PYTHON) -m repro.lint src/repro --contracts --contracts-baseline lint-contracts.baseline.json
 
@@ -101,17 +96,6 @@ bench-smoke:
 # of bare sim.dispatch throughput (interleaved rounds, median ratio).
 bench-guard:
 	$(PYTHON) -m repro.bench --guard
-
-# Backend-vs-backend comparison (interleaved rounds, median speedups) ->
-# benchmarks/results/BENCH_backends.json (see docs/backends.md).
-bench-backends:
-	$(PYTHON) -m repro.bench --backends
-
-# Differential cross-check sweep: seeded engine + machine scenarios on
-# the reference and batched backends, failing on the first divergence
-# (the CI smoke job runs 200; see docs/backends.md).
-crosscheck:
-	$(PYTHON) -m repro.sim.crosscheck --scenarios 200 --report crosscheck_divergence.json
 
 # Run the HTTP experiment service in the foreground (SIGTERM/Ctrl-C
 # drains gracefully; see docs/service.md).

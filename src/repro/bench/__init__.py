@@ -27,46 +27,34 @@ kernels pin down.
 """
 
 from repro.bench.harness import (
-    BACKEND_COMPARE_KERNELS,
     GUARD_BUDGET,
     BenchContext,
     Kernel,
     KernelResult,
     percentile,
-    run_backend_compare,
     run_kernels,
     run_overhead_guard,
 )
 from repro.bench.kernels import REGISTRY, kernel_names
 from repro.bench.schema import (
-    COMPARE_SCHEMA_ID,
-    COMPARE_SCHEMA_VERSION,
     SCHEMA_ID,
     SCHEMA_VERSION,
-    document_from_compare,
     document_from_results,
-    validate_compare_document,
     validate_document,
 )
 
 __all__ = [
-    "BACKEND_COMPARE_KERNELS",
     "BenchContext",
-    "COMPARE_SCHEMA_ID",
-    "COMPARE_SCHEMA_VERSION",
     "GUARD_BUDGET",
     "Kernel",
     "KernelResult",
     "REGISTRY",
     "SCHEMA_ID",
     "SCHEMA_VERSION",
-    "document_from_compare",
     "document_from_results",
     "kernel_names",
     "percentile",
-    "run_backend_compare",
     "run_kernels",
     "run_overhead_guard",
-    "validate_compare_document",
     "validate_document",
 ]

@@ -22,7 +22,6 @@ from repro.errors import ConfigurationError
 
 DEFAULT_OUT = "benchmarks/results/BENCH_micro.json"
 SMOKE_OUT = "benchmarks/results/BENCH_smoke.json"
-BACKENDS_OUT = "benchmarks/results/BENCH_backends.json"
 
 
 def _render(results) -> str:
@@ -83,19 +82,6 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         help="override the allowed throughput loss fraction "
         "(default: 0.02); tests use this to pin both verdicts",
-    )
-    parser.add_argument(
-        "--backends",
-        action="store_true",
-        help="backend-vs-backend mode: time the compare kernel set under "
-        "the reference and batched backends in interleaved rounds and "
-        "write the speedup document (see docs/backends.md)",
-    )
-    parser.add_argument(
-        "--rounds",
-        type=int,
-        default=5,
-        help="interleaved A/B rounds for --backends (default: 5)",
     )
     parser.add_argument("--seed", type=int, default=2021)
     parser.add_argument(
@@ -158,57 +144,6 @@ def main(argv: list[str] | None = None) -> int:
 
     only = [n.strip() for n in args.only.split(",") if n.strip()] if args.only else None
 
-    if args.backends:
-        from repro.bench.harness import run_backend_compare
-        from repro.bench.schema import (
-            document_from_compare,
-            validate_compare_document,
-        )
-
-        ctx = BenchContext(scale=args.scale, seed=args.seed)
-        try:
-            verdict = run_backend_compare(
-                ctx,
-                kernels=only,
-                rounds=args.rounds,
-                progress=lambda msg: print(msg, file=sys.stderr),
-            )
-        except ConfigurationError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        ref, cand = verdict["backends"]
-        rows = []
-        for name, entry in verdict["kernels"].items():
-            fmt = "{:,.0f}" if entry["better"] == "higher" else "{:.4f}"
-            rows.append(
-                (
-                    name,
-                    entry["unit"],
-                    fmt.format(entry[ref]["median"]),
-                    fmt.format(entry[cand]["median"]),
-                    f"{entry['speedup']:.2f}x",
-                )
-            )
-        print(
-            format_table(
-                ["kernel", "unit", f"{ref} median", f"{cand} median", "speedup"],
-                rows,
-            )
-        )
-        out = args.out or BACKENDS_OUT
-        if out == "-":
-            return 0
-        doc = document_from_compare(verdict, ctx=ctx)
-        problems = validate_compare_document(doc)
-        if problems:  # pragma: no cover - guards harness bugs
-            for p in problems:
-                print(f"schema error: {p}", file=sys.stderr)
-            return 1
-        path = Path(out)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-        print(f"results written to {path}")
-        return 0
     warmup, reps, scale = args.warmup, args.reps, args.scale
     if args.smoke:
         warmup, reps, scale = 0, 1, min(scale, 0.1)

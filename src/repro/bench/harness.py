@@ -32,9 +32,6 @@ class BenchContext:
     scale: float = 1.0
     #: Seed for every stochastic fixture (via :class:`repro.sim.rng.RngFactory`).
     seed: int = 2021
-    #: Simulation backend the kernels build against (repro.sim.backends);
-    #: None resolves via REPRO_SIM_BACKEND, then "reference".
-    backend: str | None = None
 
 
 @dataclass(frozen=True)
@@ -227,79 +224,3 @@ def run_overhead_guard(
         "ok": median_ratio >= 1.0 - budget,
     }
 
-
-#: Default kernel set for backend-vs-backend comparison: the dispatch
-#: loop the batched backend targets, both queue operation mixes, and one
-#: end-to-end machine workflow.
-BACKEND_COMPARE_KERNELS = (
-    "sim.dispatch",
-    "event_queue.mixed",
-    "event_queue.cancel_churn",
-    "machine.measure.1s",
-)
-
-
-def run_backend_compare(
-    ctx: BenchContext,
-    *,
-    backends: tuple[str, str] = ("reference", "batched"),
-    kernels: list[str] | None = None,
-    rounds: int = 5,
-    progress: Callable[[str], None] | None = None,
-) -> dict:
-    """Backend-vs-backend A/B comparison with interleaved rounds.
-
-    Like :func:`run_overhead_guard`, each round times both backends'
-    instantiation of a kernel back-to-back so slow host drift cancels
-    out of the ratio, and the reported ``speedup`` is derived from the
-    per-backend *median* over rounds (>1 means the second backend wins,
-    whatever the kernel's ``better`` direction).  The document this
-    feeds is ``benchmarks/results/BENCH_backends.json``.
-    """
-    from dataclasses import replace
-
-    from repro.bench.kernels import select_kernels
-
-    if rounds < 1:
-        raise ConfigurationError(f"compare rounds must be >= 1, got {rounds}")
-    names = list(kernels) if kernels else list(BACKEND_COMPARE_KERNELS)
-    compared: dict[str, dict] = {}
-    for kernel in select_kernels(names):
-        runs = [kernel.setup(replace(ctx, backend=b)) for b in backends]
-        for run in runs:
-            run()  # one untimed warmup per backend
-        samples: list[list[float]] = [[] for _ in backends]
-        for i in range(rounds):
-            for slot, run in enumerate(runs):
-                t0_ns = time.perf_counter_ns()
-                ops = run()
-                elapsed_s = (time.perf_counter_ns() - t0_ns) / 1e9
-                if kernel.better == "higher":
-                    samples[slot].append(ops / max(elapsed_s, 1e-9))
-                else:
-                    samples[slot].append(elapsed_s)
-            if progress is not None:
-                progress(f"compare {kernel.name} round {i + 1}/{rounds}")
-        medians = [percentile(s, 50.0) for s in samples]
-        if kernel.better == "higher":
-            speedup = medians[1] / medians[0]
-        else:
-            speedup = medians[0] / medians[1]
-        compared[kernel.name] = {
-            "unit": kernel.unit,
-            "better": kernel.better,
-            "speedup": speedup,
-            backends[0]: {
-                "samples": samples[0],
-                "median": medians[0],
-                "p10": percentile(samples[0], 10.0),
-                "p90": percentile(samples[0], 90.0),
-            },
-            backends[1]: {
-                "samples": samples[1],
-                "median": medians[1],
-                "p10": percentile(samples[1], 10.0),
-                "p90": percentile(samples[1], 90.0),
-            },
-        }
-    return {"backends": list(backends), "rounds": rounds, "kernels": compared}

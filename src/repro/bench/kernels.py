@@ -27,13 +27,9 @@ from typing import Callable
 
 from repro.bench.harness import BenchContext, Kernel
 from repro.errors import ConfigurationError
-from repro.sim.backends import resolve_backend
+from repro.sim.engine import Simulator
+from repro.sim.events import EventQueue
 from repro.sim.rng import RngFactory
-
-
-def _queue_cls(ctx: BenchContext):
-    """The event-queue class of the context's backend."""
-    return resolve_backend(ctx.backend).simulator_cls._queue_cls
 
 
 def _noop() -> None:
@@ -52,11 +48,10 @@ def _setup_queue_mixed(ctx: BenchContext, *, shuffle: bool) -> Callable[[], int]
     # 0-5: push, 6-7: cancel newest, 8-9: pop earliest.
     op_codes = [int(o) for o in rng.integers(0, 10, size=n_ops)]
     factory = RngFactory(ctx.seed)
-    queue_cls = _queue_cls(ctx)
 
     def run() -> int:
         tiebreak = factory.child("bench/tiebreak") if shuffle else None
-        q = queue_cls(tiebreak_rng=tiebreak)
+        q = EventQueue(tiebreak_rng=tiebreak)
         live = []
         count = 0
         for t, op in zip(times, op_codes):
@@ -83,10 +78,9 @@ def _setup_queue_cancel_churn(ctx: BenchContext) -> Callable[[], int]:
     by threshold compaction (see ``tests/unit/test_sim_events.py``).
     """
     n_timers = max(1_000, int(60_000 * ctx.scale))
-    queue_cls = _queue_cls(ctx)
 
     def run() -> int:
-        q = queue_cls()
+        q = EventQueue()
         count = 0
         for i in range(n_timers):
             event = q.push(i * 1_000, _noop)
@@ -123,17 +117,15 @@ def _setup_sim_dispatch(
     chains = 256
     period_ns = 1_000
 
-    backend = resolve_backend(ctx.backend)
-
     def run() -> int:
         if obs_mode in ("none", "flightrec"):
-            sim = backend.create_simulator()
+            sim = Simulator()
         else:
             from repro.obs import Obs
 
             # "disabled" attaches an Obs(enabled=False): effective_obs
             # collapses it to None, so this must time like bare dispatch.
-            sim = backend.create_simulator(obs=Obs(enabled=obs_mode == "full"))
+            sim = Simulator(obs=Obs(enabled=obs_mode == "full"))
         fired = [0]
 
         def cb() -> None:  # lint: hot (per-event dispatch callback)
@@ -184,9 +176,7 @@ def _setup_machine_measure(
     from repro.units import ghz
     from repro.workloads import PAUSE_LOOP
 
-    machine = Machine(
-        "EPYC 7502", n_packages=n_packages, seed=ctx.seed, backend=ctx.backend
-    )
+    machine = Machine("EPYC 7502", n_packages=n_packages, seed=ctx.seed)
     machine.os.set_all_frequencies(ghz(2.2))
     machine.os.run(PAUSE_LOOP, [0, 1, 2, 3])
 
@@ -206,9 +196,7 @@ def _setup_suite_e2e(ctx: BenchContext) -> Callable[[], int]:
     from repro.core.experiment import ExperimentConfig
     from repro.core.suite import run_suite
 
-    cfg = ExperimentConfig(
-        seed=ctx.seed, scale=0.02 * min(1.0, ctx.scale), backend=ctx.backend
-    )
+    cfg = ExperimentConfig(seed=ctx.seed, scale=0.02 * min(1.0, ctx.scale))
 
     def run() -> int:
         run_suite(cfg, parallel=1, cache=None)

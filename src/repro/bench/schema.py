@@ -23,9 +23,6 @@ from repro.bench.harness import BenchContext, KernelResult, percentile
 SCHEMA_ID = "repro.bench/result"
 SCHEMA_VERSION = 1
 
-COMPARE_SCHEMA_ID = "repro.bench/backend-compare"
-COMPARE_SCHEMA_VERSION = 1
-
 #: Relative tolerance when re-checking derived statistics against the
 #: raw samples (floating-point round-trip through JSON text).
 _STAT_RTOL = 1e-9
@@ -80,109 +77,8 @@ def document_from_results(
     }
 
 
-def document_from_compare(verdict: dict, *, ctx: BenchContext) -> dict:
-    """Assemble the backend-compare document from
-    :func:`~repro.bench.harness.run_backend_compare` output."""
-    return {
-        "schema": COMPARE_SCHEMA_ID,
-        "schema_version": COMPARE_SCHEMA_VERSION,
-        "seed": ctx.seed,
-        "scale": ctx.scale,
-        "python": sys.version.split()[0],
-        "implementation": platform.python_implementation(),
-        "backends": list(verdict["backends"]),
-        "rounds": verdict["rounds"],
-        "kernels": verdict["kernels"],
-    }
-
-
 def _close(a: float, b: float) -> bool:
     return abs(a - b) <= _STAT_RTOL * max(abs(a), abs(b), 1e-300)
-
-
-def validate_compare_document(doc: object) -> list[str]:
-    """Validate a backend-compare document; return a list of problems.
-
-    Re-derives every median/p10/p90 and the speedup ratio from the raw
-    interleaved samples, like :func:`validate_document` does for the
-    plain result schema.
-    """
-    errors: list[str] = []
-    if not isinstance(doc, dict):
-        return [f"document must be a JSON object, got {type(doc).__name__}"]
-    if doc.get("schema") != COMPARE_SCHEMA_ID:
-        errors.append(
-            f"schema must be {COMPARE_SCHEMA_ID!r}, got {doc.get('schema')!r}"
-        )
-    if doc.get("schema_version") != COMPARE_SCHEMA_VERSION:
-        errors.append(
-            f"schema_version must be {COMPARE_SCHEMA_VERSION}, "
-            f"got {doc.get('schema_version')!r}"
-        )
-    backends = doc.get("backends")
-    if (
-        not isinstance(backends, list)
-        or len(backends) != 2
-        or not all(isinstance(b, str) for b in backends)
-    ):
-        errors.append("backends must be a list of two backend names")
-        return errors
-    rounds = doc.get("rounds")
-    if not isinstance(rounds, int) or isinstance(rounds, bool) or rounds < 1:
-        errors.append("rounds must be a positive integer")
-    kernels = doc.get("kernels")
-    if not isinstance(kernels, dict) or not kernels:
-        errors.append("kernels must be a non-empty object")
-        return errors
-    for name, entry in kernels.items():
-        where = f"kernels[{name}]"
-        if not isinstance(entry, dict):
-            errors.append(f"{where} must be an object")
-            continue
-        if entry.get("better") not in ("higher", "lower"):
-            errors.append(f"{where}.better must be 'higher' or 'lower'")
-        if not isinstance(entry.get("unit"), str):
-            errors.append(f"{where}.unit must be a string")
-        medians = []
-        for backend in backends:
-            side = entry.get(backend)
-            bwhere = f"{where}.{backend}"
-            if not isinstance(side, dict):
-                errors.append(f"{bwhere} must be an object")
-                medians.append(None)
-                continue
-            samples = side.get("samples")
-            if (
-                not isinstance(samples, list)
-                or not samples
-                or not all(
-                    isinstance(s, (int, float)) and not isinstance(s, bool)
-                    for s in samples
-                )
-            ):
-                errors.append(f"{bwhere}.samples must be non-empty numbers")
-                medians.append(None)
-                continue
-            if isinstance(rounds, int) and len(samples) != rounds:
-                errors.append(f"{bwhere}: len(samples) must equal rounds")
-            for stat, q in (("median", 50.0), ("p10", 10.0), ("p90", 90.0)):
-                value = side.get(stat)
-                if not isinstance(value, (int, float)) or isinstance(value, bool):
-                    errors.append(f"{bwhere}.{stat} must be a number")
-                elif not _close(float(value), percentile(list(samples), q)):
-                    errors.append(f"{bwhere}.{stat} does not match its samples")
-            medians.append(side.get("median"))
-        speedup = entry.get("speedup")
-        if not isinstance(speedup, (int, float)) or isinstance(speedup, bool):
-            errors.append(f"{where}.speedup must be a number")
-        elif all(isinstance(m, (int, float)) for m in medians):
-            if entry.get("better") == "higher":
-                expected = medians[1] / medians[0]
-            else:
-                expected = medians[0] / medians[1]
-            if not _close(float(speedup), expected):
-                errors.append(f"{where}.speedup does not match the medians")
-    return errors
 
 
 def validate_document(doc: object) -> list[str]:

@@ -204,14 +204,6 @@ def main(argv: list[str] | None = None) -> int:
         help="fraction of the paper's sample counts (1.0 = full scale)",
     )
     parser.add_argument(
-        "--backend",
-        metavar="NAME",
-        default=None,
-        help="simulation backend (reference, batched); default resolves "
-        "via REPRO_SIM_BACKEND, then 'reference' — results are "
-        "backend-independent (see docs/backends.md)",
-    )
-    parser.add_argument(
         "--json",
         metavar="PATH",
         help="with 'suite': also write the structured report to PATH",
@@ -261,16 +253,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    if args.backend is not None:
-        from repro.errors import ConfigurationError
-        from repro.sim.backends import resolve_backend
-
-        try:
-            resolve_backend(args.backend)
-        except ConfigurationError as exc:
-            parser.error(str(exc))
-
-    cfg = ExperimentConfig(seed=args.seed, scale=args.scale, backend=args.backend)
+    cfg = ExperimentConfig(seed=args.seed, scale=args.scale)
 
     if args.experiment == "selfcheck":
         from repro.core.selfcheck import selfcheck

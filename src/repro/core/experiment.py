@@ -48,10 +48,6 @@ class ExperimentConfig:
     interval_s: float = 10.0
     sku: str = "EPYC 7502"
     n_packages: int = 2
-    #: Simulation backend name (repro.sim.backends); None resolves via
-    #: REPRO_SIM_BACKEND, then "reference".  Flows into cache keys, so
-    #: suite result caches never mix backends.
-    backend: str | None = None
 
     def scaled(self, count: int, minimum: int = 10) -> int:
         """A paper sample count scaled down, but never below ``minimum``."""
@@ -62,7 +58,6 @@ class ExperimentConfig:
 
     def build_machine(self, **kwargs) -> Machine:
         """A fresh machine for this experiment."""
-        kwargs.setdefault("backend", self.backend)
         machine = Machine(
             self.sku, n_packages=self.n_packages, seed=self.seed, **kwargs
         )

@@ -37,7 +37,6 @@ from repro.core.serialize import table_from_dict, table_to_dict
 from repro.core.throughput import ThroughputLimitExperiment
 from repro.errors import SuiteError
 from repro.parallel import Task, TaskFailure, run_tasks
-from repro.sim.backends import resolve_backend
 from repro.units import ghz
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -337,7 +336,6 @@ def run_suite(
     retries: int = 1,
     monitor: bool = False,
     obs=None,
-    backend: str | None = None,
 ) -> SuiteResult:
     """Execute the (optionally filtered) suite.
 
@@ -355,14 +353,6 @@ def run_suite(
     the cache entirely — a cached table proves nothing about invariants
     — and cost the sweep's overhead, so monitoring is strictly opt-in.
 
-    ``backend`` selects the simulation backend for every machine the
-    suite builds (overriding ``config.backend`` when given).  The
-    resolved name is always pinned into the config before cache keys are
-    computed, so results produced under different backends — identical
-    by construction, but separately provable — never share a cache slot,
-    and a run under ``REPRO_SIM_BACKEND`` cannot poison a reference
-    cache.
-
     ``obs`` (a :class:`repro.obs.Obs`) traces and meters the run: a
     ``suite`` span wraps per-experiment spans, every machine built by a
     serial entry is instrumented down to simulator dispatch, and the
@@ -372,7 +362,6 @@ def run_suite(
     serialized suite document is independent of ``obs``.
     """
     cfg = config or ExperimentConfig(scale=0.02)
-    cfg = replace(cfg, backend=resolve_backend(backend or cfg.backend).name)
     names = _resolve_names(only)
     if parallel < 1:
         raise SuiteError(f"parallel must be >= 1, got {parallel}")
@@ -387,7 +376,7 @@ def run_suite(
         if obs is not None and obs.tracer.trace_id is None:
             # Content-derived, so identical runs mint identical ids.
             obs.tracer.trace_id = mint_trace_id(
-                "suite", cfg.seed, cfg.scale, cfg.sku, cfg.backend, *names
+                "suite", cfg.seed, cfg.scale, cfg.sku, *names
             )
     if obs is not None and cache is not None:
         cache.attach_obs(obs)

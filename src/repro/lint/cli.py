@@ -87,8 +87,7 @@ def main(argv: list[str] | None = None) -> int:
         "--contracts",
         action="store_true",
         help="also run the whole-program structural-contract analysis "
-        "(rules CON001-CON002 backend parity, CON010 layer boundaries, "
-        "CON020-CON021 schema registry)",
+        "(rules CON010 layer boundaries, CON020-CON021 schema registry)",
     )
     parser.add_argument(
         "--no-contracts-cache",
@@ -110,7 +109,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--pairs",
         metavar="FILE",
-        help="backend-pair/layer manifest for --contracts (default: "
+        help="contracts manifest (layer DAG, CON021 tests root) for "
+        "--contracts (default: "
         "lint-contracts.pairs.json in the working directory, if present)",
     )
     parser.add_argument(

@@ -1,15 +1,11 @@
 """Whole-program structural-contract analysis.
 
 Third pass on the :mod:`repro.lint.flow` symbol/call graph, proving the
-contracts that keep N parallel implementations honest *before* any
-simulation runs:
+tree's structural contracts *before* any simulation runs:
 
-* **parity** (CON001/CON002) — registered backend pairs from
-  ``lint-contracts.pairs.json`` must agree in public method set,
-  signature shape, constructor-visible state, and effect summary;
-* **layering** (CON010) — module-scope imports must respect the
-  declared layer DAG (``core``/``sim``/``power``/``machine`` never pull
-  in ``bench``/``obs``/``lint``/``cli``);
+* **layering** (CON010) — module-scope imports must respect the layer
+  DAG declared in ``lint-contracts.pairs.json`` (``core``/``sim``/
+  ``power``/``machine`` never pull in ``bench``/``obs``/``lint``/``cli``);
 * **schema registry** (CON020/CON021) — every ``"schema"`` family has
   exactly one writer and one validator, field-set drift requires a
   version bump recorded in ``lint-contracts.schemas.json``, and every
@@ -35,16 +31,10 @@ from repro.lint.engine import ParsedModule
 from repro.lint.findings import Finding
 from repro.lint.flow.baseline import load_baseline, split_baselined, write_baseline
 from repro.lint.flow.graph import build_program
-from repro.lint.effects.summaries import summarize_program
 from repro.lint.contracts.layers import RULE_LAYER, check_layers
 from repro.lint.contracts.manifest import (
     load_manifest,
     manifest_digest_text,
-)
-from repro.lint.contracts.parity import (
-    RULE_PAIR_DRIFT,
-    RULE_PAIR_EFFECT,
-    check_pairs,
 )
 from repro.lint.contracts.schemas import (
     RULE_DEAD_VALIDATOR,
@@ -57,11 +47,9 @@ from repro.lint.contracts.schemas import (
 )
 
 #: Bump to invalidate every cached analysis result.
-CONTRACTS_VERSION = 1
+CONTRACTS_VERSION = 2
 
 CONTRACTS_RULE_TITLES: dict[str, str] = {
-    RULE_PAIR_DRIFT: "backend pair drifts in public interface or state",
-    RULE_PAIR_EFFECT: "backend pair method differs in effect summary",
     RULE_LAYER: "module-scope import crosses a declared layer boundary",
     RULE_REGISTRY: "schema family violates the committed registry snapshot",
     RULE_DEAD_VALIDATOR: "schema validator referenced by no test",
@@ -78,7 +66,6 @@ class ContractsReport:
     suppressed: int = 0
     baselined: int = 0
     modules: int = 0
-    pairs: int = 0
     layers: int = 0
     schemas: int = 0
     cache_hit: bool = False
@@ -87,7 +74,6 @@ class ContractsReport:
     def stats(self) -> dict[str, Any]:
         return {
             "modules": self.modules,
-            "pairs": self.pairs,
             "layers": self.layers,
             "schemas": self.schemas,
             "findings": len(self.findings),
@@ -141,10 +127,8 @@ def _analyze(
     """Run the analyzer; returns the report and a cacheable document."""
     program = build_program(modules)
     manifest = load_manifest(manifest_path)
-    summaries = summarize_program(program) if manifest.pairs else None
 
     raw: list[Finding] = []
-    raw.extend(check_pairs(program, manifest, summaries))
     raw.extend(check_layers(program, manifest))
     registry_findings, registry = check_registry(
         program, manifest, registry_path
@@ -170,7 +154,6 @@ def _analyze(
         findings=kept,
         suppressed=suppressed,
         modules=len(program.modules),
-        pairs=len(manifest.pairs),
         layers=len(manifest.layers.assign),
         schemas=len(registry.schemas()),
     )
@@ -180,7 +163,6 @@ def _analyze(
         "suppressed": suppressed,
         "suppression_uses": uses,
         "modules": report.modules,
-        "pairs": report.pairs,
         "layers": report.layers,
         "schemas": report.schemas,
     }
@@ -199,7 +181,6 @@ def _replay(doc: dict[str, Any], modules: list[ParsedModule]) -> ContractsReport
         findings=findings,
         suppressed=int(doc.get("suppressed", 0)),
         modules=int(doc.get("modules", 0)),
-        pairs=int(doc.get("pairs", 0)),
         layers=int(doc.get("layers", 0)),
         schemas=int(doc.get("schemas", 0)),
         cache_hit=True,

@@ -1,13 +1,8 @@
-"""The contracts manifest: backend pairs and the layer DAG.
+"""The contracts manifest: the layer DAG and the CON021 test root.
 
 ``lint-contracts.pairs.json`` is the committed, reviewable declaration
 of the codebase's structural contracts:
 
-* ``pairs`` — backend implementation pairs that must stay
-  interface-identical (``Simulator`` ↔ ``BatchedSimulator``, ...).
-  Each entry names the ``reference`` and ``candidate`` class by
-  qualified name, with optional ``ignore_methods`` / ``ignore_fields``
-  escape lists (every use should say why in ``reason``).
 * ``layers`` — the import-boundary DAG: ``assign`` maps a layer name to
   module-name prefixes, ``allow`` maps a layer to the layers it may
   import at module scope.  Unassigned modules are unconstrained;
@@ -19,7 +14,9 @@ of the codebase's structural contracts:
 Like the effects region manifest, editing this file invalidates the
 digest-keyed result cache, and entries that match nothing in the
 analyzed tree are themselves findings — a rename cannot silently drop
-enforcement.
+enforcement.  Top-level keys other than ``version``, ``layers`` and
+``tests_root`` are rejected, so a stale section fails closed instead of
+silently enforcing nothing.
 """
 
 from __future__ import annotations
@@ -38,16 +35,8 @@ DEFAULT_REGISTRY = "lint-contracts.schemas.json"
 
 MANIFEST_VERSION = 1
 
-
-@dataclass(frozen=True)
-class PairDecl:
-    """One declared backend pair (reference ↔ candidate class)."""
-
-    reference: str
-    candidate: str
-    reason: str = ""
-    ignore_methods: frozenset[str] = frozenset()
-    ignore_fields: frozenset[str] = frozenset()
+#: Every top-level key a manifest may carry.
+_MANIFEST_KEYS = frozenset({"version", "layers", "tests_root"})
 
 
 @dataclass
@@ -102,28 +91,8 @@ class ContractsManifest:
     """Parsed contracts manifest plus its source path."""
 
     path: str | None = None
-    pairs: list[PairDecl] = field(default_factory=list)
     layers: LayerDecl = field(default_factory=LayerDecl)
     tests_root: str | None = None
-
-
-def _parse_pair(entry: object, path: str) -> PairDecl:
-    if not (
-        isinstance(entry, dict)
-        and isinstance(entry.get("reference"), str)
-        and isinstance(entry.get("candidate"), str)
-    ):
-        raise LintError(
-            f"contracts manifest {path}: every 'pairs' entry needs "
-            "'reference' and 'candidate' qualified class names"
-        )
-    return PairDecl(
-        reference=entry["reference"],
-        candidate=entry["candidate"],
-        reason=str(entry.get("reason", "")),
-        ignore_methods=frozenset(map(str, entry.get("ignore_methods", []))),
-        ignore_fields=frozenset(map(str, entry.get("ignore_fields", []))),
-    )
 
 
 def _parse_layers(doc: object, path: str) -> LayerDecl:
@@ -178,9 +147,14 @@ def load_manifest(path: str | None) -> ContractsManifest:
         raise LintError(f"cannot read contracts manifest {path}: {err}") from err
     if not isinstance(doc, dict):
         raise LintError(f"contracts manifest {path}: top level must be an object")
+    unknown = sorted(set(doc) - _MANIFEST_KEYS)
+    if unknown:
+        raise LintError(
+            f"contracts manifest {path}: unknown top-level key(s) "
+            f"{', '.join(map(repr, unknown))}; allowed: "
+            f"{', '.join(sorted(_MANIFEST_KEYS))}"
+        )
     manifest = ContractsManifest(path=path)
-    for entry in doc.get("pairs", []):
-        manifest.pairs.append(_parse_pair(entry, path))
     manifest.layers = _parse_layers(doc.get("layers"), path)
     tests_root = doc.get("tests_root")
     if tests_root is not None and not isinstance(tests_root, str):
@@ -196,11 +170,6 @@ def manifest_digest_text(path: str | None) -> str:
     manifest = load_manifest(path)
     return json.dumps(
         [
-            [
-                [p.reference, p.candidate, p.reason]
-                + [sorted(p.ignore_methods), sorted(p.ignore_fields)]
-                for p in manifest.pairs
-            ],
             sorted((k, sorted(v)) for k, v in manifest.layers.assign.items()),
             sorted((k, sorted(v)) for k, v in manifest.layers.allow.items()),
             manifest.tests_root,

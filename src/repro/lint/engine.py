@@ -71,7 +71,7 @@ class LintReport:
     #: (module/function/region counts, cache status).
     effects: dict[str, Any] | None = None
     #: Statistics of the whole-program contracts analysis, when it ran
-    #: (pair/layer/schema counts, cache status).
+    #: (layer/schema counts, cache status).
     contracts: dict[str, Any] | None = None
 
     @property
@@ -322,12 +322,11 @@ def lint_paths(
     in the working directory when present).
 
     With ``contracts=True`` the whole-program structural-contract
-    analysis (:mod:`repro.lint.contracts`) runs too: backend-pair
-    parity against the ``pairs`` manifest (default
-    ``lint-contracts.pairs.json``), layer-boundary imports, and the
-    schema registry against ``schema_registry`` (default
-    ``lint-contracts.schemas.json``; ``update_schema_registry``
-    rewrites it from the tree first).
+    analysis (:mod:`repro.lint.contracts`) runs too: layer-boundary
+    imports against the ``pairs`` manifest (default
+    ``lint-contracts.pairs.json``) and the schema registry against
+    ``schema_registry`` (default ``lint-contracts.schemas.json``;
+    ``update_schema_registry`` rewrites it from the tree first).
 
     ``changed_only`` restricts reported findings to files changed vs
     ``git HEAD`` (plus untracked files).  Every file is still *parsed*

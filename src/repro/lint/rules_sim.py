@@ -22,10 +22,8 @@ _SCHEDULING_METHODS = {"schedule_at", "schedule_after", "periodic", "push"}
 _REENTRY_METHODS = {"run_until", "run_for", "step"}
 _CLOCK_ATTRS = {"_now_ns", "now_ns"}
 
-#: The dispatch engines own the clock; everything else only reads it.
-#: Every simulation backend's engine module belongs here
-#: (repro.sim.backends / docs/backends.md).
-_ENGINE_MODULES = {"repro.sim.engine", "repro.sim.batched"}
+#: The engine owns the clock; everything else only reads it.
+_ENGINE_MODULES = {"repro.sim.engine"}
 
 
 @register

@@ -58,7 +58,6 @@ from repro.pstate.resolver import FrequencyResolver
 from repro.pstate.table import PStateTable, encode_pstate_msr
 from repro.rapl.estimator import RaplEstimator
 from repro.rapl.msrs import RaplMsrs, encode_rapl_power_unit
-from repro.sim.backends import resolve_backend
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngFactory
 from repro.smu.smu import MasterSmu
@@ -119,24 +118,19 @@ class Machine:
         boost_enabled: bool = False,
         variation_sigma: float = 0.0,
         event_order_shuffle: int | None = None,
-        backend: str | None = None,
         obs=None,
     ) -> None:
         self.sku = sku_by_name(sku) if isinstance(sku, str) else sku
         self.cal = calibration
         self.quirks = quirks if quirks is not None else Quirks()
         self.rng = RngFactory(seed)
-        # Simulation backend (repro.sim.backends): dispatch engine +
-        # power-model implementation pair; None resolves through
-        # REPRO_SIM_BACKEND, then "reference".
-        self.backend = resolve_backend(backend)
         # Event-order shuffle mode (repro.lint.shuffle): randomize
         # same-timestamp tie-breaking with a seeded stream so ordering
         # races surface as result differences, reproducibly per seed.
         if event_order_shuffle is None:
-            self.sim = self.backend.create_simulator()
+            self.sim = Simulator()
         else:
-            self.sim = self.backend.create_simulator(
+            self.sim = Simulator(
                 tiebreak_rng=self.rng.child(f"event-order-shuffle/{event_order_shuffle}")
             )
         self.topology = build_topology(self.sku, n_packages)
@@ -180,7 +174,7 @@ class Machine:
         else:
             self.pkg_power_factors = [1.0] * n_packages
 
-        self.power_model = self.backend.create_power_model(calibration)
+        self.power_model = PowerModel(calibration)
         self.power_model.bind(self)
         self.thermal = ThermalModel(calibration)
         self.thermal_state = ThermalState.ambient(n_packages, calibration)

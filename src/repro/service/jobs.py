@@ -24,7 +24,6 @@ from repro.core.experiment import ExperimentConfig
 from repro.core.suite import SUITE
 from repro.errors import ServiceError
 from repro.service.schema import JOB_STATES
-from repro.sim.backends import resolve_backend
 
 #: Config fields a request may set (every ExperimentConfig field).
 _CONFIG_FIELDS = {f.name for f in dataclasses.fields(ExperimentConfig)}
@@ -32,7 +31,7 @@ _CONFIG_FIELDS = {f.name for f in dataclasses.fields(ExperimentConfig)}
 
 @dataclass(frozen=True)
 class JobSpec:
-    """Validated, backend-pinned description of one suite request.
+    """Validated description of one suite request.
 
     ``trace`` requests end-to-end tracing for the job: the queue mints a
     per-job tracer and the merged timeline becomes available at
@@ -51,9 +50,8 @@ class JobSpec:
     def from_request(cls, doc: Any) -> "JobSpec":
         """Build a spec from a client's JSON request body.
 
-        Raises :class:`~repro.errors.ServiceError` (or another
-        :class:`~repro.errors.ReproError` from config resolution) on any
-        invalid field; the server maps those to HTTP 400.
+        Raises :class:`~repro.errors.ServiceError` on any invalid field;
+        the server maps it to HTTP 400.
         """
         if not isinstance(doc, dict):
             raise ServiceError(
@@ -99,12 +97,6 @@ class JobSpec:
         except TypeError as err:
             raise ServiceError(f"invalid config: {err}") from err
         _check_config_types(config)
-        # Pin the backend exactly like run_suite does before computing
-        # cache keys, so the job key matches what execution will use (an
-        # unknown backend name surfaces here, as ConfigurationError).
-        config = dataclasses.replace(
-            config, backend=resolve_backend(config.backend).name
-        )
         return cls(
             tenant=tenant, entries=tuple(entries), config=config, trace=trace
         )

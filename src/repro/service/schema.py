@@ -1,9 +1,11 @@
-"""Schema id, writer, and validator for ``repro.service/job`` v2.
+"""Schema id, writer, and validator for ``repro.service/job`` v3.
 
-Version 2 adds the observability fields: ``trace_id`` (the request's
+Version 2 added the observability fields: ``trace_id`` (the request's
 correlation id, null for untraced jobs) and ``diagnostics_ready``
 (whether a crash flight-recorder bundle is attached, i.e. whether
-``GET /v1/jobs/<id>/diagnostics`` will answer 200).
+``GET /v1/jobs/<id>/diagnostics`` will answer 200).  Version 3's
+``config`` fingerprint has one field fewer: the simulator has a single
+event engine, so a config no longer selects one.
 
 Every job resource the service returns (submit response, status poll)
 is tagged ``"schema": "repro.service/job"`` so clients and tooling can
@@ -27,7 +29,7 @@ from typing import Any
 from repro.cache import config_fingerprint
 
 JOB_SCHEMA_ID = "repro.service/job"
-JOB_SCHEMA_VERSION = 2
+JOB_SCHEMA_VERSION = 3
 
 #: Lifecycle: ``queued`` -> ``running`` -> ``done`` | ``failed``.
 JOB_STATES = ("queued", "running", "done", "failed")
@@ -63,7 +65,7 @@ def job_document(job: Any) -> dict[str, Any]:
 
 
 def validate_job_document(doc: object) -> list[str]:
-    """Validate a ``repro.service/job`` v1 document.
+    """Validate a ``repro.service/job`` v3 document.
 
     Returns human-readable problems (empty = conforming), like the other
     validators in the tree.

@@ -218,6 +218,8 @@ class ExperimentService:
                     content_length = int(value.strip())
                 except ValueError as err:
                     raise _HttpError(400, "bad Content-Length") from err
+                if content_length < 0:
+                    raise _HttpError(400, "bad Content-Length")
         if content_length > MAX_BODY_BYTES:
             raise _HttpError(413, "request body too large")
         body = await reader.readexactly(content_length) if content_length else b""

@@ -6,35 +6,10 @@ heap of events, and periodic tasks.  Components of the machine model
 :class:`~repro.sim.engine.Simulator`; experiments advance the clock with
 :meth:`~repro.sim.engine.Simulator.run_until` /
 :meth:`~repro.sim.engine.Simulator.run_for`.
-
-Dispatch is pluggable (:mod:`repro.sim.backends`): the ``reference``
-backend is the heap engine above; the ``batched`` backend
-(:mod:`repro.sim.batched`) drains sorted runs of events without
-re-entering the scheduler per event, with equivalence enforced by the
-differential cross-check harness (:mod:`repro.sim.crosscheck`).
 """
 
-from repro.sim.backends import (
-    SimBackend,
-    available_backends,
-    register_backend,
-    resolve_backend,
-)
-from repro.sim.batched import BatchedEventQueue, BatchedSimulator
 from repro.sim.engine import Simulator, PeriodicTask
 from repro.sim.events import Event, EventQueue
 from repro.sim.rng import RngFactory
 
-__all__ = [
-    "Simulator",
-    "PeriodicTask",
-    "Event",
-    "EventQueue",
-    "RngFactory",
-    "SimBackend",
-    "BatchedSimulator",
-    "BatchedEventQueue",
-    "available_backends",
-    "register_backend",
-    "resolve_backend",
-]
+__all__ = ["Simulator", "PeriodicTask", "Event", "EventQueue", "RngFactory"]

@@ -44,37 +44,11 @@ class Simulator:
     :class:`repro.sim.rng.RngFactory`) enables event-order shuffle mode:
     same-timestamp ties fire in a seeded-random order instead of
     scheduling order.  See :mod:`repro.lint.shuffle`.
-
-    ``backend`` selects the dispatch engine: constructing the base class
-    returns an instance of the resolved backend's simulator class
-    (``Simulator(backend="batched")`` is a
-    :class:`repro.sim.batched.BatchedSimulator`).  ``None`` falls back to
-    the ``REPRO_SIM_BACKEND`` environment variable, then ``reference``.
-    Constructing a subclass directly bypasses resolution — the class
-    already *is* the backend.  See :mod:`repro.sim.backends`.
     """
 
-    #: Registry name of the backend this class implements.
-    backend_name = "reference"
-    #: Event-store class constructed by ``__init__``; backend subclasses
-    #: override this alongside their dispatch loop.
-    _queue_cls = EventQueue
-
-    def __new__(cls, *, backend=None, **kwargs):
-        if cls is Simulator:
-            # Imported lazily: backends imports the backend modules,
-            # which import this one.
-            from repro.sim.backends import resolve_backend
-
-            cls = resolve_backend(backend).simulator_cls
-        return super().__new__(cls)
-
-    def __init__(self, *, tiebreak_rng=None, obs=None, backend=None) -> None:
-        # `backend` was consumed by __new__ (class dispatch); accepted
-        # here so the two signatures match.
-        del backend
+    def __init__(self, *, tiebreak_rng=None, obs=None) -> None:
         self._now_ns = 0
-        self._queue = self._queue_cls(tiebreak_rng=tiebreak_rng)
+        self._queue = EventQueue(tiebreak_rng=tiebreak_rng)
         self._running = False
         # Observability: None unless an *enabled* repro.obs.Obs is
         # attached — the dispatch hot path only ever pays an identity

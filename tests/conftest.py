@@ -40,21 +40,9 @@ def _isolated_cache_dir(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "repro-cache"))
 
 
-@pytest.fixture(params=["reference", "batched"])
-def backend(request) -> str:
-    """Simulation backend name; parametrizes consumers over every backend.
-
-    Tests taking this fixture (directly or via ``sim``) run once per
-    backend — the cheap way to assert behaviour is backend-independent.
-    Deeper equivalence is enforced by the differential cross-check
-    harness (``repro.sim.crosscheck``).
-    """
-    return request.param
-
-
 @pytest.fixture
-def sim(backend) -> Simulator:
-    return Simulator(backend=backend)
+def sim() -> Simulator:
+    return Simulator()
 
 
 @pytest.fixture

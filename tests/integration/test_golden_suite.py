@@ -28,28 +28,23 @@ GOLDEN_PATH = (
 )
 
 
-@pytest.mark.parametrize(
-    ("jobs", "backend"),
-    [(1, "reference"), (4, "reference"), (1, "batched")],
-    ids=["serial", "parallel4", "batched"],
-)
-def test_suite_matches_golden(cfg, jobs, backend, update_golden):
-    doc = suite_to_dict(run_suite(cfg, parallel=jobs, backend=backend))
+@pytest.mark.parametrize("jobs", [1, 4], ids=["serial", "parallel4"])
+def test_suite_matches_golden(cfg, jobs, update_golden):
+    doc = suite_to_dict(run_suite(cfg, parallel=jobs))
     if update_golden:
-        if jobs != 1 or backend != "reference":
-            pytest.skip("golden regenerated by the serial reference variant")
+        if jobs != 1:
+            pytest.skip("golden regenerated by the serial variant")
         GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
         dump_json(doc, str(GOLDEN_PATH))
         pytest.skip(f"golden updated: {GOLDEN_PATH}")
     golden = load_json(str(GOLDEN_PATH))
     diffs = diff_documents(golden, doc, rtol=DEFAULT_RTOL)
     assert not diffs, render_diff(diffs)
-    # Backends promise bit-identical results, not merely within-tolerance
-    # (docs/backends.md): the same golden must reproduce exactly under
-    # every backend.
+    # The simulator is deterministic, so serial and parallel runs must
+    # reproduce the golden exactly, not merely within tolerance.
     assert doc == golden, (
         "suite document drifted within tolerance; "
-        "backends must reproduce the golden byte-identically"
+        "the golden must reproduce byte-identically"
     )
 
 

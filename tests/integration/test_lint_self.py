@@ -84,7 +84,7 @@ def test_contracts_pass_is_clean_on_real_tree():
     )
     rendered = "\n".join(f.render() for f in report.findings)
     assert report.findings == [], f"contract violations:\n{rendered}"
-    assert report.pairs == 3 and report.schemas == 8
+    assert report.schemas == 6
 
 
 def test_cli_contracts_clean_tree_exits_zero(capsys):

@@ -132,16 +132,9 @@ def test_worker_traces_merge_into_one_correlated_timeline():
     # One shipped trace document per entry, each tagged with the suite's
     # content-derived trace id.
     assert len(result.worker_traces) == len(QUICK)
-    # The id is minted from the *resolved* config (backend name filled
-    # in) and the entries in submission order.
-    expected = mint_trace_id(
-        "suite",
-        CFG.seed,
-        CFG.scale,
-        CFG.sku,
-        result.config.backend,
-        *QUICK,
-    )
+    # The id is minted from the config and the entries in submission
+    # order.
+    expected = mint_trace_id("suite", CFG.seed, CFG.scale, CFG.sku, *QUICK)
     assert obs.tracer.trace_id == expected
     for worker_doc in result.worker_traces:
         assert worker_doc["otherData"]["trace_id"] == expected

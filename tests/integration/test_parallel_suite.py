@@ -10,7 +10,6 @@ of the registry so the property sweep stays cheap.
 from __future__ import annotations
 
 import time
-from dataclasses import replace
 
 import pytest
 
@@ -18,7 +17,6 @@ from repro.cache import ResultCache, cache_key
 from repro.core.experiment import ExperimentConfig
 from repro.core.serialize import document_digest
 from repro.core.suite import run_suite, suite_to_dict
-from repro.sim.backends import resolve_backend
 
 #: Registry entries that run in well under a second each at small scale.
 FAST = [
@@ -57,13 +55,9 @@ def test_warm_cache_returns_exact_cached_document(tmp_path):
     assert cache.stats.hits == len(FAST)
     assert warm == cold
 
-    # every table in the warm document IS the stored cache object;
-    # run_suite pins the resolved backend name into the config before
-    # any cache key is computed (docs/backends.md), so key against the
-    # pinned config.
-    pinned = replace(cfg, backend=resolve_backend(None).name)
+    # every table in the warm document IS the stored cache object
     for name in FAST:
-        assert cache.get(cache_key(name, pinned)) == cold["experiments"][name]
+        assert cache.get(cache_key(name, cfg)) == cold["experiments"][name]
 
     # acceptance floor is 5x; a full hit run does no simulation at all
     assert t_warm * 5.0 < t_cold, f"warm {t_warm:.3f}s vs cold {t_cold:.3f}s"

@@ -19,13 +19,15 @@ import asyncio
 import json
 import threading
 
+import pytest
+
 from repro.cache import ResultCache
 from repro.core.experiment import ExperimentConfig
 from repro.core.serialize import dump_json
 from repro.core.suite import run_suite, suite_to_dict
 from repro.obs import validate_metrics_document
 from repro.service import ServiceLimits, validate_job_document
-from repro.service.server import ExperimentService
+from repro.service.server import MAX_BODY_BYTES, ExperimentService
 
 ENTRIES = ["sec5a_idle_sibling"]
 SCALE = 0.01
@@ -235,6 +237,52 @@ def test_error_routes_and_request_validation():
         await service.wait_drained()
 
     asyncio.run(scenario())
+
+
+@pytest.mark.parametrize(
+    ("raw", "status"),
+    [
+        (b"POST /v1/jobs HTTP/1.1\r\nContent-Length: -1\r\n\r\n", 400),
+        (b"POST /v1/jobs HTTP/1.1\r\nContent-Length: ten\r\n\r\n", 400),
+        (b"NOT-HTTP\r\n\r\n", 400),
+        (
+            b"POST /v1/jobs HTTP/1.1\r\nContent-Length: "
+            + str(MAX_BODY_BYTES + 1).encode()
+            + b"\r\n\r\n",
+            413,
+        ),
+    ],
+    ids=[
+        "negative-content-length",
+        "non-numeric-content-length",
+        "malformed-request-line",
+        "body-too-large",
+    ],
+)
+def test_unparseable_request_gets_status_line_and_is_counted(raw, status):
+    # Hand-written bytes: the requests a well-behaved client never sends.
+    async def scenario():
+        service = ExperimentService(pool_jobs=1)
+        port = await service.start(port=0)
+        reader, writer = await asyncio.open_connection("127.0.0.1", port)
+        writer.write(raw)
+        await writer.drain()
+        response = await reader.read()
+        writer.close()
+        await writer.wait_closed()
+        snapshot = service.obs.metrics_snapshot()
+        service.request_drain()
+        await service.wait_drained()
+        return response, snapshot
+
+    response, snapshot = asyncio.run(scenario())
+    assert response.startswith(f"HTTP/1.1 {status} ".encode()), response
+    by_name = {m["name"]: m for m in snapshot["metrics"]}
+    counted = {
+        (s["labels"]["route"], s["labels"]["status"]): s["value"]
+        for s in by_name["service.http_requests"]["series"]
+    }
+    assert counted == {("unparsed", str(status)): 1}
 
 
 def test_result_before_done_is_conflict():

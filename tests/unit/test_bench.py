@@ -169,33 +169,6 @@ class TestSchema:
         assert any("reps" in e for e in validate_document(doc))
 
 
-class TestCompareSchema:
-    def _doc(self):
-        from repro.bench import document_from_compare
-        from repro.bench.harness import run_backend_compare
-
-        verdict = run_backend_compare(
-            TINY, kernels=["event_queue.mixed"], rounds=2
-        )
-        return document_from_compare(verdict, ctx=TINY)
-
-    def test_round_trip_validates(self):
-        from repro.bench import validate_compare_document
-
-        doc = json.loads(json.dumps(self._doc()))
-        assert validate_compare_document(doc) == []
-        assert doc["schema"] == "repro.bench/backend-compare"
-
-    def test_rejects_foreign_schema_and_tampered_speedup(self):
-        from repro.bench import validate_compare_document
-
-        assert validate_compare_document({"schema": SCHEMA_ID}) != []
-        doc = self._doc()
-        kernel = doc["kernels"]["event_queue.mixed"]
-        kernel["speedup"] = kernel["speedup"] * 3 + 1
-        assert any("speedup" in e for e in validate_compare_document(doc))
-
-
 class TestCli:
     def test_list(self, capsys):
         assert bench_main(["--list"]) == 0

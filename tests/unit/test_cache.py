@@ -50,18 +50,12 @@ class TestCacheKey:
             "fig3", ExperimentConfig(seed=1, scale=0.02, sku="EPYC 7302"),
             version="1.0", source="s",
         )
-        assert base != cache_key(
-            "fig3", ExperimentConfig(seed=1, scale=0.02, backend="batched"),
-            version="1.0", source="s",
-        )
         assert base != cache_key("fig3", cfg, version="2.0", source="s")
         assert base != cache_key("fig3", cfg, version="1.0", source="t")
 
     def test_fingerprint_covers_all_config_fields(self):
         fp = config_fingerprint(ExperimentConfig(seed=7))
-        assert set(fp) == {
-            "seed", "scale", "interval_s", "sku", "n_packages", "backend"
-        }
+        assert set(fp) == {"seed", "scale", "interval_s", "sku", "n_packages"}
 
     def test_fingerprint_rejects_opaque_objects(self):
         with pytest.raises(TypeError):

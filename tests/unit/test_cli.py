@@ -38,34 +38,6 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["fig99"])
 
-    def test_backend_flag_beats_env_var(self, monkeypatch):
-        # Precedence: an explicit --backend must win over
-        # REPRO_SIM_BACKEND for every machine the experiment builds.
-        from repro.core.experiment import machine_hook
-        from repro.sim.engine import Simulator
-
-        monkeypatch.setenv("REPRO_SIM_BACKEND", "batched")
-        seen = []
-        with machine_hook(lambda m: seen.append(type(m.sim))):
-            assert main(
-                ["rapl-rate", "--scale", "0.02", "--backend", "reference"]
-            ) == 0
-        assert seen and all(t is Simulator for t in seen)
-
-    def test_env_var_reaches_machines_without_flag(self, monkeypatch):
-        from repro.core.experiment import machine_hook
-        from repro.sim.batched import BatchedSimulator
-
-        monkeypatch.setenv("REPRO_SIM_BACKEND", "batched")
-        seen = []
-        with machine_hook(lambda m: seen.append(type(m.sim))):
-            assert main(["rapl-rate", "--scale", "0.02"]) == 0
-        assert seen and all(t is BatchedSimulator for t in seen)
-
-    def test_unknown_backend_flag_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["rapl-rate", "--backend", "warp-drive"])
-
     def test_selfcheck_passes_on_default_machine(self, capsys):
         assert main(["selfcheck"]) == 0
         out = capsys.readouterr().out

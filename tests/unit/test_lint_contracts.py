@@ -1,6 +1,6 @@
 """Whole-program contracts analysis: fixture corpus, cache, baseline,
-manifest health, and the two acceptance mutation demos (method deletion
-and schema field drift must each surface exactly one finding)."""
+manifest health, and the acceptance mutation demo (schema field drift
+must surface exactly one finding)."""
 
 from __future__ import annotations
 
@@ -9,6 +9,9 @@ import os
 import shutil
 from pathlib import Path
 
+import pytest
+
+from repro.errors import LintError
 from repro.lint.contracts import (
     CONTRACTS_RULE_IDS,
     analyze_paths,
@@ -27,8 +30,6 @@ REGISTRY = os.path.join(FIXTURES, "contracts.schemas.json")
 FIXTURE_FILES = [
     os.path.join(FIXTURES, name)
     for name in (
-        "pair_ref.py",
-        "pair_cand.py",
         "layer_high.py",
         "layer_low.py",
         "schema_mod.py",
@@ -37,12 +38,6 @@ FIXTURE_FILES = [
 
 #: Every seeded true positive in the fixture corpus, by (rule, file, line).
 EXPECTED = {
-    ("CON001", "pair_cand.py", 17),  # missing pop_due (at absent class)
-    ("CON001", "pair_cand.py", 17),  # constructor field 'limit' dropped
-    ("CON001", "pair_cand.py", 23),  # push gained a positional param
-    ("CON001", "pair_cand.py", 37),  # cancel_all kwonly name drift
-    ("CON001", "pair_ref.py", 8),  # extra candidate-only method drain
-    ("CON002", "pair_cand.py", 32),  # peek_time raises, reference never
     ("CON010", "layer_low.py", 10),  # module-scope import layer_high
     ("CON010", "layer_low.py", 11),  # module-scope from-import
     ("CON020", "contracts.schemas.json", 1),  # stale 'ghost' entry
@@ -56,10 +51,6 @@ EXPECTED = {
 
 #: Lines that look like positives but must stay silent (negatives).
 NEGATIVE_LINES = {
-    ("pair_ref.py", 36),  # underscore-default param is not surface
-    ("pair_ref.py", 43),  # legacy_shim excused via ignore_methods
-    ("pair_cand.py", 42),  # conforming step (underscore default too)
-    ("pair_cand.py", 45),  # conforming reset
     ("layer_low.py", 14),  # TYPE_CHECKING import is exempt
     ("layer_low.py", 23),  # function-level lazy import is exempt
     ("schema_mod.py", 33),  # the FIRST dual writer is not the extra one
@@ -81,7 +72,7 @@ class TestFixtureCorpus:
             (f.rule, os.path.basename(f.path), f.line) for f in report.findings
         }
         assert got == EXPECTED
-        assert len(report.findings) == 15  # two findings share pair_cand.py:17
+        assert len(report.findings) == 9
 
     def test_all_rules_are_exercised(self):
         report = _run_fixture()
@@ -95,56 +86,34 @@ class TestFixtureCorpus:
     def test_severities(self):
         report = _run_fixture()
         by_rule = {f.rule: f.severity for f in report.findings}
-        assert by_rule["CON002"] == "warning"
         assert by_rule["CON021"] == "warning"
-        for rule in ("CON001", "CON010", "CON020"):
+        for rule in ("CON010", "CON020"):
             assert by_rule[rule] == "error"
-
-    def test_missing_method_names_the_reference_witness(self):
-        report = _run_fixture()
-        finding = next(
-            f
-            for f in report.findings
-            if f.rule == "CON001" and "pop_due" in f.message
-        )
-        assert "pair_ref.py:20" in f"{finding.message}"
 
     def test_stats_shape(self):
         report = _run_fixture()
         stats = report.stats()
-        assert stats["modules"] == 5
-        assert stats["pairs"] == 1
+        assert stats["modules"] == 3
         assert stats["layers"] == 2
         # alpha/dual/unregistered/noval/orphan; the stale ghost entry
         # exists only in the snapshot, not in code.
         assert stats["schemas"] == 5
-        assert stats["findings"] == 15
+        assert stats["findings"] == 9
 
 
 class TestManifestHealth:
-    def test_unknown_pair_class_is_reported(self, tmp_path):
+    @pytest.mark.parametrize("key", ["pairs", "bogus"])
+    def test_unknown_top_level_key_fails_closed(self, tmp_path, key):
+        # A leftover section would otherwise enforce nothing, silently.
         manifest = tmp_path / "pairs.json"
-        manifest.write_text(
-            json.dumps(
-                {
-                    "version": 1,
-                    "pairs": [
-                        {
-                            "reference": "pair_ref.FakeQueue",
-                            "candidate": "no.such.Class",
-                        }
-                    ],
-                }
+        manifest.write_text(json.dumps({"version": 1, key: []}))
+        with pytest.raises(LintError, match=repr(key)):
+            analyze_paths(
+                FIXTURE_FILES[:1],
+                use_cache=False,
+                manifest_path=str(manifest),
+                registry_path=REGISTRY,
             )
-        )
-        report = analyze_paths(
-            FIXTURE_FILES[:1],
-            use_cache=False,
-            manifest_path=str(manifest),
-            registry_path=REGISTRY,
-        )
-        hits = [f for f in report.findings if "no.such.Class" in f.message]
-        assert len(hits) == 1 and hits[0].rule == "CON001"
 
     def test_unmatched_layer_prefix_is_reported(self, tmp_path):
         manifest = tmp_path / "pairs.json"
@@ -216,7 +185,7 @@ class TestCacheAndBaseline:
         ]
         before = contracts_cache_key(modules, PAIRS, REGISTRY)
         other = tmp_path / "pairs.json"
-        other.write_text(json.dumps({"version": 1, "pairs": []}))
+        other.write_text(json.dumps({"version": 1}))
         after = contracts_cache_key(modules, str(other), REGISTRY)
         assert before != after
 
@@ -225,17 +194,15 @@ class TestCacheAndBaseline:
         first = _run_fixture(
             baseline_path=str(baseline), update_baseline=True
         )
-        assert first.findings == [] and first.baselined == 15
+        assert first.findings == [] and first.baselined == 9
         second = _run_fixture(baseline_path=str(baseline))
-        assert second.findings == [] and second.baselined == 15
+        assert second.findings == [] and second.baselined == 9
 
 
 class TestSarifCatalogue:
     def test_merged_catalogue_covers_every_family(self):
         titles = rule_titles()
         for rule_id in (
-            "CON001",
-            "CON002",
             "CON010",
             "CON020",
             "CON021",
@@ -266,27 +233,8 @@ def _analyze_real_copy(dest):
 
 
 class TestAcceptanceMutations:
-    """The two demos from the issue: each mutation yields exactly one
-    finding with a file/line witness."""
-
-    def test_deleting_a_batched_queue_method_trips_con001(self, tmp_path):
-        dest = _copy_real_tree(tmp_path)
-        batched = dest / "sim" / "batched.py"
-        text = batched.read_text()
-        anchor = "    def pop_due(self, limit_ns: int) -> Event | None:"
-        assert text.count(anchor) == 1
-        batched.write_text(
-            text.replace(
-                anchor,
-                "    def _hidden_pop_due(self, limit_ns: int) -> Event | None:",
-            )
-        )
-        report = _analyze_real_copy(dest)
-        assert len(report.findings) == 1
-        finding = report.findings[0]
-        assert finding.rule == "CON001"
-        assert "pop_due" in finding.message
-        assert finding.path.endswith("batched.py") and finding.line > 0
+    """A mutation of the real tree yields exactly one finding with a
+    file/line witness."""
 
     def test_schema_field_drift_without_bump_trips_con020(self, tmp_path):
         dest = _copy_real_tree(tmp_path)

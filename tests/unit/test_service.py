@@ -50,12 +50,6 @@ class TestJobSpec:
         assert spec.tenant == "anonymous"
         assert list(spec.entries) == list(SUITE)
 
-    def test_backend_is_pinned_like_run_suite(self):
-        # The default backend resolves to a concrete name, so the job
-        # key equals the execution-time cache key.
-        spec = _spec()
-        assert spec.config.backend is not None
-
     @pytest.mark.parametrize(
         "doc",
         [
@@ -76,6 +70,8 @@ class TestJobSpec:
             {"config": {"interval_s": -1.0}},
             {"config": {"sku": ""}},
             {"config": {"n_packages": 0}},
+            # A removed config field from an older client fails closed.
+            {"config": {"backend": "reference"}},
         ],
     )
     def test_bad_requests_rejected(self, doc):

@@ -4,6 +4,8 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.sim.engine import Simulator
+from repro.sim.events import EventQueue
+from repro.sim.rng import RngFactory
 from repro.units import ms, us
 
 
@@ -80,6 +82,25 @@ class TestScheduling:
         sim.run_until(us(5))
         assert seen == []
 
+    def test_raising_callback_is_consumed_and_dispatch_resumes(self, sim):
+        seen = []
+        sim.schedule_after(us(1), lambda: seen.append("a"))
+
+        def boom():
+            raise RuntimeError("callback failure")  # EXC001: arbitrary user-callback crash
+
+        sim.schedule_after(us(2), boom)
+        sim.schedule_after(us(3), lambda: seen.append("b"))
+        with pytest.raises(RuntimeError):
+            sim.run_until(us(5))
+        assert seen == ["a"]
+        assert sim.pending_events == 1
+        # The raising event is consumed; the next run dispatches the rest.
+        sim.run_until(us(5))
+        assert seen == ["a", "b"]
+        assert sim.pending_events == 0
+        assert sim.now_ns == us(5)
+
 
 class TestPeriodicTask:
     def test_fires_every_period(self, sim):
@@ -128,9 +149,9 @@ class TestPeriodicTask:
 class TestTieBreaking:
     """Dispatch-order contract for same-timestamp events.
 
-    The contract (shared by every backend): ties dispatch in schedule
-    order, and an event scheduled *during* dispatch at the current time
-    runs after everything already queued at that time.  These are the
+    The contract: ties dispatch in schedule order, and an event
+    scheduled *during* dispatch at the current time runs after
+    everything already queued at that time.  These are the
     order-dependence hazards of ``run_until``/``pop_due`` made explicit.
     """
 
@@ -173,13 +194,12 @@ class TestTieBreaking:
         sim.run_until(us(5))
         assert seen == [0, 2, 3, 5]
 
-    def test_pop_due_matches_run_until_order(self, backend):
+    def test_pop_due_matches_run_until_order(self):
         # Draining the queue directly must observe the same order as
-        # dispatch; the batched store defers merging, which is exactly
-        # where an order bug would hide.
+        # the inlined dispatch loop in run_until.
         run_seen = []
-        drain = Simulator(backend=backend)
-        runner = Simulator(backend=backend)
+        drain = Simulator()
+        runner = Simulator()
 
         def build(s, log):
             s.schedule_after(us(2), lambda: log.append("a"))
@@ -198,3 +218,19 @@ class TestTieBreaking:
                 break
             event.callback()
         assert drain_seen == run_seen == ["b", "d", "a", "c"]
+
+    def test_shuffle_mode_ties_are_seeded_not_fifo(self):
+        def order(seed):
+            rng = RngFactory(seed).child("event-order-shuffle/1")
+            queue = EventQueue(tiebreak_rng=rng)
+            fired = []
+            for i in range(16):
+                queue.push(100, lambda i=i: fired.append(i))
+            while queue:
+                queue.pop().callback()
+            return fired
+
+        shuffled = order(7)
+        assert sorted(shuffled) == list(range(16))
+        assert shuffled != list(range(16))  # the shuffle actually shuffles
+        assert order(7) == shuffled  # and repeats for the same seed
