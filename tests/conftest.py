@@ -40,8 +40,13 @@ def _isolated_cache_dir(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "repro-cache"))
 
 
-@pytest.fixture
-def sim() -> Simulator:
+@pytest.fixture(params=["reference"])
+def sim(request) -> Simulator:
+    """A fresh simulator on the heap-based reference engine (DESIGN §2.1).
+
+    The single ``reference`` param only names the engine in the test id
+    (``test_x[reference]``), so consumers keep stable ids.
+    """
     return Simulator()
 
 

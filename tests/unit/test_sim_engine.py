@@ -194,11 +194,11 @@ class TestTieBreaking:
         sim.run_until(us(5))
         assert seen == [0, 2, 3, 5]
 
-    def test_pop_due_matches_run_until_order(self):
+    def test_pop_due_matches_run_until_order(self, sim):
         # Draining the queue directly must observe the same order as
         # the inlined dispatch loop in run_until.
         run_seen = []
-        drain = Simulator()
+        drain = sim
         runner = Simulator()
 
         def build(s, log):
