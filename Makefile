@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint lint-json lint-flow lint-effects lint-contracts lint-changed baseline-update baseline-update-effects baseline-update-contracts update-schema-registry ordering-check selfcheck suite-parallel suite-traced golden bench bench-smoke bench-guard serve service-smoke
+.PHONY: test lint lint-json lint-changed update-schema-registry ordering-check selfcheck suite-parallel suite-traced golden bench bench-smoke bench-guard serve service-smoke
 
 # The default gate: static analysis first (DET001/SIM001/... keep the
 # cache/parallel code deterministic), then the full pytest tree — which
@@ -9,53 +9,27 @@ export PYTHONPATH := src
 test: lint
 	$(PYTHON) -m pytest -x -q
 
-# Per-module rules over the whole tree, plus the whole-program effects
-# and contracts passes over src/repro against their checked-in
-# baselines.
-lint: lint-effects lint-contracts
-	$(PYTHON) -m repro.lint src/repro tests benchmarks examples
+# Per-module rules plus the whole-program flow, effects and contracts
+# passes (one `--deep` run against lint.json, one result cache) over
+# src/repro, then per-module rules over the rest of the tree.
+lint:
+	$(PYTHON) -m repro.lint src/repro --deep
+	$(PYTHON) -m repro.lint tests benchmarks examples
 
 lint-json:
 	$(PYTHON) -m repro.lint src/repro --format json
 
-# Whole-program dimensional-dataflow + determinism-taint analysis,
-# failing only on findings not recorded in the checked-in baseline.
-lint-flow:
-	$(PYTHON) -m repro.lint src/repro --flow --baseline lint-flow.baseline.json
-
-# Accept the current flow findings as the new baseline; review the JSON
-# diff before committing (each entry is a finding you chose to live with).
-baseline-update:
-	$(PYTHON) -m repro.lint src/repro --flow --baseline lint-flow.baseline.json --update-baseline
-
-# Whole-program effect/escape analysis: per-event allocation, repeated
-# attribute lookups and exception control flow in declared hot regions
-# (lint-effects.regions.json), obs `is None` guard dominance, and
-# repro.parallel pickle safety — vs the checked-in baseline.
-lint-effects:
-	$(PYTHON) -m repro.lint src/repro --effects --effects-baseline lint-effects.baseline.json
-
-baseline-update-effects:
-	$(PYTHON) -m repro.lint src/repro --effects --effects-baseline lint-effects.baseline.json --update-effects-baseline
-
-# Whole-program structural contracts: layer-boundary imports against the
-# layer DAG (lint-contracts.pairs.json) and the schema registry snapshot
-# (lint-contracts.schemas.json) — vs the baseline.
-lint-contracts:
-	$(PYTHON) -m repro.lint src/repro --contracts --contracts-baseline lint-contracts.baseline.json
-
-baseline-update-contracts:
-	$(PYTHON) -m repro.lint src/repro --contracts --contracts-baseline lint-contracts.baseline.json --update-contracts-baseline
-
-# Re-snapshot the schema registry after a deliberate schema_version
-# bump; review the JSON diff like any other contract change.
+# Re-snapshot the schema registry (the `schemas` section of lint.json)
+# after a deliberate schema_version bump; review the JSON diff like any
+# other contract change.
 update-schema-registry:
-	$(PYTHON) -m repro.lint src/repro --contracts --update-schema-registry
+	$(PYTHON) -m repro.lint src/repro --deep --update-schema-registry
 
-# Pre-commit convenience: full analysis, findings reported only for
+# Pre-commit convenience: the `lint` runs, findings reported only for
 # files changed vs git HEAD (falls back to a full run without git).
 lint-changed:
-	$(PYTHON) -m repro.lint src/repro tests benchmarks examples --effects --effects-baseline lint-effects.baseline.json --changed-only
+	$(PYTHON) -m repro.lint src/repro --deep --changed-only
+	$(PYTHON) -m repro.lint tests benchmarks examples --changed-only
 
 ordering-check:
 	$(PYTHON) -m repro.lint --ordering-check --ordering-seeds 1,2,3

@@ -6,8 +6,10 @@ Two halves (DESIGN.md §7's determinism contract, enforced):
   applies simulator-aware rules — DET001 (no wall-clock/unseeded
   randomness), UNIT001 (suffix-driven unit consistency), EXC001
   (:class:`~repro.errors.ReproError` discipline), SIM001 (no simulator
-  re-entry from event callbacks).  Findings support inline
-  ``# lint: disable=RULE`` suppressions and JSON output for tooling.
+  re-entry from event callbacks).  ``--deep`` adds the whole-program
+  flow, effects and contracts analyzers (:mod:`repro.lint.deep`, declared
+  inputs in ``lint.json``).  Findings support inline
+  ``# lint: disable=RULE`` suppressions and JSON/SARIF output.
 * **Runtime**: :class:`~repro.lint.monitor.InvariantMonitor` hooks a
   :class:`~repro.machine.Machine` and asserts physical invariants after
   every event batch; :mod:`repro.lint.shuffle` re-runs scenarios under

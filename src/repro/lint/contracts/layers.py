@@ -1,8 +1,8 @@
 """Import-boundary rule (CON010).
 
-The manifest declares a layer DAG: ``assign`` maps layer names to
-module-name prefixes, ``allow`` maps each layer to the layers it may
-import *at module scope*.  A module-level import from an assigned layer
+The manifest (``lint.json``) declares a layer DAG: ``assign`` maps layer
+names to module-name prefixes, ``allow`` maps each layer to the layers
+it may import *at module scope*.  A module-level import from an assigned layer
 into a layer outside its allow list is CON010 (error): it is exactly the
 coupling that would make a second architecture model (ROADMAP item 4)
 drag the bench/obs/lint stack along with it.
@@ -25,8 +25,7 @@ import ast
 
 from repro.lint.findings import Finding
 from repro.lint.flow.graph import Program
-
-from repro.lint.contracts.manifest import ContractsManifest
+from repro.lint.manifest import Manifest
 
 RULE_LAYER = "CON010"
 
@@ -91,13 +90,13 @@ def _module_level_imports(
     return out
 
 
-def check_layers(program: Program, manifest: ContractsManifest) -> list[Finding]:
+def check_layers(program: Program, manifest: Manifest) -> list[Finding]:
     """CON010 findings over every analyzed module."""
     layers = manifest.layers
     if not layers.assign:
         return []
     findings: list[Finding] = []
-    manifest_path = manifest.path or "lint-contracts.pairs.json"
+    manifest_path = manifest.label
 
     cycle = layers.cycle()
     if cycle is not None:

@@ -16,7 +16,7 @@ documents.  This module extracts that registry *statically*:
   not count — a dispatcher is routing, not validation.
 
 CON020 (error) holds the extracted registry against the committed
-snapshot ``lint-contracts.schemas.json``:
+snapshot, the ``schemas`` section of ``lint.json``:
 
 * a schema id in the tree with no snapshot entry (or vice versa);
 * more or fewer than exactly one writer / one validator per schema;
@@ -32,20 +32,15 @@ CON021 (warning): a validator no test file ever names — dead armor.
 from __future__ import annotations
 
 import ast
-import json
 import os
 from dataclasses import dataclass, field
 
-from repro.errors import LintError
 from repro.lint.findings import SEVERITY_ERROR, SEVERITY_WARNING, Finding
 from repro.lint.flow.graph import MODULE_BODY, FuncInfo, ModuleInfo, Program
-
-from repro.lint.contracts.manifest import DEFAULT_REGISTRY, ContractsManifest
+from repro.lint.manifest import Manifest
 
 RULE_REGISTRY = "CON020"
 RULE_DEAD_VALIDATOR = "CON021"
-
-REGISTRY_VERSION = 1
 
 #: Shape a string constant must have to count as a schema id.
 _SCHEMA_PREFIX = "repro."
@@ -292,51 +287,22 @@ def extract_registry(program: Program) -> ExtractedRegistry:
 
 
 # --------------------------------------------------------------------------
-# Snapshot load / compare / update
+# Snapshot compare / update
 
 
-def load_snapshot(path: str | None) -> tuple[str, dict[str, dict]] | None:
-    """(path, schema id -> entry) from the committed snapshot, or None
-    when no snapshot exists (first run: CON020 asks for one)."""
-    if path is None:
-        if not os.path.exists(DEFAULT_REGISTRY):
-            return None
-        path = DEFAULT_REGISTRY
-    try:
-        with open(path, encoding="utf-8") as handle:
-            doc = json.load(handle)
-    except (OSError, json.JSONDecodeError) as err:
-        raise LintError(f"cannot read schema registry {path}: {err}") from err
-    if not isinstance(doc, dict) or not isinstance(doc.get("schemas"), dict):
-        raise LintError(
-            f"schema registry {path}: expected an object with a "
-            "'schemas' mapping"
-        )
-    return path, doc["schemas"]
-
-
-def snapshot_document(registry: ExtractedRegistry) -> dict:
-    """The registry snapshot document for ``--update-schema-registry``."""
+def snapshot_schemas(registry: ExtractedRegistry) -> dict[str, dict]:
+    """The manifest ``schemas`` section for ``--update-schema-registry``."""
     schemas: dict[str, dict] = {}
     for schema in sorted(registry.schemas()):
         writers = registry.writers.get(schema, [])
         validators = registry.validators.get(schema, [])
-        entry: dict[str, object] = {
+        schemas[schema] = {
             "version": writers[0].version if writers else None,
             "writer": writers[0].qname if writers else None,
             "validator": validators[0].qname if validators else None,
             "fields": sorted(writers[0].fields) if writers else [],
         }
-        schemas[schema] = entry
-    return {"registry_version": REGISTRY_VERSION, "schemas": schemas}
-
-
-def write_snapshot(path: str | None, registry: ExtractedRegistry) -> str:
-    path = path or DEFAULT_REGISTRY
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(snapshot_document(registry), handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return path
+    return schemas
 
 
 def _site_finding(
@@ -355,32 +321,12 @@ def _site_finding(
 
 
 def check_registry(
-    program: Program,
-    manifest: ContractsManifest,
-    registry_path: str | None,
+    program: Program, manifest: Manifest
 ) -> tuple[list[Finding], ExtractedRegistry]:
     """CON020/CON021 findings plus the extracted registry."""
     registry = extract_registry(program)
     findings: list[Finding] = []
-
-    loaded = load_snapshot(registry_path)
-    if loaded is None:
-        for schema in sorted(registry.schemas()):
-            sites = registry.writers.get(schema) or registry.validators.get(
-                schema, []
-            )
-            findings.append(
-                _site_finding(
-                    sites[0],
-                    f"schema {schema!r} has no committed registry entry; "
-                    "run lint --contracts --update-schema-registry to "
-                    f"record it in {DEFAULT_REGISTRY}",
-                )
-            )
-        findings.extend(_check_dead_validators(registry, manifest))
-        return findings, registry
-
-    snap_path, snapshot = loaded
+    snapshot = manifest.schemas
 
     for schema in sorted(registry.schemas()):
         writers = registry.writers.get(schema, [])
@@ -392,8 +338,8 @@ def check_registry(
                 _site_finding(
                     any_site,
                     f"schema {schema!r} is not in the committed registry "
-                    f"{snap_path}; run --update-schema-registry and review "
-                    "the diff",
+                    f"({manifest.label} 'schemas'); run lint --deep "
+                    "--update-schema-registry and review the diff",
                 )
             )
             continue
@@ -474,21 +420,21 @@ def check_registry(
                         writer,
                         f"schema {schema!r} is at v{writer.version} in code "
                         f"but the registry snapshot records "
-                        f"v{snap_version}; run --update-schema-registry to "
-                        "record the bump",
+                        f"v{snap_version}; run lint --deep "
+                        "--update-schema-registry to record the bump",
                     )
                 )
 
     for schema in sorted(set(snapshot) - registry.schemas()):
         findings.append(
             Finding(
-                path=snap_path,
+                path=manifest.label,
                 line=1,
                 col=0,
                 rule=RULE_REGISTRY,
                 message=(
                     f"registry snapshot entry {schema!r} matches no writer "
-                    "or validator in the analyzed tree; run "
+                    "or validator in the analyzed tree; run lint --deep "
                     "--update-schema-registry to drop it"
                 ),
             )
@@ -502,11 +448,8 @@ def check_registry(
 # CON021: test reachability
 
 
-def tests_digest_text(tests_root: str | None) -> str:
-    """Concatenated test-file text, folded into the cache key so editing
-    a test re-evaluates CON021."""
-    if tests_root is None or not os.path.isdir(tests_root):
-        return ""
+def _tests_corpus(tests_root: str) -> str:
+    """Concatenated text of every test file under ``tests_root``."""
     chunks: list[str] = []
     for dirpath, dirnames, filenames in os.walk(tests_root):
         dirnames.sort()
@@ -522,12 +465,12 @@ def tests_digest_text(tests_root: str | None) -> str:
 
 
 def _check_dead_validators(
-    registry: ExtractedRegistry, manifest: ContractsManifest
+    registry: ExtractedRegistry, manifest: Manifest
 ) -> list[Finding]:
     tests_root = manifest.tests_root
     if tests_root is None or not os.path.isdir(tests_root):
         return []
-    corpus = tests_digest_text(tests_root)
+    corpus = _tests_corpus(tests_root)
     findings: list[Finding] = []
     for schema in sorted(registry.validators):
         for site in registry.validators[schema]:

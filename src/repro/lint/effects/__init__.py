@@ -1,48 +1,15 @@
 """Whole-program effect, escape and hot-path budget analysis.
 
-Public surface (mirroring :mod:`repro.lint.flow`):
-
-* :data:`EFFECTS_RULE_IDS` / :data:`EFFECTS_RULE_TITLES` — the rules
-  this pass can emit (HOT001-HOT003, OBS001, PAR001).
-* :func:`analyze_modules` — run the analysis over already-parsed
-  modules, with digest-keyed result caching and optional baseline
-  filtering.
-* :func:`analyze_paths` — convenience wrapper for tests and tooling.
-* :func:`summarize_paths` — just the per-function effect summaries, for
-  programmatic consumers.
-
-The cache key hashes every module's source, the analyzer version *and*
-the region manifest, so editing ``lint-effects.regions.json`` is as
-invalidating as editing code.  Cached documents replay recorded
-suppression usage so LINT001 stays exact on hits.
+Per-function effect summaries (:mod:`.summaries`) feed the hot-region
+budget (:mod:`.hotpath`, regions from :mod:`.regions`), the obs guard
+check (:mod:`.guards`) and the parallel-safety check (:mod:`.parsafe`);
+:mod:`repro.lint.deep` runs them all over one shared program.  This
+package exports the rules they can emit (HOT001-HOT003, OBS001, PAR001).
 """
 
-from __future__ import annotations
-
-import hashlib
-import json
-import time
-from dataclasses import dataclass, field
-from typing import Any, Sequence
-
-from repro.errors import CacheError
-from repro.lint.engine import ParsedModule
-from repro.lint.findings import Finding
-from repro.lint.flow.baseline import load_baseline, split_baselined, write_baseline
-from repro.lint.flow.graph import build_program
-from repro.lint.effects.guards import RULE_OBS_GUARD, check_guards
-from repro.lint.effects.hotpath import (
-    RULE_HOT_ALLOC,
-    RULE_HOT_ATTR,
-    RULE_HOT_EXC,
-    check_regions,
-)
-from repro.lint.effects.parsafe import RULE_PAR_UNSAFE, check_submissions
-from repro.lint.effects.regions import collect_regions, manifest_digest_text
-from repro.lint.effects.summaries import EffectSummary, summarize_program
-
-#: Bump to invalidate every cached analysis result.
-EFFECTS_VERSION = 1
+from repro.lint.effects.guards import RULE_OBS_GUARD
+from repro.lint.effects.hotpath import RULE_HOT_ALLOC, RULE_HOT_ATTR, RULE_HOT_EXC
+from repro.lint.effects.parsafe import RULE_PAR_UNSAFE
 
 EFFECTS_RULE_TITLES: dict[str, str] = {
     RULE_HOT_ALLOC: "per-event allocation inside a declared hot region",
@@ -53,196 +20,3 @@ EFFECTS_RULE_TITLES: dict[str, str] = {
 }
 
 EFFECTS_RULE_IDS = set(EFFECTS_RULE_TITLES)
-
-
-@dataclass
-class EffectsReport:
-    """Outcome of one whole-program effects analysis."""
-
-    findings: list[Finding] = field(default_factory=list)
-    suppressed: int = 0
-    baselined: int = 0
-    modules: int = 0
-    functions: int = 0
-    regions: int = 0
-    cache_hit: bool = False
-    duration_s: float = 0.0
-
-    def stats(self) -> dict[str, Any]:
-        return {
-            "modules": self.modules,
-            "functions": self.functions,
-            "regions": self.regions,
-            "findings": len(self.findings),
-            "suppressed": self.suppressed,
-            "baselined": self.baselined,
-            "cache_hit": self.cache_hit,
-            "duration_s": round(self.duration_s, 3),
-        }
-
-
-def effects_cache_key(
-    modules: Sequence[ParsedModule], manifest_path: str | None
-) -> str:
-    """Digest of analyzer version, every source, and the region manifest."""
-    hasher = hashlib.sha256()
-    hasher.update(f"effects-v{EFFECTS_VERSION}".encode())
-    hasher.update(manifest_digest_text(manifest_path).encode())
-    for parsed in sorted(modules, key=lambda m: m.path):
-        digest = hashlib.sha256(parsed.source.encode("utf-8")).hexdigest()
-        hasher.update(json.dumps([parsed.path, digest]).encode())
-    return f"linteffects-{hasher.hexdigest()}"
-
-
-def _open_cache():
-    from repro.cache.store import ResultCache
-
-    try:
-        return ResultCache()
-    except CacheError:
-        return None
-
-
-def _analyze(
-    modules: list[ParsedModule], manifest_path: str | None
-) -> tuple[EffectsReport, dict[str, Any]]:
-    """Run the analyzer; returns the report and a cacheable document."""
-    program = build_program(modules)
-    summaries = summarize_program(program)
-    regions = collect_regions(program, manifest_path)
-
-    raw: list[Finding] = []
-    raw.extend(check_regions(program, summaries, regions))
-    raw.extend(check_guards(program))
-    raw.extend(check_submissions(program))
-    for qname in regions.unmatched:
-        raw.append(
-            Finding(
-                path=manifest_path or "lint-effects.regions.json",
-                line=1,
-                col=0,
-                rule=RULE_HOT_ALLOC,
-                message=(
-                    f"hot-region manifest entry '{qname}' matched no "
-                    "function in the analyzed set; fix the qualified name "
-                    "or drop the entry"
-                ),
-            )
-        )
-    raw.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-
-    by_path = {m.path: m for m in modules}
-    kept: list[Finding] = []
-    suppressed = 0
-    uses: list[list] = []
-    for finding in raw:
-        parsed = by_path.get(finding.path)
-        if parsed is not None:
-            before = set(parsed.suppressions.used)
-            if parsed.suppressions.suppresses(finding):
-                suppressed += 1
-                for line, rule in parsed.suppressions.used - before:
-                    uses.append([finding.path, line, rule])
-                continue
-        kept.append(finding)
-    report = EffectsReport(
-        findings=kept,
-        suppressed=suppressed,
-        modules=len(program.modules),
-        functions=len(program.functions),
-        regions=len(regions.regions),
-    )
-    doc = {
-        "version": EFFECTS_VERSION,
-        "findings": [f.to_dict() for f in kept],
-        "suppressed": suppressed,
-        "suppression_uses": uses,
-        "modules": report.modules,
-        "functions": report.functions,
-        "regions": report.regions,
-    }
-    return report, doc
-
-
-def _replay(doc: dict[str, Any], modules: list[ParsedModule]) -> EffectsReport:
-    """Rebuild a report from a cached document, replaying suppressions."""
-    by_path = {m.path: m for m in modules}
-    for path, line, rule in doc.get("suppression_uses", []):
-        parsed = by_path.get(path)
-        if parsed is not None:
-            parsed.suppressions.mark_used(line, rule)
-    findings = [Finding(**f) for f in doc.get("findings", [])]
-    return EffectsReport(
-        findings=findings,
-        suppressed=int(doc.get("suppressed", 0)),
-        modules=int(doc.get("modules", 0)),
-        functions=int(doc.get("functions", 0)),
-        regions=int(doc.get("regions", 0)),
-        cache_hit=True,
-    )
-
-
-def analyze_modules(
-    modules: Sequence[ParsedModule],
-    *,
-    use_cache: bool = True,
-    baseline_path: str | None = None,
-    update_baseline: bool = False,
-    manifest_path: str | None = None,
-) -> EffectsReport:
-    """Whole-program effects analysis over parsed modules.
-
-    The baseline is applied *after* the cache, exactly like the flow
-    pass: cached documents store raw findings, so editing the baseline
-    never forces a re-analysis.
-    """
-    started = time.perf_counter()  # lint: disable=DET001 (host-side analysis timing)
-    analyzable = [m for m in modules if m.ctx is not None]
-    cache = _open_cache() if use_cache else None
-    key = effects_cache_key(analyzable, manifest_path) if cache is not None else ""
-    report: EffectsReport | None = None
-    if cache is not None:
-        try:
-            doc = cache.get(key)
-        except CacheError:
-            doc = None
-        if doc is not None and doc.get("version") == EFFECTS_VERSION:
-            report = _replay(doc, analyzable)
-    if report is None:
-        report, doc = _analyze(analyzable, manifest_path)
-        if cache is not None:
-            try:
-                cache.put(key, doc)
-            except CacheError:
-                pass
-
-    if baseline_path is not None:
-        if update_baseline:
-            write_baseline(baseline_path, report.findings)
-        accepted = load_baseline(baseline_path)
-        report.findings, report.baselined = split_baselined(
-            report.findings, accepted
-        )
-    report.duration_s = time.perf_counter() - started  # lint: disable=DET001 (host-side analysis timing)
-    return report
-
-
-def analyze_paths(paths: Sequence[str], **kwargs: Any) -> EffectsReport:
-    """Parse every python file under ``paths`` and analyze them."""
-    from repro.lint.engine import iter_python_files, parse_module, read_source
-
-    modules = [
-        parse_module(read_source(path), path) for path in iter_python_files(paths)
-    ]
-    return analyze_modules(modules, **kwargs)
-
-
-def summarize_paths(paths: Sequence[str]) -> dict[str, EffectSummary]:
-    """Per-function effect summaries for programmatic consumers."""
-    from repro.lint.engine import iter_python_files, parse_module, read_source
-
-    modules = [
-        parse_module(read_source(path), path) for path in iter_python_files(paths)
-    ]
-    program = build_program([m for m in modules if m.ctx is not None])
-    return summarize_program(program)

@@ -79,6 +79,20 @@ def check_regions(
         )
         findings.extend(_check_exception_flow(region))
         findings.extend(_check_attr_lookups(region, summary))
+    for qname in regions.unmatched:
+        findings.append(
+            Finding(
+                path=regions.manifest_path,
+                line=1,
+                col=0,
+                rule=RULE_HOT_ALLOC,
+                message=(
+                    f"hot-region manifest entry '{qname}' matched no "
+                    "function in the analyzed set; fix the qualified name "
+                    "or drop the entry"
+                ),
+            )
+        )
     return findings
 
 

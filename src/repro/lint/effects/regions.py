@@ -5,9 +5,9 @@ effect-free — the dispatch loop, the event-queue pop path, the PowerModel
 memo path, the per-event bench callbacks.  Two declaration mechanisms
 feed the same set:
 
-* the **region manifest** (``lint-effects.regions.json``), a committed
-  JSON file naming functions by qualified name — the reviewable source
-  of truth for the production hot set;
+* the ``hot`` section of the manifest (``lint.json``), naming functions
+  by qualified name — the reviewable source of truth for the production
+  hot set;
 * an inline ``# lint: hot`` comment on (or directly above) a ``def``
   line — the only way to mark *nested* functions (bench kernel
   callbacks), and handy in fixture corpora.
@@ -25,18 +25,11 @@ region's reason (``# lint: hot (per-event dispatch callback)``).
 from __future__ import annotations
 
 import ast
-import json
-import os
 import re
 from dataclasses import dataclass, field
 
-from repro.errors import LintError
 from repro.lint.findings import _comment_lines
-
-#: Default manifest filename, looked up in the working directory.
-DEFAULT_MANIFEST = "lint-effects.regions.json"
-
-MANIFEST_VERSION = 1
+from repro.lint.manifest import Manifest
 
 _HOT_RE = re.compile(r"#\s*lint:\s*hot\b\s*(.*)")
 _COLD_RE = re.compile(r"#\s*lint:\s*cold\b\s*(.*)")
@@ -65,46 +58,11 @@ class RegionSet:
     #: Manifest entries that matched no function in the analyzed set —
     #: surfaced as findings so a rename cannot silently drop coverage.
     unmatched: list[str] = field(default_factory=list)
+    #: Where those findings point.
+    manifest_path: str = ""
 
     def is_cold(self, qname: str) -> bool:
         return qname in self.cold
-
-
-def load_manifest(path: str | None) -> tuple[dict[str, str], dict[str, str]]:
-    """(hot qname -> reason, cold qname -> reason) from the manifest.
-
-    ``path=None`` falls back to :data:`DEFAULT_MANIFEST` when present;
-    an explicitly-named missing file is an error, a missing default is
-    an empty manifest (marker-only operation).
-    """
-    if path is None:
-        if not os.path.exists(DEFAULT_MANIFEST):
-            return {}, {}
-        path = DEFAULT_MANIFEST
-    try:
-        with open(path, encoding="utf-8") as handle:
-            doc = json.load(handle)
-    except (OSError, json.JSONDecodeError) as err:
-        raise LintError(f"cannot read region manifest {path}: {err}") from err
-    if not isinstance(doc, dict):
-        raise LintError(f"region manifest {path}: top level must be an object")
-    hot: dict[str, str] = {}
-    cold: dict[str, str] = {}
-    for key, sink in (("regions", hot), ("cold", cold)):
-        for entry in doc.get(key, []):
-            if not isinstance(entry, dict) or "function" not in entry:
-                raise LintError(
-                    f"region manifest {path}: every '{key}' entry needs a "
-                    "'function' qualified name"
-                )
-            sink[str(entry["function"])] = str(entry.get("reason", ""))
-    return hot, cold
-
-
-def manifest_digest_text(path: str | None) -> str:
-    """Canonical manifest text for the result-cache key ("" when absent)."""
-    hot, cold = load_manifest(path)
-    return json.dumps([sorted(hot.items()), sorted(cold.items())])
 
 
 def _marker_lines(source: str) -> tuple[dict[int, str], dict[int, str]]:
@@ -149,10 +107,10 @@ def _walk_functions(module):
     yield from inner(module.parsed.ctx.tree, module.name, None)
 
 
-def collect_regions(program, manifest_path: str | None) -> RegionSet:
+def collect_regions(program, manifest: Manifest) -> RegionSet:
     """Resolve the manifest plus inline markers against ``program``."""
-    hot_manifest, cold_manifest = load_manifest(manifest_path)
-    regions = RegionSet(cold=set(cold_manifest))
+    hot_manifest = manifest.hot
+    regions = RegionSet(cold=set(manifest.cold), manifest_path=manifest.label)
     matched: set[str] = set()
     for module in program.modules.values():
         hot_marks, cold_marks = _marker_lines(module.parsed.source)

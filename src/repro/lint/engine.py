@@ -64,15 +64,9 @@ class LintReport:
     findings: list[Finding] = field(default_factory=list)
     files_checked: int = 0
     suppressed: int = 0
-    #: Statistics of the whole-program flow analysis, when it ran
-    #: (module/function counts, fixpoint rounds, cache status).
-    flow: dict[str, Any] | None = None
-    #: Statistics of the whole-program effects analysis, when it ran
-    #: (module/function/region counts, cache status).
-    effects: dict[str, Any] | None = None
-    #: Statistics of the whole-program contracts analysis, when it ran
-    #: (layer/schema counts, cache status).
-    contracts: dict[str, Any] | None = None
+    #: Statistics of the whole-program ``deep`` run, when it ran
+    #: (program and analyzer counts, cache status, wall time).
+    deep: dict[str, Any] | None = None
 
     @property
     def errors(self) -> list[Finding]:
@@ -199,7 +193,7 @@ def suppression_reason_findings(parsed: ParsedModule) -> tuple[list[Finding], in
 
         x = (a, b)  # lint: disable=HOT001 reason=hoisted by caller
 
-    Purely syntactic, so it runs whether or not the effects pass does.
+    Purely syntactic, so it runs whether or not ``--deep`` does.
     """
     kept: list[Finding] = []
     suppressed = 0
@@ -289,44 +283,18 @@ def lint_paths(
     rules: Iterable[LintRule] | None = None,
     *,
     unused_check: bool = True,
-    flow: bool = False,
-    flow_cache: bool = True,
-    baseline: str | None = None,
-    update_baseline: bool = False,
-    effects: bool = False,
-    effects_cache: bool = True,
-    effects_baseline: str | None = None,
-    update_effects_baseline: bool = False,
-    regions: str | None = None,
-    contracts: bool = False,
-    contracts_cache: bool = True,
-    contracts_baseline: str | None = None,
-    update_contracts_baseline: bool = False,
-    pairs: str | None = None,
-    schema_registry: str | None = None,
+    deep: bool = False,
+    manifest: str | None = None,
     update_schema_registry: bool = False,
     changed_only: bool = False,
 ) -> LintReport:
     """Lint every python file under ``paths``.
 
-    With ``flow=True`` the whole-program dimensional-dataflow analysis
-    (:mod:`repro.lint.flow`) runs over the same parsed modules and its
-    DIM/DET findings join the report; ``baseline`` names a baseline file
-    whose known findings are filtered out (``update_baseline`` rewrites
-    it from the current run instead).
-
-    With ``effects=True`` the whole-program effect/hot-path analysis
-    (:mod:`repro.lint.effects`) runs too, with its own baseline
-    (``effects_baseline`` / ``update_effects_baseline``) and region
-    manifest (``regions``; defaults to ``lint-effects.regions.json``
-    in the working directory when present).
-
-    With ``contracts=True`` the whole-program structural-contract
-    analysis (:mod:`repro.lint.contracts`) runs too: layer-boundary
-    imports against the ``pairs`` manifest (default
-    ``lint-contracts.pairs.json``) and the schema registry against
-    ``schema_registry`` (default ``lint-contracts.schemas.json``;
-    ``update_schema_registry`` rewrites it from the tree first).
+    With ``deep=True`` the whole-program flow, effects and contracts
+    analyzers (:mod:`repro.lint.deep`) run over the same parsed modules
+    against the ``manifest`` file (``None``: the empty manifest) and
+    their findings join the report.  ``update_schema_registry`` implies
+    ``deep`` and rewrites the manifest's ``schemas`` section first.
 
     ``changed_only`` restricts reported findings to files changed vs
     ``git HEAD`` (plus untracked files).  Every file is still *parsed*
@@ -363,59 +331,18 @@ def lint_paths(
         report.suppressed += reason_suppressed
 
     checkable = {rule.rule_id for rule in rules} | {SUPPRESSION_REASON_RULE}
-    if flow:
-        from repro.lint.flow import FLOW_RULE_IDS, analyze_modules
+    if deep or update_schema_registry:
+        from repro.lint.deep import DEEP_RULE_IDS, analyze_modules
 
-        flow_report = analyze_modules(
-            modules,
-            use_cache=flow_cache,
-            baseline_path=baseline,
-            update_baseline=update_baseline,
+        deep_report = analyze_modules(
+            modules, manifest, update_schema_registry=update_schema_registry
         )
         report.findings.extend(
-            f for f in flow_report.findings if in_seeds(f.path)
+            f for f in deep_report.findings if in_seeds(f.path)
         )
-        report.suppressed += flow_report.suppressed
-        report.flow = flow_report.stats()
-        checkable |= FLOW_RULE_IDS
-
-    if effects:
-        from repro.lint.effects import EFFECTS_RULE_IDS
-        from repro.lint.effects import analyze_modules as analyze_effects
-
-        effects_report = analyze_effects(
-            modules,
-            use_cache=effects_cache,
-            baseline_path=effects_baseline,
-            update_baseline=update_effects_baseline,
-            manifest_path=regions,
-        )
-        report.findings.extend(
-            f for f in effects_report.findings if in_seeds(f.path)
-        )
-        report.suppressed += effects_report.suppressed
-        report.effects = effects_report.stats()
-        checkable |= EFFECTS_RULE_IDS
-
-    if contracts:
-        from repro.lint.contracts import CONTRACTS_RULE_IDS
-        from repro.lint.contracts import analyze_modules as analyze_contracts
-
-        contracts_report = analyze_contracts(
-            modules,
-            use_cache=contracts_cache,
-            baseline_path=contracts_baseline,
-            update_baseline=update_contracts_baseline,
-            manifest_path=pairs,
-            registry_path=schema_registry,
-            update_registry=update_schema_registry,
-        )
-        report.findings.extend(
-            f for f in contracts_report.findings if in_seeds(f.path)
-        )
-        report.suppressed += contracts_report.suppressed
-        report.contracts = contracts_report.stats()
-        checkable |= CONTRACTS_RULE_IDS
+        report.suppressed += deep_report.suppressed
+        report.deep = deep_report.stats
+        checkable |= DEEP_RULE_IDS
 
     if unused_check:
         for parsed in seeded:

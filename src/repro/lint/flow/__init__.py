@@ -1,43 +1,17 @@
 """Whole-program dimensional-dataflow and determinism-taint analysis.
 
-Public surface:
-
-* :data:`FLOW_RULE_IDS` / :data:`FLOW_RULE_TITLES` — the rules this
-  pass can emit (DIM001..DIM003, DET002).
-* :func:`analyze_modules` — run the analysis over already-parsed
-  modules (shared with the base lint engine), with result caching keyed
-  on per-module source digests and optional baseline filtering.
-* :func:`analyze_paths` — convenience wrapper for tests and tooling.
-
-The result cache makes warm runs cheap: the cache key hashes every
-module's source text plus the analyzer version, so any edit anywhere in
-the analyzed set invalidates it.  Cached documents replay the recorded
-suppression usage so LINT001 (stale-suppression) stays exact on hits.
+:func:`repro.lint.flow.analysis.analyze_program` runs the abstract
+interpreter over the :mod:`repro.lint.flow.graph` program that
+:mod:`repro.lint.deep` builds once for every whole-program pass.  This
+package exports the rules it can emit (DIM001..DIM003, DET002).
 """
 
-from __future__ import annotations
-
-import hashlib
-import json
-import time
-from dataclasses import dataclass, field
-from typing import Any, Sequence
-
-from repro.errors import CacheError
-from repro.lint.engine import ParsedModule
-from repro.lint.findings import Finding
 from repro.lint.flow.analysis import (
     RULE_BARE_LITERAL,
     RULE_DIM_MISMATCH,
     RULE_FLOAT_INTO_NS,
     RULE_TAINTED_STATE,
-    analyze_program,
 )
-from repro.lint.flow.baseline import load_baseline, split_baselined, write_baseline
-from repro.lint.flow.graph import build_program
-
-#: Bump to invalidate every cached analysis result.
-FLOW_VERSION = 1
 
 FLOW_RULE_TITLES: dict[str, str] = {
     RULE_DIM_MISMATCH: "dimension-mismatched arithmetic or cross-call flow",
@@ -47,159 +21,3 @@ FLOW_RULE_TITLES: dict[str, str] = {
 }
 
 FLOW_RULE_IDS = set(FLOW_RULE_TITLES)
-
-
-@dataclass
-class FlowReport:
-    """Outcome of one whole-program flow analysis."""
-
-    findings: list[Finding] = field(default_factory=list)
-    suppressed: int = 0
-    baselined: int = 0
-    modules: int = 0
-    functions: int = 0
-    rounds: int = 0
-    cache_hit: bool = False
-    duration_s: float = 0.0
-
-    def stats(self) -> dict[str, Any]:
-        return {
-            "modules": self.modules,
-            "functions": self.functions,
-            "rounds": self.rounds,
-            "findings": len(self.findings),
-            "suppressed": self.suppressed,
-            "baselined": self.baselined,
-            "cache_hit": self.cache_hit,
-            "duration_s": round(self.duration_s, 3),
-        }
-
-
-def flow_cache_key(modules: Sequence[ParsedModule]) -> str:
-    """Digest of the analyzer version and every module's source."""
-    hasher = hashlib.sha256()
-    hasher.update(f"flow-v{FLOW_VERSION}".encode())
-    for parsed in sorted(modules, key=lambda m: m.path):
-        digest = hashlib.sha256(parsed.source.encode("utf-8")).hexdigest()
-        hasher.update(json.dumps([parsed.path, digest]).encode())
-    return f"lintflow-{hasher.hexdigest()}"
-
-
-def _open_cache():
-    from repro.cache.store import ResultCache
-
-    try:
-        return ResultCache()
-    except CacheError:
-        return None
-
-
-def _analyze(modules: list[ParsedModule]) -> tuple[FlowReport, dict[str, Any]]:
-    """Run the analyzer; returns the report and a cacheable document."""
-    program = build_program(modules)
-    analyzer = analyze_program(program)
-    by_path = {m.path: m for m in modules}
-    kept: list[Finding] = []
-    suppressed = 0
-    uses: list[list] = []
-    for finding in analyzer.findings:
-        parsed = by_path.get(finding.path)
-        if parsed is not None:
-            before = set(parsed.suppressions.used)
-            if parsed.suppressions.suppresses(finding):
-                suppressed += 1
-                for line, rule in parsed.suppressions.used - before:
-                    uses.append([finding.path, line, rule])
-                continue
-            # `suppresses` marks usage even for partial matches; record
-            # nothing on the kept path (no usage was added).
-        kept.append(finding)
-    report = FlowReport(
-        findings=kept,
-        suppressed=suppressed,
-        modules=len(program.modules),
-        functions=len(program.functions),
-        rounds=analyzer.rounds,
-    )
-    doc = {
-        "version": FLOW_VERSION,
-        "findings": [f.to_dict() for f in kept],
-        "suppressed": suppressed,
-        "suppression_uses": uses,
-        "modules": report.modules,
-        "functions": report.functions,
-        "rounds": report.rounds,
-    }
-    return report, doc
-
-
-def _replay(doc: dict[str, Any], modules: list[ParsedModule]) -> FlowReport:
-    """Rebuild a report from a cached document, replaying suppressions."""
-    by_path = {m.path: m for m in modules}
-    for path, line, rule in doc.get("suppression_uses", []):
-        parsed = by_path.get(path)
-        if parsed is not None:
-            parsed.suppressions.mark_used(line, rule)
-    findings = [Finding(**f) for f in doc.get("findings", [])]
-    return FlowReport(
-        findings=findings,
-        suppressed=int(doc.get("suppressed", 0)),
-        modules=int(doc.get("modules", 0)),
-        functions=int(doc.get("functions", 0)),
-        rounds=int(doc.get("rounds", 0)),
-        cache_hit=True,
-    )
-
-
-def analyze_modules(
-    modules: Sequence[ParsedModule],
-    *,
-    use_cache: bool = True,
-    baseline_path: str | None = None,
-    update_baseline: bool = False,
-) -> FlowReport:
-    """Whole-program flow analysis over parsed modules.
-
-    The baseline is applied *after* the cache: cached documents store
-    raw (suppression-filtered) findings, so editing the baseline file
-    never needs a re-analysis.
-    """
-    started = time.perf_counter()  # lint: disable=DET001 (host-side analysis timing)
-    analyzable = [m for m in modules if m.ctx is not None]
-    cache = _open_cache() if use_cache else None
-    key = flow_cache_key(analyzable) if cache is not None else ""
-    report: FlowReport | None = None
-    if cache is not None:
-        try:
-            doc = cache.get(key)
-        except CacheError:
-            doc = None
-        if doc is not None and doc.get("version") == FLOW_VERSION:
-            report = _replay(doc, analyzable)
-    if report is None:
-        report, doc = _analyze(analyzable)
-        if cache is not None:
-            try:
-                cache.put(key, doc)
-            except CacheError:
-                pass
-
-    if baseline_path is not None:
-        if update_baseline:
-            write_baseline(baseline_path, report.findings)
-        accepted = load_baseline(baseline_path)
-        report.findings, report.baselined = split_baselined(
-            report.findings, accepted
-        )
-    report.duration_s = time.perf_counter() - started  # lint: disable=DET001 (host-side analysis timing)
-    return report
-
-
-def analyze_paths(paths: Sequence[str], **kwargs: Any) -> FlowReport:
-    """Parse every python file under ``paths`` and analyze them."""
-    from repro.lint.engine import iter_python_files, parse_module, read_source
-
-    modules = [
-        parse_module(read_source(path), path) for path in iter_python_files(paths)
-    ]
-    return analyze_modules(modules, **kwargs)

@@ -441,7 +441,7 @@ class Machine:
         # between configuration changes and measure() intervals both are
         # constant, so consecutive 1 ms ticks reuse the computed powers.
         # The hit path compares against the cached state in place — no
-        # per-tick key tuple (lint --effects HOT001 budget).
+        # per-tick key tuple (lint --deep HOT001 budget).
         cached = self._rapl_tick_cache
         if (
             cached is not None

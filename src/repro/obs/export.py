@@ -58,15 +58,18 @@ def _span_event(
         and "t0_sim_ns" in record
         and "t1_sim_ns" in record
     )
+    # ``dur`` is end minus start in microseconds, not the rescaled
+    # nanosecond difference: ``ts + dur`` must land on the span's end, or
+    # it can round one ulp past a touching span and read as an overlap.
     if sim_axis:
         ts = record["t0_sim_ns"] / 1000.0
-        dur = (record["t1_sim_ns"] - record["t0_sim_ns"]) / 1000.0
+        dur = record["t1_sim_ns"] / 1000.0 - ts
         args["wall_dur_ns"] = record["t1_wall_ns"] - record["t0_wall_ns"]
         tid = _SIM_TID
         labels.setdefault((pid, tid), "sim")
     else:
         ts = record["t0_wall_ns"] / 1000.0
-        dur = (record["t1_wall_ns"] - record["t0_wall_ns"]) / 1000.0
+        dur = record["t1_wall_ns"] / 1000.0 - ts
         if "t0_sim_ns" in record:
             args["sim_t0_ns"] = record["t0_sim_ns"]
         if "t1_sim_ns" in record:

@@ -67,7 +67,7 @@ class FlightRecorder:
     def push(self, record: dict[str, Any]) -> None:
         """Append one pre-built event dict (tracer span/instant, log record).
 
-        Declared hot in ``lint-effects.regions.json``: fed from the
+        Declared hot in ``lint.json``: fed from the
         tracer commit path, so it must stay one bounded-deque append.
         """
         events = self._events

@@ -11,9 +11,9 @@ Every job resource the service returns (submit response, status poll)
 is tagged ``"schema": "repro.service/job"`` so clients and tooling can
 reject foreign or stale documents, mirroring the other interchange
 formats in the tree (``repro.bench/result``, ``repro.obs/metrics``,
-...).  The schema registry (``lint-contracts.schemas.json``) pins the
-field set: adding or removing a field without bumping
-:data:`JOB_SCHEMA_VERSION` fails ``lint --contracts``.
+...).  The schema registry (the ``schemas`` section of ``lint.json``)
+pins the field set: adding or removing a field without bumping
+:data:`JOB_SCHEMA_VERSION` fails ``lint --deep``.
 
 :func:`job_document` is the single writer site;
 :func:`validate_job_document` the single validator.  The suite *result*

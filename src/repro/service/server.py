@@ -66,6 +66,11 @@ from repro.service.schema import job_document
 MAX_WAIT_S = 60.0
 #: Request bodies above this are rejected outright (413).
 MAX_BODY_BYTES = 1 << 20
+#: More request headers than this are rejected (431), as is any header
+#: line longer than the stream reader's 64 KiB line limit.
+MAX_HEADERS = 100
+#: A request not fully read within this many seconds gets 408.
+READ_DEADLINE_S = 10.0
 
 
 class ExperimentService:
@@ -167,7 +172,12 @@ class ExperimentService:
         route = "unparsed"
         t0_ns = self.obs.tracer.now_ns()
         try:
-            method, target, body = await self._read_request(reader)
+            try:
+                method, target, body = await asyncio.wait_for(
+                    self._read_request(reader), READ_DEADLINE_S
+                )
+            except asyncio.TimeoutError as err:
+                raise _HttpError(408, "request not read in time") from err
             route, status, payload, headers = await self._dispatch(
                 method, target, body, t0_ns
             )
@@ -202,16 +212,18 @@ class ExperimentService:
     async def _read_request(
         self, reader: asyncio.StreamReader
     ) -> tuple[str, str, bytes]:
-        request_line = await reader.readline()
+        request_line = await _read_line(reader)
         parts = request_line.decode("latin-1").split()
         if len(parts) != 3:
             raise _HttpError(400, "malformed request line")
         method, target = parts[0], parts[1]
         content_length = 0
-        while True:
-            line = await reader.readline()
+        for count in range(MAX_HEADERS + 1):
+            line = await _read_line(reader)
             if line in (b"\r\n", b"\n", b""):
                 break
+            if count == MAX_HEADERS:
+                raise _HttpError(431, "too many request headers")
             name, _, value = line.decode("latin-1").partition(":")
             if name.strip().lower() == "content-length":
                 try:
@@ -239,8 +251,10 @@ class ExperimentService:
             404: "Not Found",
             405: "Method Not Allowed",
             409: "Conflict",
+            408: "Request Timeout",
             413: "Payload Too Large",
             429: "Too Many Requests",
+            431: "Request Header Fields Too Large",
             503: "Service Unavailable",
         }.get(status, "OK")
         head = [f"HTTP/1.1 {status} {reason}"]
@@ -408,6 +422,14 @@ class ExperimentService:
         if job is None:
             raise _HttpError(404, f"no such job: {job_id}")
         return job
+
+
+async def _read_line(reader: asyncio.StreamReader) -> bytes:
+    """One request line; a line over the reader's limit is a 431."""
+    try:
+        return await reader.readline()
+    except ValueError as err:  # the StreamReader's line-limit overrun
+        raise _HttpError(431, "request header line too long") from err
 
 
 class _HttpError(ServiceError):

@@ -1,7 +1,7 @@
 """Seeded hot-path bugs: HOT001 (allocation), HOT002 (repeated attribute
 lookup), HOT003 (exception control flow) — plus the negatives each rule
 must stay silent on.  ``Queue.dispatch`` is declared hot by the fixture
-manifest (regions.json); ``compute_slow`` is a cold boundary via the
+manifest (lint.json); ``compute_slow`` is a cold boundary via the
 inline marker.  BUG/OK comments mark the expectations pinned by
 tests/unit/test_lint_effects.py.
 """

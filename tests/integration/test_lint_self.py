@@ -1,5 +1,6 @@
 """The linter eats its own dogfood: src/repro must be clean.
 
+The real-tree checks share one ``lint --deep`` run over src/repro.
 Also drives the CLI end-to-end on a deliberately bad fixture (all four
 rules must fire with a non-zero exit) and the event-order shuffle
 self-check (results must not depend on same-timestamp tie-breaking).
@@ -10,11 +11,14 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import pytest
+
 from repro.lint import lint_paths, selfcheck_ordering
 from repro.lint.cli import main as lint_main
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 SRC_REPRO = REPO_ROOT / "src" / "repro"
+MANIFEST = str(REPO_ROOT / "lint.json")
 
 BAD_FIXTURE = '''\
 import time
@@ -35,11 +39,32 @@ sim.schedule_after(5, cb)
 '''
 
 
-def test_src_repro_is_lint_clean():
-    report = lint_paths([str(SRC_REPRO)])
+@pytest.fixture(scope="module")
+def deep_run(tmp_path_factory):
+    """(report, cache dir) of one deep lint of src/repro against lint.json.
+
+    The run gets its own result cache, which the CLI test reuses so its
+    deep part is a warm hit.
+    """
+    cache_dir = tmp_path_factory.mktemp("lint-cache")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("REPRO_CACHE_DIR", str(cache_dir))
+        report = lint_paths([str(SRC_REPRO)], deep=True, manifest=MANIFEST)
+    return report, cache_dir
+
+
+def test_src_repro_is_lint_clean(deep_run):
+    report, _ = deep_run
     assert report.files_checked > 100
     rendered = "\n".join(f.render() for f in report.findings)
-    assert report.clean, f"unsuppressed lint findings:\n{rendered}"
+    assert report.findings == [], f"unsuppressed lint findings:\n{rendered}"
+
+
+def test_deep_pass_scales_to_the_whole_package(deep_run):
+    stats = deep_run[0].deep
+    assert stats["modules"] > 100 and stats["functions"] > 500
+    assert stats["rounds"] < 20
+    assert stats["regions"] >= 8  # manifest entries plus inline markers
 
 
 def test_tests_tree_is_lint_clean():
@@ -48,8 +73,9 @@ def test_tests_tree_is_lint_clean():
     assert report.clean, f"unsuppressed lint findings:\n{rendered}"
 
 
-def test_cli_clean_tree_exits_zero(capsys):
-    assert lint_main([str(SRC_REPRO)]) == 0
+def test_cli_clean_tree_exits_zero(deep_run, monkeypatch, capsys):
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(deep_run[1]))
+    assert lint_main([str(SRC_REPRO), "--deep", "--manifest", MANIFEST]) == 0
     out = capsys.readouterr().out
     assert "0 finding(s)" in out
 
@@ -73,33 +99,30 @@ def test_cli_bad_path_exits_two(capsys):
     assert lint_main(["/no/such/path-xyz"]) == 2
 
 
-def test_contracts_pass_is_clean_on_real_tree():
-    from repro.lint.contracts import analyze_paths
+def test_contracts_pass_is_clean_on_real_tree(deep_run):
+    report, _ = deep_run
+    assert not [f for f in report.findings if f.rule.startswith("CON")]
+    assert report.deep["layers"] == 10
+    assert report.deep["schemas"] == 6
 
-    report = analyze_paths(
-        [str(SRC_REPRO)],
-        use_cache=False,
-        manifest_path=str(REPO_ROOT / "lint-contracts.pairs.json"),
-        registry_path=str(REPO_ROOT / "lint-contracts.schemas.json"),
+
+def test_committed_manifest_is_what_a_registry_update_writes():
+    # `lint --deep --update-schema-registry` on the clean tree must leave
+    # lint.json byte-identical: canonical form, snapshot equal to the code.
+    from repro.lint.contracts.schemas import extract_registry, snapshot_schemas
+    from repro.lint.engine import iter_python_files, parse_module, read_source
+    from repro.lint.flow.graph import build_program
+
+    text = Path(MANIFEST).read_text(encoding="utf-8")
+    doc = json.loads(text)
+    assert json.dumps(doc, indent=2, sort_keys=True) + "\n" == text
+    modules = [
+        parse_module(read_source(path), path)
+        for path in iter_python_files([str(SRC_REPRO)])
+    ]
+    assert doc["schemas"] == snapshot_schemas(
+        extract_registry(build_program(modules))
     )
-    rendered = "\n".join(f.render() for f in report.findings)
-    assert report.findings == [], f"contract violations:\n{rendered}"
-    assert report.schemas == 6
-
-
-def test_cli_contracts_clean_tree_exits_zero(capsys):
-    rc = lint_main(
-        [
-            str(SRC_REPRO),
-            "--contracts",
-            "--no-contracts-cache",
-            "--contracts-baseline",
-            str(REPO_ROOT / "lint-contracts.baseline.json"),
-        ]
-    )
-    out = capsys.readouterr().out
-    assert rc == 0, out
-    assert "0 finding(s)" in out
 
 
 def test_selfcheck_is_event_order_independent():
@@ -112,3 +135,14 @@ def test_cli_ordering_check(capsys):
     assert lint_main(["--ordering-check", "--ordering-seeds", "1,2"]) == 0
     out = capsys.readouterr().out
     assert "order-independent" in out
+
+
+@pytest.mark.parametrize("seeds", ["1,x", ","])
+def test_cli_bad_ordering_seeds_exit_two(seeds, monkeypatch, capsys):
+    # Rejected before any lint work starts, and never an empty check.
+    def no_lint(*args, **kwargs):
+        pytest.fail("linted before the seeds were checked")
+
+    monkeypatch.setattr("repro.lint.cli.lint_paths", no_lint)
+    assert lint_main(["--ordering-check", "--ordering-seeds", seeds]) == 2
+    assert "--ordering-seeds" in capsys.readouterr().err

@@ -27,7 +27,8 @@ from repro.core.serialize import dump_json
 from repro.core.suite import run_suite, suite_to_dict
 from repro.obs import validate_metrics_document
 from repro.service import ServiceLimits, validate_job_document
-from repro.service.server import MAX_BODY_BYTES, ExperimentService
+import repro.service.server as server_module
+from repro.service.server import MAX_BODY_BYTES, MAX_HEADERS, ExperimentService
 
 ENTRIES = ["sec5a_idle_sibling"]
 SCALE = 0.01
@@ -251,16 +252,32 @@ def test_error_routes_and_request_validation():
             + b"\r\n\r\n",
             413,
         ),
+        (b"GET /healthz HTTP/1.1\r\nX-Pad: " + b"a" * 70_000 + b"\r\n\r\n", 431),
+        (
+            b"GET /healthz HTTP/1.1\r\n"
+            + b"X-Extra: 1\r\n" * (MAX_HEADERS + 1)
+            + b"\r\n",
+            431,
+        ),
+        (b"POST /v1/jobs HTTP/1.1\r\nContent-Length: 10\r\n\r\nab", 408),
     ],
     ids=[
         "negative-content-length",
         "non-numeric-content-length",
         "malformed-request-line",
         "body-too-large",
+        "header-line-too-long",
+        "too-many-headers",
+        "short-body-read-deadline",
     ],
 )
-def test_unparseable_request_gets_status_line_and_is_counted(raw, status):
+def test_unparseable_request_gets_status_line_and_is_counted(
+    raw, status, monkeypatch
+):
     # Hand-written bytes: the requests a well-behaved client never sends.
+    if status == 408:
+        monkeypatch.setattr(server_module, "READ_DEADLINE_S", 0.2)
+
     async def scenario():
         service = ExperimentService(pool_jobs=1)
         port = await service.start(port=0)

@@ -1,6 +1,10 @@
-"""Whole-program contracts analysis: fixture corpus, cache, baseline,
-manifest health, and the acceptance mutation demo (schema field drift
-must surface exactly one finding)."""
+"""Whole-program contracts analysis: fixture corpus, manifest health,
+and the acceptance mutation demo (schema field drift must surface
+exactly one finding).
+
+The corpus runs through the one ``lint --deep`` driver, so these tests
+also prove the flow and effects analyzers stay silent on it.
+"""
 
 from __future__ import annotations
 
@@ -12,17 +16,13 @@ from pathlib import Path
 import pytest
 
 from repro.errors import LintError
-from repro.lint.contracts import (
-    CONTRACTS_RULE_IDS,
-    analyze_paths,
-    contracts_cache_key,
-)
+from repro.lint.contracts import CONTRACTS_RULE_IDS
+from repro.lint.deep import analyze_paths
 from repro.lint.sarif import rule_titles
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 FIXTURES = os.path.join("tests", "fixtures", "contracts")
-PAIRS = os.path.join(FIXTURES, "contracts.pairs.json")
-REGISTRY = os.path.join(FIXTURES, "contracts.schemas.json")
+MANIFEST = os.path.join(FIXTURES, "lint.json")
 
 #: The fixture walk is an explicit file list: the lint walker prunes
 #: ``fixtures`` directories from subtree scans, and ``testsrc/`` is
@@ -40,7 +40,7 @@ FIXTURE_FILES = [
 EXPECTED = {
     ("CON010", "layer_low.py", 10),  # module-scope import layer_high
     ("CON010", "layer_low.py", 11),  # module-scope from-import
-    ("CON020", "contracts.schemas.json", 1),  # stale 'ghost' entry
+    ("CON020", "lint.json", 1),  # stale 'ghost' entry
     ("CON020", "schema_mod.py", 17),  # alpha field drift, no version bump
     ("CON020", "schema_mod.py", 37),  # second writer site for 'dual'
     ("CON020", "schema_mod.py", 45),  # unregistered schema
@@ -58,11 +58,8 @@ NEGATIVE_LINES = {
 }
 
 
-def _run_fixture(**kwargs):
-    kwargs.setdefault("use_cache", False)
-    return analyze_paths(
-        FIXTURE_FILES, manifest_path=PAIRS, registry_path=REGISTRY, **kwargs
-    )
+def _run_fixture():
+    return analyze_paths(FIXTURE_FILES, MANIFEST)
 
 
 class TestFixtureCorpus:
@@ -92,7 +89,7 @@ class TestFixtureCorpus:
 
     def test_stats_shape(self):
         report = _run_fixture()
-        stats = report.stats()
+        stats = report.stats
         assert stats["modules"] == 3
         assert stats["layers"] == 2
         # alpha/dual/unregistered/noval/orphan; the stale ghost entry
@@ -102,21 +99,33 @@ class TestFixtureCorpus:
 
 
 class TestManifestHealth:
-    @pytest.mark.parametrize("key", ["pairs", "bogus"])
-    def test_unknown_top_level_key_fails_closed(self, tmp_path, key):
+    @pytest.mark.parametrize(
+        "doc, key",
+        [
+            pytest.param({"pairs": []}, "pairs", id="pairs"),
+            pytest.param({"bogus": []}, "bogus", id="bogus"),
+            pytest.param({"regions": []}, "regions", id="regions"),
+            pytest.param(
+                {"layers": {"assign": {}, "allow": {}, "deny": {}}},
+                "deny",
+                id="layers-key",
+            ),
+            pytest.param(
+                {"hot": [{"function": "f", "reason": "r", "budget": 1}]},
+                "budget",
+                id="hot-entry-key",
+            ),
+        ],
+    )
+    def test_unknown_top_level_key_fails_closed(self, tmp_path, doc, key):
         # A leftover section would otherwise enforce nothing, silently.
-        manifest = tmp_path / "pairs.json"
-        manifest.write_text(json.dumps({"version": 1, key: []}))
+        manifest = tmp_path / "lint.json"
+        manifest.write_text(json.dumps({"version": 1, **doc}))
         with pytest.raises(LintError, match=repr(key)):
-            analyze_paths(
-                FIXTURE_FILES[:1],
-                use_cache=False,
-                manifest_path=str(manifest),
-                registry_path=REGISTRY,
-            )
+            analyze_paths(FIXTURE_FILES[:1], str(manifest))
 
     def test_unmatched_layer_prefix_is_reported(self, tmp_path):
-        manifest = tmp_path / "pairs.json"
+        manifest = tmp_path / "lint.json"
         manifest.write_text(
             json.dumps(
                 {
@@ -128,19 +137,14 @@ class TestManifestHealth:
                 }
             )
         )
-        report = analyze_paths(
-            FIXTURE_FILES[:1],
-            use_cache=False,
-            manifest_path=str(manifest),
-            registry_path=REGISTRY,
-        )
+        report = analyze_paths(FIXTURE_FILES[:1], str(manifest))
         assert any(
             f.rule == "CON010" and "no_such_module" in f.message
             for f in report.findings
         )
 
     def test_allow_cycle_is_reported(self, tmp_path):
-        manifest = tmp_path / "pairs.json"
+        manifest = tmp_path / "lint.json"
         manifest.write_text(
             json.dumps(
                 {
@@ -155,48 +159,36 @@ class TestManifestHealth:
                 }
             )
         )
-        report = analyze_paths(
-            FIXTURE_FILES,
-            use_cache=False,
-            manifest_path=str(manifest),
-            registry_path=REGISTRY,
-        )
+        report = analyze_paths(FIXTURE_FILES, str(manifest))
         assert any(
             f.rule == "CON010" and "cycle" in f.message for f in report.findings
         )
 
 
-class TestCacheAndBaseline:
-    def test_second_run_hits_the_cache(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        cold = _run_fixture(use_cache=True)
-        warm = _run_fixture(use_cache=True)
-        assert not cold.cache_hit
-        assert warm.cache_hit
-        assert [f.to_dict() for f in warm.findings] == [
-            f.to_dict() for f in cold.findings
-        ]
-
-    def test_editing_the_manifest_invalidates_the_key(self, tmp_path):
-        from repro.lint.engine import parse_module, read_source
-
-        modules = [
-            parse_module(read_source(path), path) for path in FIXTURE_FILES
-        ]
-        before = contracts_cache_key(modules, PAIRS, REGISTRY)
-        other = tmp_path / "pairs.json"
-        other.write_text(json.dumps({"version": 1}))
-        after = contracts_cache_key(modules, str(other), REGISTRY)
-        assert before != after
-
-    def test_baseline_swallows_and_reports_known_findings(self, tmp_path):
-        baseline = tmp_path / "contracts.baseline.json"
-        first = _run_fixture(
-            baseline_path=str(baseline), update_baseline=True
+class TestUpdateSchemaRegistry:
+    def test_rewrites_only_the_schemas_section(self, tmp_path):
+        manifest = tmp_path / "lint.json"
+        shutil.copy(MANIFEST, manifest)
+        before = json.loads(manifest.read_text())
+        report = analyze_paths(
+            FIXTURE_FILES, str(manifest), update_schema_registry=True
         )
-        assert first.findings == [] and first.baselined == 9
-        second = _run_fixture(baseline_path=str(baseline))
-        assert second.findings == [] and second.baselined == 9
+        after = json.loads(manifest.read_text())
+        assert {k: v for k, v in after.items() if k != "schemas"} == {
+            k: v for k, v in before.items() if k != "schemas"
+        }
+        assert "repro.fixture/ghost" not in after["schemas"]
+        # The recorded snapshot clears the stale entry and the field drift.
+        got = {(f.rule, os.path.basename(f.path), f.line) for f in report.findings}
+        assert ("CON020", "lint.json", 1) not in got
+        assert ("CON020", "schema_mod.py", 17) not in got
+        text = manifest.read_text()
+        analyze_paths(FIXTURE_FILES, str(manifest), update_schema_registry=True)
+        assert manifest.read_text() == text
+
+    def test_update_needs_a_manifest_file(self):
+        with pytest.raises(LintError, match="manifest"):
+            analyze_paths(FIXTURE_FILES, None, update_schema_registry=True)
 
 
 class TestSarifCatalogue:
@@ -224,12 +216,7 @@ def _copy_real_tree(tmp_path):
 
 
 def _analyze_real_copy(dest):
-    return analyze_paths(
-        [str(dest)],
-        use_cache=False,
-        manifest_path=str(REPO_ROOT / "lint-contracts.pairs.json"),
-        registry_path=str(REPO_ROOT / "lint-contracts.schemas.json"),
-    )
+    return analyze_paths([str(dest)], str(REPO_ROOT / "lint.json"))
 
 
 class TestAcceptanceMutations:

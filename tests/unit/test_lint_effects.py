@@ -1,28 +1,30 @@
-"""Whole-program effects analysis: fixtures, regions, cache, baseline,
-guards, parallel safety, LINT002 and the --changed-only plumbing."""
+"""Whole-program effects analysis: fixtures, regions, summaries, guards,
+parallel safety, LINT002 and the --changed-only plumbing.
+
+The corpus runs through the one ``lint --deep`` driver, so these tests
+also prove the flow and contracts analyzers stay silent on it.
+"""
 
 from __future__ import annotations
 
 import json
 import os
 
+from repro.lint.deep import analyze_modules, analyze_paths
+from repro.lint.effects import EFFECTS_RULE_IDS
+from repro.lint.effects.summaries import summarize_program
 from repro.lint.engine import (
+    iter_python_files,
     lint_paths,
     parse_module,
     read_source,
     suppression_reason_findings,
 )
-from repro.lint.effects import (
-    EFFECTS_RULE_IDS,
-    analyze_modules,
-    analyze_paths,
-    summarize_paths,
-)
-from repro.lint.flow.baseline import load_baseline, split_baselined, write_baseline
+from repro.lint.flow.graph import build_program
 from repro.lint.formatters import format_sarif
 
 FIXTURES = os.path.join("tests", "fixtures", "effects")
-MANIFEST = os.path.join(FIXTURES, "regions.json")
+MANIFEST = os.path.join(FIXTURES, "lint.json")
 
 #: Every seeded true positive in the fixture corpus, by (rule, file, line).
 #: HOT001 transitive findings sit at the *call site* inside the hot
@@ -61,13 +63,15 @@ NEGATIVE_LINES = {
 
 
 def _run_fixture():
-    return analyze_paths([FIXTURES], use_cache=False, manifest_path=MANIFEST)
+    return analyze_paths([FIXTURES], MANIFEST)
 
 
-def _empty_manifest(tmp_path):
-    path = tmp_path / "regions.json"
-    path.write_text('{"version": 1, "regions": [], "cold": []}')
-    return str(path)
+def _summaries():
+    modules = [
+        parse_module(read_source(path), path)
+        for path in iter_python_files([FIXTURES])
+    ]
+    return summarize_program(build_program(modules))
 
 
 class TestFixtureCorpus:
@@ -107,19 +111,17 @@ class TestFixtureCorpus:
         assert report.suppressed == 2
 
     def test_unmatched_manifest_entry_is_reported(self, tmp_path):
-        manifest = tmp_path / "regions.json"
+        manifest = tmp_path / "lint.json"
         manifest.write_text(
             json.dumps(
                 {
                     "version": 1,
-                    "regions": [{"function": "no.such.fn", "reason": "x"}],
+                    "hot": [{"function": "no.such.fn", "reason": "x"}],
                     "cold": [],
                 }
             )
         )
-        report = analyze_paths(
-            [FIXTURES], use_cache=False, manifest_path=str(manifest)
-        )
+        report = analyze_paths([FIXTURES], str(manifest))
         stale = [f for f in report.findings if f.path == str(manifest)]
         assert len(stale) == 1
         assert stale[0].rule == "HOT001" and "no.such.fn" in stale[0].message
@@ -127,14 +129,14 @@ class TestFixtureCorpus:
 
 class TestSummaries:
     def test_effect_bits_reach_summaries(self):
-        summaries = summarize_paths([FIXTURES])
+        summaries = _summaries()
         dispatch = summaries["hot_engine.Queue.dispatch"]
         assert dispatch.allocates and dispatch.raises
         make_key = summaries["hot_engine.Queue.make_key"]
         assert make_key.allocates and not make_key.raises
 
     def test_transitive_bits_propagate(self):
-        summaries = summarize_paths([FIXTURES])
+        summaries = _summaries()
         caller = summaries["par_submit.build_bad_handle"]
         assert caller.crosses_process
 
@@ -167,89 +169,21 @@ class TestObsGuardInjection:
         "                    event.callback()"
     )
 
-    def test_committed_run_until_is_silent(self, tmp_path):
+    def test_committed_run_until_is_silent(self):
         src = read_source(self.PATH)
         assert self.NEEDLE in src  # keep the probe honest as code drifts
-        report = analyze_modules(
-            [parse_module(src, self.PATH)],
-            use_cache=False,
-            manifest_path=_empty_manifest(tmp_path),
-        )
+        report = analyze_modules([parse_module(src, self.PATH)])
         assert report.findings == []
 
-    def test_injected_unguarded_obs_call_fires(self, tmp_path):
+    def test_injected_unguarded_obs_call_fires(self):
         src = read_source(self.PATH)
         injected = src.replace(
             self.NEEDLE,
             self.NEEDLE + "\n                    self._obs_dispatched.inc(1)",
         )
-        report = analyze_modules(
-            [parse_module(injected, self.PATH)],
-            use_cache=False,
-            manifest_path=_empty_manifest(tmp_path),
-        )
+        report = analyze_modules([parse_module(injected, self.PATH)])
         assert [f.rule for f in report.findings] == ["OBS001"]
         assert "proven None" in report.findings[0].message
-
-
-class TestCache:
-    def test_warm_run_replays_without_reanalysis(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        cold = analyze_paths([FIXTURES], manifest_path=MANIFEST)
-        assert not cold.cache_hit and cold.findings
-        warm = analyze_paths([FIXTURES], manifest_path=MANIFEST)
-        assert warm.cache_hit
-        key = lambda r: sorted((f.rule, f.path, f.line) for f in r.findings)
-        assert key(warm) == key(cold)
-        assert warm.suppressed == cold.suppressed  # replayed, not lost
-
-    def test_manifest_edit_invalidates(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        manifest = tmp_path / "regions.json"
-        manifest.write_text(read_source(MANIFEST))
-        first = analyze_paths([FIXTURES], manifest_path=str(manifest))
-        assert not first.cache_hit
-        doc = json.loads(manifest.read_text())
-        doc["regions"][0]["reason"] = "edited"
-        manifest.write_text(json.dumps(doc))
-        edited = analyze_paths([FIXTURES], manifest_path=str(manifest))
-        assert not edited.cache_hit
-
-
-class TestBaseline:
-    def test_roundtrip_filters_known_findings(self, tmp_path):
-        path = str(tmp_path / "baseline.json")
-        report = _run_fixture()
-        write_baseline(path, report.findings)
-        kept, matched = split_baselined(report.findings, load_baseline(path))
-        assert kept == [] and matched == len(EXPECTED)
-
-    def test_new_findings_pass_through(self, tmp_path):
-        path = str(tmp_path / "baseline.json")
-        report = _run_fixture()
-        write_baseline(path, report.findings[:3])
-        kept, matched = split_baselined(report.findings, load_baseline(path))
-        assert matched == 3 and len(kept) == len(EXPECTED) - 3
-
-    def test_checked_in_baseline_matches_tree(self):
-        # The committed baseline must stay empty: the real tree is clean.
-        doc = json.load(open("lint-effects.baseline.json"))
-        assert doc["findings"] == []
-
-
-class TestRealTree:
-    def test_src_is_clean_beyond_baseline(self):
-        report = analyze_paths(
-            ["src/repro"],
-            use_cache=False,
-            baseline_path="lint-effects.baseline.json",
-        )
-        assert report.findings == []
-
-    def test_scales_to_the_whole_package(self):
-        report = analyze_paths(["src/repro"], use_cache=False)
-        assert report.modules > 100 and report.functions > 500
-        assert report.regions >= 8  # manifest entries plus inline markers
 
 
 class TestChangedOnly:
@@ -259,11 +193,7 @@ class TestChangedOnly:
         seed = os.path.abspath(os.path.join(FIXTURES, "obs_wiring.py"))
         monkeypatch.setattr(engine, "changed_files", lambda: {seed})
         report = lint_paths(
-            [FIXTURES],
-            effects=True,
-            effects_cache=False,
-            regions=MANIFEST,
-            changed_only=True,
+            [FIXTURES], deep=True, manifest=MANIFEST, changed_only=True
         )
         assert report.files_checked == 1
         paths = {os.path.basename(f.path) for f in report.findings}
@@ -274,11 +204,7 @@ class TestChangedOnly:
 
         monkeypatch.setattr(engine, "changed_files", lambda: None)
         report = lint_paths(
-            [FIXTURES],
-            effects=True,
-            effects_cache=False,
-            regions=MANIFEST,
-            changed_only=True,
+            [FIXTURES], deep=True, manifest=MANIFEST, changed_only=True
         )
         assert report.files_checked == 3
         got = {
@@ -291,9 +217,7 @@ class TestChangedOnly:
 
 class TestSarif:
     def test_sarif_catalogue_includes_effects_rules(self):
-        report = lint_paths(
-            [FIXTURES], effects=True, effects_cache=False, regions=MANIFEST
-        )
+        report = lint_paths([FIXTURES], deep=True, manifest=MANIFEST)
         log = json.loads(format_sarif(report))
         run = log["runs"][0]
         rule_ids = {r["id"] for r in run["tool"]["driver"]["rules"]}
@@ -307,52 +231,12 @@ class TestCli:
         from repro.lint.cli import main
 
         status = main(
-            [
-                FIXTURES,
-                "--effects",
-                "--no-effects-cache",
-                "--regions",
-                MANIFEST,
-                "--format",
-                "json",
-            ]
+            [FIXTURES, "--deep", "--manifest", MANIFEST, "--format", "json"]
         )
         payload = json.loads(capsys.readouterr().out)
         assert status == 1  # seeded errors fail the run
         assert payload["counts_by_rule"]["HOT001"] == 6
         assert payload["counts_by_rule"]["PAR001"] == 4
-
-    def test_effects_baseline_workflow(self, tmp_path, capsys):
-        from repro.lint.cli import main
-
-        # A one-file corpus (unguarded obs uses only) keeps base rules
-        # and LINT002 quiet, so the exit code tracks effects findings.
-        corpus = tmp_path / "corpus"
-        corpus.mkdir()
-        (corpus / "obs_wiring.py").write_text(
-            read_source(os.path.join(FIXTURES, "obs_wiring.py"))
-        )
-        baseline = str(tmp_path / "b.json")
-        common = [
-            str(corpus),
-            "--effects-baseline",
-            baseline,
-            "--regions",
-            _empty_manifest(tmp_path),
-            "--no-effects-cache",
-            "--format",
-            "json",
-        ]
-        assert main(common + ["--update-effects-baseline"]) == 0
-        capsys.readouterr()
-        assert main(common) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["findings"] == []
-
-    def test_update_effects_baseline_requires_baseline(self, capsys):
-        from repro.lint.cli import main
-
-        assert main([FIXTURES, "--update-effects-baseline"]) == 2
 
     def test_list_rules_covers_effects_catalogue(self, capsys):
         from repro.lint.cli import main

@@ -1,20 +1,17 @@
-"""Whole-program flow analysis: fixtures, lattice, cache, baseline, SARIF."""
+"""Whole-program flow analysis: fixtures, lattice, SARIF, CLI.
+
+The corpus runs through the one ``lint --deep`` driver, so these tests
+also prove the effects and contracts analyzers stay silent on it.
+"""
 
 from __future__ import annotations
 
 import json
 import os
 
-import pytest
-
-from repro.lint.engine import lint_paths, parse_module
-from repro.lint.flow import FLOW_RULE_IDS, analyze_modules, analyze_paths
-from repro.lint.flow.baseline import (
-    fingerprint,
-    load_baseline,
-    split_baselined,
-    write_baseline,
-)
+from repro.lint.deep import analyze_paths
+from repro.lint.engine import lint_paths
+from repro.lint.flow import FLOW_RULE_IDS
 from repro.lint.flow.lattice import (
     AbsValue,
     Dim,
@@ -46,7 +43,7 @@ EXPECTED = {
 
 
 def _run_fixture():
-    return analyze_paths([FIXTURES], use_cache=False)
+    return analyze_paths([FIXTURES])
 
 
 class TestFixtureCorpus:
@@ -116,99 +113,9 @@ class TestLattice:
         assert joined.dim == Dim("time", None)
 
 
-class TestCache:
-    def test_warm_run_replays_without_reanalysis(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        cold = analyze_paths([FIXTURES])
-        assert not cold.cache_hit and cold.findings
-        warm = analyze_paths([FIXTURES])
-        assert warm.cache_hit
-        key = lambda r: sorted((f.rule, f.path, f.line) for f in r.findings)
-        assert key(warm) == key(cold)
-
-    def test_source_edit_invalidates(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        src = "def f(t_ns):\n    return t_ns\n"
-        first = analyze_modules([parse_module(src, "m.py")])
-        assert not first.cache_hit
-        edited = analyze_modules([parse_module(src + "\nX = 1\n", "m.py")])
-        assert not edited.cache_hit
-
-    def test_cached_run_replays_suppression_usage(self, monkeypatch, tmp_path):
-        # A suppression used only by a flow finding must stay "used" on a
-        # cache hit, or LINT001 would flag it as stale.
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        src = (
-            "def f(t_ns, t_us):\n"
-            "    return t_ns + t_us  # lint: disable=DIM001\n"
-        )
-        for _ in range(2):  # cold, then warm
-            report = lint_paths_src(src)
-            assert [f.rule for f in report.findings] == []
-            assert report.suppressed == 1
-
-
-def lint_paths_src(src: str):
-    """Full lint (flow included) of one in-memory module."""
-    parsed = parse_module(src, "mem.py")
-    flow = analyze_modules([parsed])
-    from repro.lint.engine import unused_suppression_findings
-
-    findings = list(flow.findings)
-    stale, _ = unused_suppression_findings(parsed, FLOW_RULE_IDS)
-    findings.extend(stale)
-
-    class _R:
-        pass
-
-    out = _R()
-    out.findings = findings
-    out.suppressed = flow.suppressed
-    return out
-
-
-class TestBaseline:
-    def test_roundtrip_filters_known_findings(self, tmp_path):
-        path = str(tmp_path / "baseline.json")
-        report = _run_fixture()
-        write_baseline(path, report.findings)
-        kept, matched = split_baselined(report.findings, load_baseline(path))
-        assert kept == [] and matched == len(EXPECTED)
-
-    def test_fingerprint_survives_line_drift_in_witnesses(self):
-        report = _run_fixture()
-        tainted = next(f for f in report.findings if f.rule == "DET002")
-        assert ":_" in fingerprint(tainted)[2]
-
-    def test_new_findings_pass_through(self, tmp_path):
-        path = str(tmp_path / "baseline.json")
-        report = _run_fixture()
-        write_baseline(path, report.findings[:3])
-        kept, matched = split_baselined(report.findings, load_baseline(path))
-        assert matched == 3 and len(kept) == len(EXPECTED) - 3
-
-    def test_checked_in_baseline_matches_tree(self):
-        # The committed baseline must stay empty: the real tree is clean.
-        doc = json.load(open("lint-flow.baseline.json"))
-        assert doc["findings"] == []
-
-
-class TestRealTree:
-    def test_src_is_clean_beyond_baseline(self):
-        report = analyze_paths(
-            ["src/repro"], use_cache=False, baseline_path="lint-flow.baseline.json"
-        )
-        assert report.findings == []
-
-    def test_scales_to_the_whole_package(self):
-        report = analyze_paths(["src/repro"], use_cache=False)
-        assert report.modules > 100 and report.functions > 500
-        assert report.rounds < 20
-
-
 class TestSarif:
     def test_sarif_log_structure(self):
-        report = lint_paths([FIXTURES], flow=True, flow_cache=False)
+        report = lint_paths([FIXTURES], deep=True)
         log = json.loads(format_sarif(report))
         assert log["version"] == "2.1.0"
         run = log["runs"][0]
@@ -224,30 +131,14 @@ class TestSarif:
 
 
 class TestCli:
-    def test_flow_flags_and_exit_code(self, capsys):
+    def test_flow_flags_and_exit_code(self, tmp_path, capsys):
         from repro.lint.cli import main
 
-        status = main([FIXTURES, "--flow", "--no-flow-cache", "--format", "json"])
+        manifest = tmp_path / "lint.json"
+        manifest.write_text('{"version": 1}')
+        status = main(
+            [FIXTURES, "--deep", "--manifest", str(manifest), "--format", "json"]
+        )
         payload = json.loads(capsys.readouterr().out)
         assert status == 1  # seeded errors fail the run
         assert payload["counts_by_rule"]["DIM001"] == 4
-
-    def test_baseline_workflow(self, tmp_path, capsys):
-        from repro.lint.cli import main
-
-        baseline = str(tmp_path / "b.json")
-        # --select keeps the (intentionally buggy) fixtures from also
-        # tripping base rules; only the flow findings are exercised here.
-        common = [FIXTURES, "--select", "EXC001", "--baseline", baseline,
-                  "--no-flow-cache", "--format", "json"]
-        assert main(common + ["--update-baseline"]) == 0
-        capsys.readouterr()
-        # Re-run against the recorded baseline: nothing new, exit 0.
-        assert main(common) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["findings"] == []
-
-    def test_update_baseline_requires_baseline(self, capsys):
-        from repro.lint.cli import main
-
-        assert main([FIXTURES, "--update-baseline"]) == 2

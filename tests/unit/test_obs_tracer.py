@@ -186,6 +186,31 @@ def test_nesting_validator_rejects_partial_overlap():
     assert any("overlap" in p for p in problems)
 
 
+@pytest.mark.parametrize("axis", ["wall", "sim"])
+def test_touching_spans_at_epoch_magnitude_validate(axis):
+    # ts + (t1 - t0) / 1000 rounds to 1000598804.7340001 here, one ulp
+    # past the next span's start; the export must keep them touching.
+    t0, t1, t2 = 1000591682483, 1000598804734, 1000599000000
+    tr = make_tracer()
+    track = HOST_TRACK if axis == "wall" else tr.new_track("sim")
+    for name, start, end in (("http.accept", t0, t1), ("queue.wait", t1, t2)):
+        if axis == "wall":
+            tr.complete(name, track=track, t0_wall_ns=start, t1_wall_ns=end)
+        else:
+            tr.complete(
+                name,
+                track=track,
+                t0_wall_ns=0,
+                t1_wall_ns=1,
+                sim_t0_ns=start,
+                sim_t1_ns=end,
+            )
+    doc = trace_document(tr)
+    assert validate_trace_document(doc) == []
+    spans = [e for e in doc["traceEvents"] if e.get("ph") == "X"]
+    assert spans[0]["ts"] + spans[0]["dur"] == spans[1]["ts"] == t1 / 1000
+
+
 def test_merge_remaps_pids_and_validates():
     docs = [trace_document(_run_fixed_workload()) for _ in range(2)]
     merged = merge_trace_documents(docs)
