@@ -40,6 +40,30 @@ def _isolated_cache_dir(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "repro-cache"))
 
 
+@pytest.fixture(scope="session")
+def deep_src_run(tmp_path_factory):
+    """(report, cache dir) of one ``lint --deep`` run over src/repro
+    against the committed lint.json, shared by every real-tree lint test.
+
+    The run gets its own result cache, which CLI tests reuse so their
+    deep part is a warm hit.
+    """
+    from pathlib import Path
+
+    from repro.lint import lint_paths
+
+    root = Path(__file__).resolve().parents[1]
+    cache_dir = tmp_path_factory.mktemp("lint-cache")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("REPRO_CACHE_DIR", str(cache_dir))
+        report = lint_paths(
+            [str(root / "src" / "repro")],
+            deep=True,
+            manifest=str(root / "lint.json"),
+        )
+    return report, cache_dir
+
+
 @pytest.fixture(params=["reference"])
 def sim(request) -> Simulator:
     """A fresh simulator on the heap-based reference engine (DESIGN §2.1).

@@ -1,5 +1,5 @@
 """Whole-program contracts analysis: fixture corpus, manifest health,
-and the acceptance mutation demo (schema field drift must surface
+the cache, and the acceptance mutation demo (schema field drift must surface
 exactly one finding).
 
 The corpus runs through the one ``lint --deep`` driver, so these tests
@@ -17,7 +17,9 @@ import pytest
 
 from repro.errors import LintError
 from repro.lint.contracts import CONTRACTS_RULE_IDS
-from repro.lint.deep import analyze_paths
+from repro.lint.deep import analyze_paths, cache_key
+from repro.lint.engine import parse_module, read_source
+from repro.lint.manifest import load_manifest
 from repro.lint.sarif import rule_titles
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -189,6 +191,33 @@ class TestUpdateSchemaRegistry:
     def test_update_needs_a_manifest_file(self):
         with pytest.raises(LintError, match="manifest"):
             analyze_paths(FIXTURE_FILES, None, update_schema_registry=True)
+
+
+class TestCacheAndBaseline:
+    """The corpus through the one deep cache.  There is no baseline: an
+    inline ``reason=`` suppression is the only way to accept a finding."""
+
+    def test_second_run_hits_the_cache(self):
+        cold = _run_fixture()
+        warm = _run_fixture()
+        assert not cold.stats["cache_hit"]
+        assert warm.stats["cache_hit"]
+        assert [f.to_dict() for f in warm.findings] == [
+            f.to_dict() for f in cold.findings
+        ]
+
+    def test_editing_the_manifest_invalidates_the_key(self, tmp_path):
+        modules = [
+            parse_module(read_source(path), path) for path in FIXTURE_FILES
+        ]
+        manifest = tmp_path / "lint.json"
+        manifest.write_text(read_source(MANIFEST))
+        before = cache_key(modules, load_manifest(str(manifest)))
+        doc = json.loads(manifest.read_text())
+        del doc["schemas"]["repro.fixture/ghost"]
+        manifest.write_text(json.dumps(doc))
+        after = cache_key(modules, load_manifest(str(manifest)))
+        assert before != after
 
 
 class TestSarifCatalogue:

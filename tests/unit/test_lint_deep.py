@@ -8,9 +8,9 @@ import os
 import shutil
 
 import repro.lint.deep as deep
-from repro.lint.deep import analyze_modules, analyze_paths, cache_key
-from repro.lint.engine import iter_python_files, lint_paths, parse_module, read_source
-from repro.lint.manifest import Manifest, load_manifest
+from repro.lint.deep import analyze_paths, cache_key
+from repro.lint.engine import read_source
+from repro.lint.manifest import Manifest
 from tests.unit.test_lint_contracts import EXPECTED as CONTRACTS_EXPECTED
 from tests.unit.test_lint_contracts import FIXTURE_FILES as CONTRACTS_FILES
 from tests.unit.test_lint_contracts import MANIFEST as CONTRACTS_MANIFEST
@@ -19,12 +19,6 @@ from tests.unit.test_lint_effects import FIXTURES as EFFECTS_FIXTURES
 from tests.unit.test_lint_effects import MANIFEST as EFFECTS_MANIFEST
 from tests.unit.test_lint_flow import EXPECTED as FLOW_EXPECTED
 from tests.unit.test_lint_flow import FIXTURES as FLOW_FIXTURES
-
-
-def _parse(paths):
-    return [
-        parse_module(read_source(path), path) for path in iter_python_files(paths)
-    ]
 
 
 class TestJointCorpus:
@@ -50,51 +44,8 @@ class TestJointCorpus:
 
 
 class TestCache:
-    def test_warm_run_replays_without_reanalysis(self):
-        cold_modules = _parse([EFFECTS_FIXTURES])
-        cold = analyze_modules(cold_modules, EFFECTS_MANIFEST)
-        warm_modules = _parse([EFFECTS_FIXTURES])
-        warm = analyze_modules(warm_modules, EFFECTS_MANIFEST)
-        assert not cold.stats["cache_hit"] and cold.findings
-        assert warm.stats["cache_hit"]
-        assert [f.to_dict() for f in warm.findings] == [
-            f.to_dict() for f in cold.findings
-        ]
-        assert warm.suppressed == cold.suppressed == 2
-        assert [m.suppressions.used for m in warm_modules] == [
-            m.suppressions.used for m in cold_modules
-        ]
-
-    def test_cached_run_replays_suppression_usage(self, tmp_path):
-        # A suppression used only by a deep finding must stay "used" on a
-        # cache hit, or LINT001 would flag it as stale.
-        path = tmp_path / "mem.py"
-        path.write_text(
-            "def f(t_ns, t_us):\n"
-            "    return t_ns + t_us  # lint: disable=DIM001\n"
-        )
-        for hit in (False, True):  # cold, then warm
-            report = lint_paths([str(path)], deep=True)
-            assert report.deep["cache_hit"] is hit
-            assert report.findings == []
-            assert report.suppressed == 1
-
-    def test_source_edit_invalidates(self):
-        src = "def f(t_ns):\n    return t_ns\n"
-        before = cache_key([parse_module(src, "m.py")], Manifest())
-        assert cache_key([parse_module(src, "m.py")], Manifest()) == before
-        edited = cache_key([parse_module(src + "\nX = 1\n", "m.py")], Manifest())
-        assert edited != before
-
-    def test_manifest_edit_invalidates(self, tmp_path):
-        modules = _parse([EFFECTS_FIXTURES])
-        manifest = tmp_path / "lint.json"
-        manifest.write_text(read_source(EFFECTS_MANIFEST))
-        before = cache_key(modules, load_manifest(str(manifest)))
-        doc = json.loads(manifest.read_text())
-        doc["hot"][0]["reason"] = "edited"
-        manifest.write_text(json.dumps(doc))
-        assert cache_key(modules, load_manifest(str(manifest))) != before
+    """Cache-key inputs no single corpus covers; each corpus suite checks
+    the warm replay and its own edits."""
 
     def test_tests_corpus_edit_invalidates(self, tmp_path):
         corpus = tmp_path / "tests"

@@ -1,5 +1,6 @@
 """Whole-program effects analysis: fixtures, regions, summaries, guards,
-parallel safety, LINT002 and the --changed-only plumbing.
+parallel safety, LINT002, the cache, the real tree and the
+--changed-only plumbing.
 
 The corpus runs through the one ``lint --deep`` driver, so these tests
 also prove the flow and contracts analyzers stay silent on it.
@@ -66,12 +67,15 @@ def _run_fixture():
     return analyze_paths([FIXTURES], MANIFEST)
 
 
-def _summaries():
-    modules = [
+def _parse_fixtures():
+    return [
         parse_module(read_source(path), path)
         for path in iter_python_files([FIXTURES])
     ]
-    return summarize_program(build_program(modules))
+
+
+def _summaries():
+    return summarize_program(build_program(_parse_fixtures()))
 
 
 class TestFixtureCorpus:
@@ -184,6 +188,48 @@ class TestObsGuardInjection:
         report = analyze_modules([parse_module(injected, self.PATH)])
         assert [f.rule for f in report.findings] == ["OBS001"]
         assert "proven None" in report.findings[0].message
+
+
+class TestCache:
+    def test_warm_run_replays_without_reanalysis(self):
+        cold_modules = _parse_fixtures()
+        cold = analyze_modules(cold_modules, MANIFEST)
+        warm_modules = _parse_fixtures()
+        warm = analyze_modules(warm_modules, MANIFEST)
+        assert not cold.stats["cache_hit"] and cold.findings
+        assert warm.stats["cache_hit"]
+        assert [f.to_dict() for f in warm.findings] == [
+            f.to_dict() for f in cold.findings
+        ]
+        assert warm.suppressed == cold.suppressed == 2  # replayed, not lost
+        assert [m.suppressions.used for m in warm_modules] == [
+            m.suppressions.used for m in cold_modules
+        ]
+
+    def test_manifest_edit_invalidates(self, tmp_path):
+        manifest = tmp_path / "lint.json"
+        manifest.write_text(read_source(MANIFEST))
+        first = analyze_paths([FIXTURES], str(manifest))
+        assert not first.stats["cache_hit"]
+        assert analyze_paths([FIXTURES], str(manifest)).stats["cache_hit"]
+        doc = json.loads(manifest.read_text())
+        doc["hot"][0]["reason"] = "edited"
+        manifest.write_text(json.dumps(doc))
+        edited = analyze_paths([FIXTURES], str(manifest))
+        assert not edited.stats["cache_hit"]
+
+
+class TestRealTree:
+    def test_src_is_clean_beyond_baseline(self, deep_src_run):
+        # There is no baseline: the real tree has no effects findings at all.
+        report, _ = deep_src_run
+        effects = [f for f in report.findings if f.rule in EFFECTS_RULE_IDS]
+        assert effects == [], "\n".join(f.render() for f in effects)
+
+    def test_scales_to_the_whole_package(self, deep_src_run):
+        stats = deep_src_run[0].deep
+        assert stats["modules"] > 100 and stats["functions"] > 500
+        assert stats["regions"] >= 8  # manifest entries plus inline markers
 
 
 class TestChangedOnly:

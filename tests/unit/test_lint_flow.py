@@ -1,4 +1,5 @@
-"""Whole-program flow analysis: fixtures, lattice, SARIF, CLI.
+"""Whole-program flow analysis: fixtures, lattice, cache, real tree,
+SARIF, CLI.
 
 The corpus runs through the one ``lint --deep`` driver, so these tests
 also prove the effects and contracts analyzers stay silent on it.
@@ -9,8 +10,8 @@ from __future__ import annotations
 import json
 import os
 
-from repro.lint.deep import analyze_paths
-from repro.lint.engine import lint_paths
+from repro.lint.deep import analyze_modules, analyze_paths
+from repro.lint.engine import lint_paths, parse_module
 from repro.lint.flow import FLOW_RULE_IDS
 from repro.lint.flow.lattice import (
     AbsValue,
@@ -111,6 +112,52 @@ class TestLattice:
         us = AbsValue(dim=dim_for_suffix("us"))
         joined = join(ns, us)
         assert joined.dim == Dim("time", None)
+
+
+class TestCache:
+    def test_warm_run_replays_without_reanalysis(self):
+        cold = _run_fixture()
+        warm = _run_fixture()
+        assert not cold.stats["cache_hit"] and cold.findings
+        assert warm.stats["cache_hit"]
+        assert [f.to_dict() for f in warm.findings] == [
+            f.to_dict() for f in cold.findings
+        ]
+
+    def test_source_edit_invalidates(self):
+        src = "def f(t_ns):\n    return t_ns\n"
+        first = analyze_modules([parse_module(src, "m.py")])
+        again = analyze_modules([parse_module(src, "m.py")])
+        edited = analyze_modules([parse_module(src + "\nX = 1\n", "m.py")])
+        assert not first.stats["cache_hit"] and again.stats["cache_hit"]
+        assert not edited.stats["cache_hit"]
+
+    def test_cached_run_replays_suppression_usage(self, tmp_path):
+        # A suppression used only by a flow finding must stay "used" on a
+        # cache hit, or LINT001 would flag it as stale.
+        path = tmp_path / "mem.py"
+        path.write_text(
+            "def f(t_ns, t_us):\n"
+            "    return t_ns + t_us  # lint: disable=DIM001\n"
+        )
+        for hit in (False, True):  # cold, then warm
+            report = lint_paths([str(path)], deep=True)
+            assert report.deep["cache_hit"] is hit
+            assert report.findings == []
+            assert report.suppressed == 1
+
+
+class TestRealTree:
+    def test_src_is_clean_beyond_baseline(self, deep_src_run):
+        # There is no baseline: the real tree has no flow findings at all.
+        report, _ = deep_src_run
+        flow = [f for f in report.findings if f.rule in FLOW_RULE_IDS]
+        assert flow == [], "\n".join(f.render() for f in flow)
+
+    def test_scales_to_the_whole_package(self, deep_src_run):
+        stats = deep_src_run[0].deep
+        assert stats["modules"] > 100 and stats["functions"] > 500
+        assert stats["rounds"] < 20
 
 
 class TestSarif:
