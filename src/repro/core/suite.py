@@ -326,6 +326,17 @@ def _resolve_names(only: list[str] | None) -> list[str]:
     return names
 
 
+def _replayable(doc: dict[str, Any]) -> bool:
+    """Whether a cached document rebuilds into a table that serializes
+    again.  Cache files come from outside the process, so a document of
+    any other shape is a miss, not a crash."""
+    try:
+        table_to_dict(table_from_dict(doc))
+    except (AttributeError, KeyError, TypeError, ValueError):
+        return False
+    return True
+
+
 def run_suite(
     config: ExperimentConfig | None = None,
     only: list[str] | None = None,
@@ -405,7 +416,7 @@ def run_suite(
             for name in names:
                 keys[name] = cache_key(name, cfg)
                 doc = cache.get(keys[name])
-                if doc is not None:
+                if doc is not None and _replayable(doc):
                     docs[name] = doc
                 else:
                     to_run.append(name)

@@ -7,7 +7,7 @@ Two halves (DESIGN.md §7's determinism contract, enforced):
   randomness), UNIT001 (suffix-driven unit consistency), EXC001
   (:class:`~repro.errors.ReproError` discipline), SIM001 (no simulator
   re-entry from event callbacks).  ``--deep`` adds the whole-program
-  flow, effects and contracts analyzers (:mod:`repro.lint.deep`, declared
+  effects and contracts analyzers (:mod:`repro.lint.deep`, declared
   inputs in ``lint.json``).  Findings support inline
   ``# lint: disable=RULE`` suppressions and JSON/SARIF output.
 * **Runtime**: :class:`~repro.lint.monitor.InvariantMonitor` hooks a

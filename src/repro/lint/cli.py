@@ -16,6 +16,7 @@ from repro.lint.engine import lint_paths
 from repro.lint.formatters import format_human, format_json, format_sarif
 from repro.lint.manifest import DEFAULT_MANIFEST
 from repro.lint.rules import all_rules, rules_by_id
+from repro.lint.sarif import rule_titles
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -38,9 +39,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--deep",
         action="store_true",
-        help="also run the whole-program flow, effects and contracts "
-        "analyses (DIM/DET002, HOT/OBS/PAR, CON rules) over one shared "
-        "program, with one digest-keyed result cache",
+        help="also run the whole-program effects and contracts analyses "
+        "(HOT/OBS/PAR, CON rules) over one shared program, with one "
+        "digest-keyed result cache",
     )
     parser.add_argument(
         "--manifest",
@@ -63,7 +64,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--select",
         metavar="RULES",
-        help="comma-separated rule ids to run (default: all)",
+        help="comma-separated rule ids to report, from --list-rules "
+        "(default: all)",
     )
     parser.add_argument(
         "--list-rules",
@@ -85,8 +87,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     if args.list_rules:
-        from repro.lint.sarif import rule_titles
-
         for rule_id, title in sorted(rule_titles().items()):
             print(f"{rule_id}  {title}")
         return 0
@@ -106,13 +106,20 @@ def main(argv: list[str] | None = None) -> int:
     manifest = args.manifest
     if manifest is None and os.path.exists(DEFAULT_MANIFEST):
         manifest = DEFAULT_MANIFEST
+    select = None
+    if args.select:
+        select = {r.strip() for r in args.select.split(",") if r.strip()}
+        unknown = select - set(rule_titles())
+        if unknown:
+            print(
+                f"repro-lint: unknown lint rule(s): {', '.join(sorted(unknown))}",
+                file=sys.stderr,
+            )
+            return 2
     try:
-        select = (
-            [r.strip() for r in args.select.split(",") if r.strip()]
-            if args.select
-            else None
+        rules = all_rules(
+            None if select is None else sorted(select & set(rules_by_id()))
         )
-        rules = all_rules(select)
         report = lint_paths(
             args.paths,
             rules,
@@ -124,6 +131,12 @@ def main(argv: list[str] | None = None) -> int:
     except LintError as err:
         print(f"repro-lint: {err}", file=sys.stderr)
         return 2
+    if select is not None:
+        # Every pass reports through one list; a file that does not parse
+        # was checked by no rule, so its PARSE finding always stays.
+        report.findings = [
+            f for f in report.findings if f.rule in select or f.rule == "PARSE"
+        ]
 
     formatters = {"json": format_json, "sarif": format_sarif, "human": format_human}
     print(formatters[args.format](report))

@@ -24,8 +24,8 @@ from __future__ import annotations
 import ast
 
 from repro.lint.findings import Finding
-from repro.lint.flow.graph import Program
 from repro.lint.manifest import Manifest
+from repro.lint.program import Program
 
 RULE_LAYER = "CON010"
 

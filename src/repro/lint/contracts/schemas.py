@@ -36,8 +36,8 @@ import os
 from dataclasses import dataclass, field
 
 from repro.lint.findings import SEVERITY_ERROR, SEVERITY_WARNING, Finding
-from repro.lint.flow.graph import MODULE_BODY, FuncInfo, ModuleInfo, Program
 from repro.lint.manifest import Manifest
+from repro.lint.program import MODULE_BODY, FuncInfo, ModuleInfo, Program
 
 RULE_REGISTRY = "CON020"
 RULE_DEAD_VALIDATOR = "CON021"

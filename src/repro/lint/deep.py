@@ -1,10 +1,10 @@
 """The whole-program driver behind ``lint --deep``.
 
 One run takes the modules the engine already parsed, builds one
-:class:`~repro.lint.flow.graph.Program`, and runs every whole-program
-analyzer over it: flow (DIM001-DIM003, DET002), effects (HOT001-HOT003,
-OBS001, PAR001) and contracts (CON010, CON020, CON021).  Their inputs
-come from one manifest (:mod:`repro.lint.manifest`).
+:class:`~repro.lint.program.Program`, and runs both whole-program
+analyzers over it: effects (HOT001-HOT003, OBS001, PAR001) and contracts
+(CON010, CON020, CON021).  Their inputs come from one manifest
+(:mod:`repro.lint.manifest`).
 
 The raw findings are cached as one document under a key made of four
 digests:
@@ -26,7 +26,7 @@ import json
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any, Sequence, get_type_hints
 
 from repro.errors import CacheError, LintError
 from repro.lint.contracts import CONTRACTS_RULE_IDS
@@ -44,16 +44,17 @@ from repro.lint.effects.regions import collect_regions
 from repro.lint.effects.summaries import summarize_program
 from repro.lint.engine import ParsedModule, iter_python_files, parse_module, read_source
 from repro.lint.findings import Finding
-from repro.lint.flow import FLOW_RULE_IDS
-from repro.lint.flow.analysis import analyze_program
-from repro.lint.flow.graph import Program, build_program
 from repro.lint.manifest import Manifest, load_manifest, write_schemas
+from repro.lint.program import Program, build_program
 
 #: Every rule the deep pass can emit.
-DEEP_RULE_IDS = FLOW_RULE_IDS | EFFECTS_RULE_IDS | CONTRACTS_RULE_IDS
+DEEP_RULE_IDS = EFFECTS_RULE_IDS | CONTRACTS_RULE_IDS
 
 #: The ``repro.lint`` sources, hashed into the cache key.
 LINT_PACKAGE_DIR = os.path.dirname(os.path.abspath(__file__))
+
+#: Field name -> type of one finding in the cached document.
+_FINDING_TYPES = get_type_hints(Finding)
 
 
 @dataclass
@@ -62,8 +63,8 @@ class DeepReport:
 
     findings: list[Finding] = field(default_factory=list)
     suppressed: int = 0
-    #: Program and analyzer counts (modules, functions, rounds, regions,
-    #: layers, schemas), finding counts, cache status and wall time.
+    #: Program and analyzer counts (modules, functions, regions, layers,
+    #: schemas), finding counts, cache status and wall time.
     stats: dict[str, Any] = field(default_factory=dict)
 
 
@@ -99,11 +100,9 @@ def cache_key(modules: Sequence[ParsedModule], manifest: Manifest) -> str:
 
 def _analyze(program: Program, manifest: Manifest) -> dict[str, Any]:
     """Run every analyzer; returns the cacheable document of raw findings."""
-    flow = analyze_program(program)
     regions = collect_regions(program, manifest)
     registry_findings, registry = check_registry(program, manifest)
     raw = [
-        *flow.findings,
         *check_regions(program, summarize_program(program), regions),
         *check_guards(program),
         *check_submissions(program),
@@ -116,12 +115,30 @@ def _analyze(program: Program, manifest: Manifest) -> dict[str, Any]:
         "counts": {
             "modules": len(program.modules),
             "functions": len(program.functions),
-            "rounds": flow.rounds,
             "regions": len(regions.regions),
             "layers": len(manifest.layers.assign),
             "schemas": len(registry.schemas()),
         },
     }
+
+
+def _replayable(doc: dict[str, Any]) -> bool:
+    """Whether a cached document has the shape :func:`_analyze` writes.
+
+    Cache files come from outside the process, so a document of any
+    other shape is a miss, not a crash.
+    """
+    findings, counts = doc.get("findings"), doc.get("counts")
+    return (
+        isinstance(findings, list)
+        and isinstance(counts, dict)
+        and all(
+            isinstance(f, dict)
+            and f.keys() == _FINDING_TYPES.keys()
+            and all(type(f[name]) is t for name, t in _FINDING_TYPES.items())
+            for f in findings
+        )
+    )
 
 
 def _open_cache():
@@ -163,8 +180,8 @@ def analyze_modules(
             doc = cache.get(key)
         except CacheError:
             doc = None
-    cache_hit = doc is not None
-    if doc is None:
+    cache_hit = doc is not None and _replayable(doc)
+    if not cache_hit:
         doc = _analyze(program or build_program(analyzable), loaded)
         if cache is not None:
             try:

@@ -1,4 +1,4 @@
-"""Whole-program effect, escape and hot-path budget analysis.
+"""Whole-program effect and hot-path budget analysis.
 
 Per-function effect summaries (:mod:`.summaries`) feed the hot-region
 budget (:mod:`.hotpath`, regions from :mod:`.regions`), the obs guard

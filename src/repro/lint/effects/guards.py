@@ -30,9 +30,9 @@ import ast
 import copy
 from dataclasses import dataclass, field
 
-from repro.lint.findings import Finding
-from repro.lint.flow.graph import FuncInfo, Program
 from repro.lint.effects.summaries import Resolver
+from repro.lint.findings import Finding
+from repro.lint.program import FuncInfo, Program
 
 RULE_OBS_GUARD = "OBS001"
 

@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import ast
 
-from repro.lint.findings import Finding
-from repro.lint.flow.graph import Program, _dotted_parts
 from repro.lint.effects.summaries import Resolver
+from repro.lint.findings import Finding
+from repro.lint.program import Program, _dotted_parts
 
 RULE_PAR_UNSAFE = "PAR001"
 

@@ -1,19 +1,15 @@
 """Per-function effect summaries and the call-resolution substrate.
 
-For every function in the linked :class:`~repro.lint.flow.graph.Program`
-this module computes a :class:`EffectSummary`: which effects the body
-performs *directly* (allocates / raises / mutates-global /
-reads-wall-clock / calls-obs / crosses-process), which names escape the
-frame, and the resolved project-internal call edges.  A fixpoint pass
-then folds callee summaries into transitive bits.
+For every function in the linked :class:`~repro.lint.program.Program`
+this module computes a :class:`EffectSummary`: the allocation sites the
+body performs *directly* and its resolved project-internal call edges.
 
-Resolution follows the flow pass's zero-false-positive contract: a call
-the linker cannot pin down contributes no effect (it only bumps the
+Resolution keeps a zero-false-positive contract: a call the linker
+cannot pin down contributes no effect (it only bumps the
 ``unresolved_calls`` counter), so widening stays silent instead of
 guessing.  The hot-path rules (:mod:`repro.lint.effects.hotpath`) walk
-the *direct* sites plus call edges themselves so cold boundaries can
-terminate propagation; the transitive bits here serve the summary API
-and report stats.
+the direct sites plus the call edges themselves, so cold boundaries can
+terminate propagation.
 """
 
 from __future__ import annotations
@@ -21,8 +17,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 
-from repro.lint.flow.graph import FuncInfo, Program, _build_function, _dotted_parts
-from repro.lint.flow.intrinsics import taint_source
+from repro.lint.program import FuncInfo, Program, _build_function, _dotted_parts
 
 #: Builtin calls that construct a fresh object per call.
 BUILTIN_ALLOCATORS = {
@@ -37,19 +32,6 @@ BUILTIN_ALLOCATORS = {
     "bytearray",
     "format",
     "repr",
-}
-
-#: Resolved dotted prefixes that put work on another process.
-_PROCESS_PREFIXES = ("repro.parallel",)
-_PROCESS_DOTTED = {
-    "concurrent.futures.ProcessPoolExecutor",
-    "multiprocessing.Pool",
-    "multiprocessing.Process",
-    "subprocess.run",
-    "subprocess.Popen",
-    "subprocess.check_output",
-    "subprocess.check_call",
-    "os.fork",
 }
 
 #: Unpacking assignments like ``a, b = x, y`` with few elements compile
@@ -86,45 +68,17 @@ class CallEdge:
 
 @dataclass
 class EffectSummary:
-    """What one function does to the world, directly and transitively."""
+    """What one function body does directly: allocations and calls."""
 
     qname: str
     func: FuncInfo
     alloc_sites: list[AllocSite] = field(default_factory=list)
-    raises: bool = False
-    mutates_global: bool = False
-    reads_wall_clock: bool = False
-    calls_obs: bool = False
-    crosses_process: bool = False
-    escapes: set[str] = field(default_factory=set)
     calls: list[CallEdge] = field(default_factory=list)
     unresolved_calls: int = 0
-    # Transitive closure over resolved call edges (fixpoint-filled).
-    t_allocates: bool = False
-    t_raises: bool = False
-    t_mutates_global: bool = False
-    t_reads_wall_clock: bool = False
-    t_calls_obs: bool = False
-    t_crosses_process: bool = False
 
     @property
     def allocates(self) -> bool:
         return bool(self.alloc_sites)
-
-    def effect_names(self) -> set[str]:
-        """Transitive effect labels, for the summary API and tests."""
-        labels = set()
-        for name, flag in (
-            ("allocates", self.t_allocates),
-            ("raises", self.t_raises),
-            ("mutates-global", self.t_mutates_global),
-            ("reads-wall-clock", self.t_reads_wall_clock),
-            ("calls-obs", self.t_calls_obs),
-            ("crosses-process", self.t_crosses_process),
-        ):
-            if flag:
-                labels.add(name)
-        return labels
 
 
 class Resolver:
@@ -256,34 +210,15 @@ _DISPLAY_KINDS = {
     ast.GeneratorExp: "generator expression",
 }
 
-_MUTATING_METHODS = {
-    "append",
-    "extend",
-    "add",
-    "update",
-    "setdefault",
-    "insert",
-    "remove",
-    "discard",
-    "clear",
-    "pop",
-    "popitem",
-}
-
 
 def summarize_function(
     func: FuncInfo, resolver: Resolver, program: Program
 ) -> EffectSummary:
-    """Direct effects of one function body (no transitive folding)."""
+    """Direct effects of one function body."""
     summary = EffectSummary(qname=func.qname, func=func)
     local_types = resolver.local_class_types(func)
     exempt = _exempt_nodes(func.body)
     pair_unpacks = _pair_unpack_values(func.body)
-    global_names: set[str] = set()
-    module_level = set(resolver.module.bindings)
-    if resolver.module.body is not None:
-        module_level |= resolver.module.body.local_names
-    module_level -= func.local_names
 
     def add_alloc(node: ast.AST, kind: str) -> None:
         if id(node) not in exempt:
@@ -320,39 +255,17 @@ def summarize_function(
             summary.calls.append(
                 CallEdge(node.lineno, node.col_offset, resolved.target)
             )
-            return
-        # External call: match known effect sources.
-        dotted = resolved.target
-        taint = taint_source(dotted, node)
-        if taint is not None and taint[0] == "wall-clock":
-            summary.reads_wall_clock = True
-        if dotted.startswith("repro.obs"):
-            summary.calls_obs = True
-        if dotted in _PROCESS_DOTTED or dotted.startswith(_PROCESS_PREFIXES):
-            summary.crosses_process = True
 
     def visit(node: ast.AST) -> None:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             add_alloc(node, f"closure definition '{node.name}'")
-            # The nested body runs only when called; captured locals
-            # escape into the closure cells, though.
-            for sub in ast.walk(node):
-                if (
-                    isinstance(sub, ast.Name)
-                    and isinstance(sub.ctx, ast.Load)
-                    and sub.id in func.local_names
-                ):
-                    summary.escapes.add(sub.id)
+            # The nested body runs only when called.
             return
         if isinstance(node, ast.Lambda):
             add_alloc(node, "lambda definition")
             return
-        if isinstance(node, ast.Global):
-            global_names.update(node.names)
-        elif isinstance(node, ast.Call):
+        if isinstance(node, ast.Call):
             handle_call(node)
-        elif isinstance(node, ast.Raise):
-            summary.raises = True
         elif type(node) in _DISPLAY_KINDS:
             if not (isinstance(node, ast.List) and not isinstance(node.ctx, ast.Load)):
                 add_alloc(node, _DISPLAY_KINDS[type(node)])
@@ -366,46 +279,11 @@ def summarize_function(
                 node.left.value, str
             ):
                 add_alloc(node, "%-string formatting")
-        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            if node.attr == "_obs" or node.attr.startswith("_obs_"):
-                summary.calls_obs = True
-        elif isinstance(node, (ast.Return, ast.Yield, ast.YieldFrom)):
-            if isinstance(node.value, ast.Name):
-                summary.escapes.add(node.value.id)
-        elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            for target in targets:
-                if isinstance(target, ast.Name) and target.id in global_names:
-                    summary.mutates_global = True
-                base = target
-                while isinstance(base, (ast.Attribute, ast.Subscript)):
-                    base = base.value
-                if (
-                    base is not target
-                    and isinstance(base, ast.Name)
-                    and base.id in module_level
-                ):
-                    summary.mutates_global = True
-                if isinstance(
-                    target, (ast.Attribute, ast.Subscript)
-                ) and isinstance(node.value, ast.Name):
-                    summary.escapes.add(node.value.id)
         for child in ast.iter_child_nodes(node):
             visit(child)
 
-    holder = _body_holder(func)
     for stmt in func.body:
         visit(stmt)
-    # Mutating method calls on module-level names (state.append(x), ...).
-    for node in ast.walk(holder):
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr in _MUTATING_METHODS
-            and isinstance(node.func.value, ast.Name)
-            and node.func.value.id in module_level
-        ):
-            summary.mutates_global = True
     summary.alloc_sites.sort(key=lambda s: (s.line, s.col))
     summary.calls.sort(key=lambda e: (e.line, e.col))
     return summary
@@ -423,7 +301,7 @@ def region_func_info(program: Program, region) -> FuncInfo:
 
 
 def summarize_program(program: Program) -> dict[str, EffectSummary]:
-    """Effect summaries for every registered function, transitively."""
+    """Effect summaries for every registered function."""
     summaries: dict[str, EffectSummary] = {}
     for module in program.modules.values():
         resolver = Resolver(program, module)
@@ -434,37 +312,4 @@ def summarize_program(program: Program) -> dict[str, EffectSummary]:
                 summaries[method.qname] = summarize_function(
                     method, resolver, program
                 )
-    _fixpoint(summaries)
     return summaries
-
-
-_EFFECT_BITS = (
-    ("t_allocates", lambda s: s.allocates),
-    ("t_raises", lambda s: s.raises),
-    ("t_mutates_global", lambda s: s.mutates_global),
-    ("t_reads_wall_clock", lambda s: s.reads_wall_clock),
-    ("t_calls_obs", lambda s: s.calls_obs),
-    ("t_crosses_process", lambda s: s.crosses_process),
-)
-
-
-def _fixpoint(summaries: dict[str, EffectSummary]) -> int:
-    """Fold callee effect bits into callers until stable."""
-    for summary in summaries.values():
-        for attr, direct in _EFFECT_BITS:
-            setattr(summary, attr, direct(summary))
-    rounds = 0
-    changed = True
-    while changed:
-        changed = False
-        rounds += 1
-        for summary in summaries.values():
-            for edge in summary.calls:
-                callee = summaries.get(edge.callee)
-                if callee is None:
-                    continue
-                for attr, _ in _EFFECT_BITS:
-                    if getattr(callee, attr) and not getattr(summary, attr):
-                        setattr(summary, attr, True)
-                        changed = True
-    return rounds

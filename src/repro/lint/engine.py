@@ -290,7 +290,7 @@ def lint_paths(
 ) -> LintReport:
     """Lint every python file under ``paths``.
 
-    With ``deep=True`` the whole-program flow, effects and contracts
+    With ``deep=True`` the whole-program effects and contracts
     analyzers (:mod:`repro.lint.deep`) run over the same parsed modules
     against the ``manifest`` file (``None``: the empty manifest) and
     their findings join the report.  ``update_schema_registry`` implies

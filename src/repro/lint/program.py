@@ -2,13 +2,13 @@
 
 :func:`build_program` links every parsed module into one
 :class:`Program`: functions and methods under stable qualified names,
-classes with their fields and base-class chains, per-module import
-bindings, and the module-level statement bodies.  The abstract
-interpreter (:mod:`repro.lint.flow.analysis`) resolves names, attribute
-chains, calls and method lookups against this structure.
+classes with their base-class chains, per-module import bindings, and
+the module-level statement bodies.  :mod:`repro.lint.deep` builds it
+once; the effects and contracts analyzers resolve names, calls and
+method lookups against it.
 
 Resolution is deliberately best-effort: anything the linker cannot pin
-down stays unresolved and the analysis widens to "unknown" instead of
+down stays unresolved, and the analyzers treat it as unknown instead of
 guessing — the zero-false-positive contract beats coverage.
 """
 
@@ -26,11 +26,9 @@ MODULE_BODY = "<module>"
 
 @dataclass
 class Param:
-    """One formal parameter: name plus annotation/default AST nodes."""
+    """One formal parameter."""
 
     name: str
-    annotation: ast.expr | None = None
-    default: ast.expr | None = None
 
 
 @dataclass
@@ -42,9 +40,7 @@ class FuncInfo:
     node: ast.AST | None  # FunctionDef/AsyncFunctionDef; None for <module>
     params: list[Param] = field(default_factory=list)
     body: list[ast.stmt] = field(default_factory=list)
-    returns: ast.expr | None = None
     cls: "ClassInfo | None" = None
-    is_property: bool = False
     #: Names assigned anywhere in the body (plus params): the local scope.
     local_names: set[str] = field(default_factory=set)
 
@@ -55,7 +51,7 @@ class FuncInfo:
 
 @dataclass
 class ClassInfo:
-    """One class: methods, annotated/assigned fields, resolved bases."""
+    """One class: methods and resolved bases."""
 
     qname: str
     name: str
@@ -64,11 +60,6 @@ class ClassInfo:
     base_names: list[str] = field(default_factory=list)  # pre-link, raw
     bases: list[str] = field(default_factory=list)  # post-link, qnames
     methods: dict[str, FuncInfo] = field(default_factory=dict)
-    #: field name -> (annotation, default expr) from the class body.
-    fields: dict[str, tuple[ast.expr | None, ast.expr | None]] = field(
-        default_factory=dict
-    )
-    is_dataclass: bool = False
 
 
 @dataclass
@@ -111,60 +102,10 @@ class Program:
             queue.extend(cls.bases)
         return None
 
-    def field_owner(self, class_qname: str, name: str) -> str | None:
-        """The class (self or ancestor) declaring field ``name``, if any."""
-        seen: set[str] = set()
-        queue = [class_qname]
-        while queue:
-            qname = queue.pop(0)
-            if qname in seen:
-                continue
-            seen.add(qname)
-            cls = self.classes.get(qname)
-            if cls is None:
-                continue
-            if name in cls.fields:
-                return qname
-            queue.extend(cls.bases)
-        return None
-
-    def is_subclass_of(self, class_qname: str, basenames: set[str]) -> bool:
-        """Whether the class or any ancestor has a basename in ``basenames``."""
-        seen: set[str] = set()
-        queue = [class_qname]
-        while queue:
-            qname = queue.pop(0)
-            if qname in seen:
-                continue
-            seen.add(qname)
-            if qname.rsplit(".", 1)[-1] in basenames:
-                return True
-            cls = self.classes.get(qname)
-            if cls is not None:
-                queue.extend(cls.bases)
-        return False
-
-
-def _decorator_name(node: ast.expr) -> str | None:
-    if isinstance(node, ast.Call):
-        node = node.func
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    return None
-
 
 def _collect_params(node: ast.FunctionDef | ast.AsyncFunctionDef) -> list[Param]:
     args = node.args
-    params = [Param(a.arg, a.annotation) for a in [*args.posonlyargs, *args.args]]
-    defaults = args.defaults
-    if defaults:
-        for param, default in zip(params[-len(defaults) :], defaults):
-            param.default = default
-    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
-        params.append(Param(arg.arg, arg.annotation, default))
-    return params
+    return [Param(a.arg) for a in [*args.posonlyargs, *args.args, *args.kwonlyargs]]
 
 
 def _local_names(node: ast.AST, params: list[Param]) -> set[str]:
@@ -237,27 +178,14 @@ def _build_function(
         node=node,
         params=params,
         body=list(node.body),
-        returns=node.returns,
         cls=cls,
-        is_property=any(
-            _decorator_name(d) in ("property", "cached_property")
-            for d in node.decorator_list
-        ),
         local_names=_local_names(node, params),
     )
     return info
 
 
 def _build_class(node: ast.ClassDef, qname: str, module: ModuleInfo) -> ClassInfo:
-    cls = ClassInfo(
-        qname=qname,
-        name=node.name,
-        module=module,
-        node=node,
-        is_dataclass=any(
-            _decorator_name(d) == "dataclass" for d in node.decorator_list
-        ),
-    )
+    cls = ClassInfo(qname=qname, name=node.name, module=module, node=node)
     for base in node.bases:
         if isinstance(base, ast.Name):
             cls.base_names.append(base.id)
@@ -269,12 +197,6 @@ def _build_class(node: ast.ClassDef, qname: str, module: ModuleInfo) -> ClassInf
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
             method = _build_function(stmt, f"{qname}.{stmt.name}", module, cls)
             cls.methods[stmt.name] = method
-        elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
-            cls.fields[stmt.target.id] = (stmt.annotation, stmt.value)
-        elif isinstance(stmt, ast.Assign):
-            for target in stmt.targets:
-                if isinstance(target, ast.Name):
-                    cls.fields[target.id] = (None, stmt.value)
     return cls
 
 

@@ -1,7 +1,7 @@
 """Shared SARIF 2.1.0 writer and merged rule catalogue.
 
-One emitter for every pass: per-module rules, the flow, effects and
-contracts whole-program analyses, and the engine-level LINT rules all
+One emitter for every pass: per-module rules, the effects and contracts
+whole-program analyses, and the engine-level LINT rules all
 publish their metadata through :func:`rule_catalogue`, and every lint
 invocation — single-pass or combined — produces a single SARIF run
 carrying the merged catalogue.  ``--list-rules`` prints the same table,
@@ -23,13 +23,11 @@ def rule_titles() -> dict[str, str]:
     from repro.lint.contracts import CONTRACTS_RULE_TITLES
     from repro.lint.effects import EFFECTS_RULE_TITLES
     from repro.lint.engine import SUPPRESSION_REASON_RULE, UNUSED_SUPPRESSION_RULE
-    from repro.lint.flow import FLOW_RULE_TITLES
     from repro.lint.rules import rules_by_id
 
     titles: dict[str, str] = {
         rule_id: cls.title for rule_id, cls in rules_by_id().items()
     }
-    titles.update(FLOW_RULE_TITLES)
     titles.update(EFFECTS_RULE_TITLES)
     titles.update(CONTRACTS_RULE_TITLES)
     titles[UNUSED_SUPPRESSION_RULE] = "unused lint suppression comment"

@@ -99,7 +99,7 @@ def test_committed_manifest_is_what_a_registry_update_writes():
     # lint.json byte-identical: canonical form, snapshot equal to the code.
     from repro.lint.contracts.schemas import extract_registry, snapshot_schemas
     from repro.lint.engine import iter_python_files, parse_module, read_source
-    from repro.lint.flow.graph import build_program
+    from repro.lint.program import build_program
 
     text = Path(MANIFEST).read_text(encoding="utf-8")
     doc = json.loads(text)

@@ -3,7 +3,7 @@ the cache, and the acceptance mutation demo (schema field drift must surface
 exactly one finding).
 
 The corpus runs through the one ``lint --deep`` driver, so these tests
-also prove the flow and effects analyzers stay silent on it.
+also prove the effects analyzer stays silent on it.
 """
 
 from __future__ import annotations
@@ -230,7 +230,6 @@ class TestSarifCatalogue:
             "HOT001",
             "OBS001",
             "PAR001",
-            "DIM001",
             "DET001",
             "LINT001",
             "LINT002",

@@ -1,5 +1,6 @@
-"""The one whole-program driver (``lint --deep``): the three corpora in one
-shared program, the one result cache, and the CLI's manifest lookup."""
+"""The one whole-program driver (``lint --deep``): the effects and
+contracts corpora in one shared program, the one result cache, and the
+CLI's manifest lookup."""
 
 from __future__ import annotations
 
@@ -7,18 +8,19 @@ import json
 import os
 import shutil
 
+import pytest
+
 import repro.lint.deep as deep
-from repro.lint.deep import analyze_paths, cache_key
-from repro.lint.engine import read_source
-from repro.lint.manifest import Manifest
+from repro.cache.store import ResultCache
+from repro.lint.deep import analyze_modules, analyze_paths, cache_key
+from repro.lint.engine import iter_python_files, parse_module, read_source
+from repro.lint.manifest import Manifest, load_manifest
 from tests.unit.test_lint_contracts import EXPECTED as CONTRACTS_EXPECTED
 from tests.unit.test_lint_contracts import FIXTURE_FILES as CONTRACTS_FILES
 from tests.unit.test_lint_contracts import MANIFEST as CONTRACTS_MANIFEST
 from tests.unit.test_lint_effects import EXPECTED as EFFECTS_EXPECTED
 from tests.unit.test_lint_effects import FIXTURES as EFFECTS_FIXTURES
 from tests.unit.test_lint_effects import MANIFEST as EFFECTS_MANIFEST
-from tests.unit.test_lint_flow import EXPECTED as FLOW_EXPECTED
-from tests.unit.test_lint_flow import FIXTURES as FLOW_FIXTURES
 
 
 class TestJointCorpus:
@@ -32,14 +34,12 @@ class TestJointCorpus:
                 }
             )
         )
-        report = analyze_paths(
-            [FLOW_FIXTURES, EFFECTS_FIXTURES, *CONTRACTS_FILES], str(merged)
-        )
+        report = analyze_paths([EFFECTS_FIXTURES, *CONTRACTS_FILES], str(merged))
         got = {
             (f.rule, os.path.basename(f.path), f.line) for f in report.findings
         }
-        assert got == FLOW_EXPECTED | EFFECTS_EXPECTED | CONTRACTS_EXPECTED
-        assert len(report.findings) == 35
+        assert got == EFFECTS_EXPECTED | CONTRACTS_EXPECTED
+        assert len(report.findings) == 23
         assert report.suppressed == 2
 
 
@@ -66,6 +66,38 @@ class TestCache:
         with open(copy / "deep.py", "a", encoding="utf-8") as handle:
             handle.write("# an analyzer change\n")
         assert cache_key([], Manifest()) != before
+
+    def test_source_edit_invalidates(self):
+        src = "def f(t_ns):\n    return t_ns\n"
+        first = analyze_modules([parse_module(src, "m.py")])
+        again = analyze_modules([parse_module(src, "m.py")])
+        edited = analyze_modules([parse_module(src + "\nX = 1\n", "m.py")])
+        assert not first.stats["cache_hit"] and again.stats["cache_hit"]
+        assert not edited.stats["cache_hit"]
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"findings": []},
+            {"findings": [{"path": "x"}], "counts": {}},
+        ],
+        ids=["no-counts", "partial-finding"],
+    )
+    def test_malformed_cached_document_is_a_miss(self, doc):
+        # Cache files come from outside the process: a document of the
+        # wrong shape is recomputed and overwritten, never replayed.
+        modules = [
+            parse_module(read_source(path), path)
+            for path in iter_python_files([EFFECTS_FIXTURES])
+        ]
+        cold = analyze_modules(modules, EFFECTS_MANIFEST)
+        key = cache_key(modules, load_manifest(EFFECTS_MANIFEST))
+        ResultCache().put(key, doc)
+        recomputed = analyze_modules(modules, EFFECTS_MANIFEST)
+        assert not recomputed.stats["cache_hit"]
+        assert recomputed.findings == cold.findings
+        assert recomputed.suppressed == cold.suppressed == 2
+        assert analyze_modules(modules, EFFECTS_MANIFEST).stats["cache_hit"]
 
 
 class TestCli:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.machine import Machine
+from repro.msr import MSR_CORE_ENERGY_STAT, MSR_PKG_ENERGY_STAT
 from repro.rapl.estimator import RaplEstimator
 from repro.rapl.msrs import RaplMsrs, encode_rapl_power_unit
 from repro.units import RAPL_COUNTER_WRAP, RAPL_ENERGY_UNIT_J, ghz, ms, s
@@ -112,6 +113,31 @@ class TestRaplMsrs:
         b.advance_bulk([123.0 * 0.1], [7.0 * 0.1], s(0.1))
         assert a.read_pkg_raw(0) == b.read_pkg_raw(0)
         assert a.read_core_raw(0) == b.read_core_raw(0)
+
+    def test_measure_fills_counters_with_joules(self, m):
+        # Each counter delta over a steady-state measure() is the reported
+        # power times the interval: joules, not W x ns.
+        m.os.set_all_frequencies(ghz(2.5))
+        m.os.run(FIRESTARTER, m.os.all_cpus())
+        pkg_cpus = [next(pkg.threads()).cpu_id for pkg in m.topology.packages]
+
+        def counters():
+            return [
+                *(m.msr.read(cpu, MSR_PKG_ENERGY_STAT) for cpu in pkg_cpus),
+                m.msr.read(0, MSR_CORE_ENERGY_STAT),
+            ]
+
+        before = counters()
+        rec = m.measure(10.0)
+        after = counters()
+        core0 = m.topology.thread(0).core
+        expected_j = [
+            *(p * 10.0 for p in rec.rapl_pkg_w),
+            rec.rapl_core_w[core0.global_index] * 10.0,
+        ]
+        for b, a, want in zip(before, after, expected_j, strict=True):
+            got_j = ((a - b) % RAPL_COUNTER_WRAP) * RAPL_ENERGY_UNIT_J
+            assert got_j == pytest.approx(want, abs=RAPL_ENERGY_UNIT_J)
 
     def test_negative_energy_rejected(self):
         from repro.errors import MsrError

@@ -69,6 +69,21 @@ class TestFailureContainment:
         assert "failures" not in good
 
 
+class TestCache:
+    def test_malformed_cached_document_is_a_miss(self, cfg, tmp_path):
+        # Cache files come from outside the process: a document that does
+        # not replay is recomputed and overwritten, never a traceback.
+        from repro.cache import ResultCache, cache_key
+
+        cold = suite_to_dict(run_suite(cfg, only=[FAST_ENTRY]))
+        cache = ResultCache(str(tmp_path / "cache"))
+        key = cache_key(FAST_ENTRY, cfg)
+        cache.put(key, {"bogus": 1})
+        result = run_suite(cfg, only=[FAST_ENTRY], cache=cache)
+        assert suite_to_dict(result) == cold
+        assert cache.get(key) == cold["experiments"][FAST_ENTRY]
+
+
 class TestInvariantMonitoring:
     def test_monitored_run_records_sweep(self, cfg):
         result = run_suite(cfg, only=[FAST_ENTRY], monitor=True)
