@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint lint-changed update-schema-registry ordering-check selfcheck suite-parallel suite-traced golden bench bench-smoke bench-guard serve service-smoke
+.PHONY: test lint lint-changed update-schema-registry ordering-check selfcheck suite-parallel suite-traced golden bench-guard serve service-smoke
 
 # The default gate: static analysis first (DET001/SIM001/... keep the
 # cache/parallel code deterministic), then the full pytest tree — which
@@ -53,20 +53,11 @@ suite-traced:
 golden:
 	$(PYTHON) -m pytest tests/integration/test_golden_suite.py --update-golden -q
 
-# Full microbenchmark registry -> benchmarks/results/BENCH_micro.json
-# (the checked-in performance baseline; see docs/performance.md).
-bench:
-	$(PYTHON) -m repro.bench
-
-# Quick kernels only, 1 rep, reduced scale: proves harness + schema
-# stay healthy (the CI job); numbers are not meaningful.
-bench-smoke:
-	$(PYTHON) -m repro.bench --smoke --out benchmarks/results/BENCH_smoke.json
-
-# Overhead budget check: the obs-disabled dispatch path must keep >=98%
-# of bare sim.dispatch throughput (interleaved rounds, median ratio).
+# Overhead budget check: the obs-disabled dispatch path and the
+# flight-recorder feed must each keep >=98% of bare sim.dispatch
+# throughput (interleaved rounds, median ratio; see docs/performance.md).
 bench-guard:
-	$(PYTHON) -m repro.bench --guard
+	$(PYTHON) -m repro.bench
 
 # Run the HTTP experiment service in the foreground (SIGTERM/Ctrl-C
 # drains gracefully; see docs/service.md).

@@ -1,10 +1,10 @@
-"""Shared helpers for the benchmark harness.
+"""Shared helpers for the artifact scripts (``benchmarks/bench_*.py``).
 
-Every bench regenerates one paper artifact (table or figure), prints the
+Every script regenerates one paper artifact (table or figure), prints the
 paper-vs-measured rows, asserts the acceptance bands, and archives the
 rendered table under ``benchmarks/results/``.  Run with::
 
-    pytest benchmarks/ --benchmark-only
+    PYTHONPATH=src python -m pytest benchmarks --ignore=benchmarks/e2e
 
 Use ``-s`` to see the tables inline; they are always written to the
 results directory regardless.

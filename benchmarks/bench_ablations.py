@@ -13,7 +13,7 @@ from repro.workloads import FIRESTARTER, SPIN
 from _common import BENCH_SEED, publish
 
 
-def test_ablation_sibling_vote(benchmark):
+def test_ablation_sibling_vote():
     """§V-A quirk off -> the tuned core keeps its own frequency."""
 
     def run():
@@ -31,7 +31,7 @@ def test_ablation_sibling_vote(benchmark):
             m.shutdown()
         return out
 
-    result = benchmark.pedantic(run, rounds=1, iterations=1)
+    result = run()
     rows = [("Rome (sibling votes)", result[True]), ("Intel-like", result[False])]
     publish(
         "ablation_sibling_vote",
@@ -42,7 +42,7 @@ def test_ablation_sibling_vote(benchmark):
     assert result[False] == 1.5
 
 
-def test_ablation_offline_c1_parking(benchmark):
+def test_ablation_offline_c1_parking():
     """§VI-B quirk off -> no idle-power anomaly."""
 
     def run():
@@ -57,7 +57,7 @@ def test_ablation_offline_c1_parking(benchmark):
             m.shutdown()
         return out
 
-    result = benchmark.pedantic(run, rounds=1, iterations=1)
+    result = run()
     rows = [("Rome (C1 parking)", result[True]), ("fixed OS/firmware", result[False])]
     publish(
         "ablation_offline_parking",
@@ -67,7 +67,7 @@ def test_ablation_offline_c1_parking(benchmark):
     assert result[True] - result[False] > 80.0
 
 
-def test_ablation_edc_limit(benchmark):
+def test_ablation_edc_limit():
     """EDC limit raised -> no throttle, but package current explodes."""
 
     def run():
@@ -86,7 +86,7 @@ def test_ablation_edc_limit(benchmark):
             m.shutdown()
         return rows
 
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+    rows = run()
     publish(
         "ablation_edc_limit",
         "== Ablation: EDC limit vs FIRESTARTER operating point ==\n"
@@ -96,7 +96,7 @@ def test_ablation_edc_limit(benchmark):
     assert freqs == sorted(freqs)  # higher limit -> higher frequency
 
 
-def test_ablation_ccx_coupling(benchmark):
+def test_ablation_ccx_coupling():
     """Coupling penalty removed -> Table I becomes diagonal-clean."""
     from repro.power.calibration import Calibration
     from repro.core import ExperimentConfig, MixedFrequencyExperiment
@@ -127,7 +127,7 @@ def test_ablation_ccx_coupling(benchmark):
             m.shutdown()
         return coupled, grid
 
-    coupled, clean = benchmark.pedantic(run, rounds=1, iterations=1)
+    coupled, clean = run()
     rows = [
         ("set 1.5, others 2.5", coupled.cell(1.5, 2.5), clean[1.5]),
         ("set 2.2, others 2.5", coupled.cell(2.2, 2.5), clean[2.2]),

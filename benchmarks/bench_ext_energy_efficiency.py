@@ -7,14 +7,10 @@ from repro.workloads import SPIN, STREAM_TRIAD, instruction_block
 from _common import bench_config, publish
 
 
-def test_ext_energy_efficiency(benchmark):
+def test_ext_energy_efficiency():
     exp = EnergyEfficiencyExperiment(bench_config())
-    result = benchmark.pedantic(
-        lambda: exp.measure(
-            workloads=(SPIN, STREAM_TRIAD, instruction_block("add_pd"))
-        ),
-        rounds=1,
-        iterations=1,
+    result = exp.measure(
+        workloads=(SPIN, STREAM_TRIAD, instruction_block("add_pd"))
     )
     rows = [
         (p.workload, p.freq_ghz, p.runtime_s, p.energy_j, p.edp)

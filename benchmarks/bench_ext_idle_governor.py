@@ -6,9 +6,9 @@ from repro.core.idle_governor import IdleGovernorExperiment
 from _common import bench_config, publish
 
 
-def test_ext_idle_governor_cliff(benchmark):
+def test_ext_idle_governor_cliff():
     exp = IdleGovernorExperiment(bench_config())
-    result = benchmark.pedantic(exp.measure, rounds=1, iterations=1)
+    result = exp.measure()
     rows = [
         (f"{rate:.0f} Hz", state, power)
         for rate, state, power in zip(

@@ -14,7 +14,7 @@ from repro.topology import NumaConfig, build_topology
 from _common import bench_config, publish
 
 
-def test_ext_nps_modes(benchmark):
+def test_ext_nps_modes():
     def run():
         topo = build_topology("EPYC 7502", n_packages=1)
         fc = FclkController(topo.packages[0].io_die)
@@ -24,7 +24,7 @@ def test_ext_nps_modes(benchmark):
             for nps in (NumaConfig.NPS4, NumaConfig.NPS2, NumaConfig.NPS1)
         ]
 
-    points = benchmark.pedantic(run, rounds=1, iterations=1)
+    points = run()
     rows = [
         (p.nps.name, p.bandwidth_gbs, p.latency_ns, p.limiter) for p in points
     ]
@@ -45,9 +45,9 @@ def test_ext_nps_modes(benchmark):
     assert lat == sorted(lat)
 
 
-def test_ext_latency_curve(benchmark):
+def test_ext_latency_curve():
     exp = LatencyCurveExperiment(bench_config())
-    curve = benchmark.pedantic(exp.measure, rounds=1, iterations=1)
+    curve = exp.measure()
     rows = [
         (f"{size // 1024} KiB", level, lat)
         for size, level, lat in zip(curve.sizes_bytes, curve.levels, curve.latencies_ns)

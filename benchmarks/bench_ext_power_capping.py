@@ -12,13 +12,9 @@ from repro.core.power_capping import PowerCappingExperiment
 from _common import bench_config, publish
 
 
-def test_ext_power_capping(benchmark):
+def test_ext_power_capping():
     exp = PowerCappingExperiment(bench_config())
-    result = benchmark.pedantic(
-        lambda: exp.measure(caps_w=(75.0, 100.0, 130.0, 160.0)),
-        rounds=1,
-        iterations=1,
-    )
+    result = exp.measure(caps_w=(75.0, 100.0, 130.0, 160.0))
     rows = [
         (
             p.workload,

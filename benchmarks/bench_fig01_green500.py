@@ -21,8 +21,8 @@ def _run():
     return entries, architecture_summary(entries)
 
 
-def test_fig01_green500(benchmark):
-    entries, summary = benchmark.pedantic(_run, rounds=3, iterations=1)
+def test_fig01_green500():
+    entries, summary = _run()
     rows = [
         (
             band.architecture,

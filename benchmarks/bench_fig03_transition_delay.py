@@ -10,11 +10,9 @@ from repro.units import ghz
 from _common import bench_config, check, publish
 
 
-def test_fig03_transition_histogram(benchmark):
+def test_fig03_transition_histogram():
     exp = FrequencyTransitionExperiment(bench_config())
-    result = benchmark.pedantic(
-        lambda: exp.measure_pair(ghz(2.2), ghz(1.5)), rounds=1, iterations=1
-    )
+    result = exp.measure_pair(ghz(2.2), ghz(1.5))
     table = exp.compare_with_paper(result)
     text = (
         table.render()
@@ -26,7 +24,7 @@ def test_fig03_transition_histogram(benchmark):
     check(table)
 
 
-def test_fig03_fast_return_anomalies(benchmark):
+def test_fig03_fast_return_anomalies():
     exp = FrequencyTransitionExperiment(bench_config())
 
     def run():
@@ -35,7 +33,7 @@ def test_fig03_fast_return_anomalies(benchmark):
         up_slow = exp.measure_pair(ghz(2.2), ghz(2.5), n_samples=200, min_wait_ms=5.0)
         return up, down, up_slow
 
-    up, down, up_slow = benchmark.pedantic(run, rounds=1, iterations=1)
+    up, down, up_slow = run()
     text = (
         "== §V-B anomalies for the 2.2 <-> 2.5 GHz pair ==\n"
         f"2.2 -> 2.5: min {up.min_us:8.2f} us  "

@@ -6,9 +6,9 @@ from repro.core.analysis.tables import format_table
 from _common import bench_config, publish
 
 
-def test_fig04_l3_latency(benchmark):
+def test_fig04_l3_latency():
     exp = MixedFrequencyExperiment(bench_config())
-    result = benchmark.pedantic(exp.measure_l3_latencies, rounds=1, iterations=1)
+    result = exp.measure_l3_latencies()
 
     rows = [
         (f"set {s} GHz", *(result.cell(s, o) for o in exp.FREQS_GHZ))

@@ -8,13 +8,13 @@ from repro.core.memperf import DRAM_GRADES, FCLK_MODES
 from _common import bench_config, check, publish
 
 
-def test_fig05_bandwidth_and_latency(benchmark):
+def test_fig05_bandwidth_and_latency():
     exp = MemoryPerformanceExperiment(bench_config())
 
     def run():
         return exp.measure_bandwidth(), exp.measure_latency()
 
-    bw, lat = benchmark.pedantic(run, rounds=1, iterations=1)
+    bw, lat = run()
     table = exp.compare_with_paper(bw, lat)
 
     bw_rows = [

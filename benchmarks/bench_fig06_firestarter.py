@@ -8,13 +8,13 @@ from repro.core.analysis.tables import format_table
 from _common import bench_config, check, publish
 
 
-def test_fig06_firestarter(benchmark):
+def test_fig06_firestarter():
     exp = ThroughputLimitExperiment(bench_config())
 
     def run():
         return exp.measure(smt=True), exp.measure(smt=False)
 
-    two, one = benchmark.pedantic(run, rounds=1, iterations=1)
+    two, one = run()
     table = exp.compare_with_paper(two, one)
 
     rows = [
@@ -32,10 +32,10 @@ def test_fig06_firestarter(benchmark):
     check(table)
 
 
-def test_fig06_frequency_sweep(benchmark):
+def test_fig06_frequency_sweep():
     """Where the EDC limit starts to bind (requested vs applied)."""
     exp = ThroughputLimitExperiment(bench_config())
-    rows = benchmark.pedantic(exp.frequency_sweep, rounds=1, iterations=1)
+    rows = exp.frequency_sweep()
     grid = format_table(
         ["requested GHz", "applied GHz", "system AC W"], rows, float_fmt="{:.2f}"
     )
@@ -52,10 +52,10 @@ def test_fig06_frequency_sweep(benchmark):
     assert rows[-1][1] == pytest.approx(2.0, abs=0.001)
 
 
-def test_fig06_future_work_core_scaling(benchmark):
+def test_fig06_future_work_core_scaling():
     """§VIII: throttling vs core count across the SKU catalogue."""
     exp = ThroughputLimitExperiment(bench_config())
-    scaling = benchmark.pedantic(exp.core_count_scaling, rounds=1, iterations=1)
+    scaling = exp.core_count_scaling()
     rows = [(name, f) for name, f in scaling.items()]
     grid = format_table(["SKU", "throttled GHz (FIRESTARTER, SMT)"], rows, float_fmt="{:.3f}")
     publish("fig06_core_scaling", "== §VIII future work: throttle vs core count ==\n" + grid)

@@ -6,14 +6,14 @@ from repro.core.analysis.tables import format_table
 from _common import bench_config, check, publish
 
 
-def test_fig07_idle_staircase(benchmark):
+def test_fig07_idle_staircase():
     exp = IdlePowerExperiment(bench_config())
 
     def run():
         cpus = list(range(24))  # the staircase slope is visible early
         return exp.sweep_c1(step_cpus=cpus), exp.sweep_c0(step_cpus=cpus)
 
-    c1, c0 = benchmark.pedantic(run, rounds=1, iterations=1)
+    c1, c0 = run()
     table = exp.compare_with_paper(c1, c0)
 
     rows = [
@@ -27,10 +27,10 @@ def test_fig07_idle_staircase(benchmark):
     check(table)
 
 
-def test_sec6b_offline_anomaly(benchmark):
+def test_sec6b_offline_anomaly():
     """§VI-B: offline hardware threads pin power at the C1 level."""
     exp = IdlePowerExperiment(bench_config())
-    res = benchmark.pedantic(exp.offline_anomaly, rounds=1, iterations=1)
+    res = exp.offline_anomaly()
     text = (
         "== §VI-B offline-thread anomaly ==\n"
         f"all C2 baseline:        {res['baseline_w']:7.1f} W\n"

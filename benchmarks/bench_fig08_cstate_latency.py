@@ -8,9 +8,9 @@ from repro.core.analysis.tables import format_table
 from _common import bench_config, check, publish
 
 
-def test_fig08_cstate_latencies(benchmark):
+def test_fig08_cstate_latencies():
     exp = CStateLatencyExperiment(bench_config(scale=1.0))  # paper: 200 samples
-    result = benchmark.pedantic(exp.measure, rounds=1, iterations=1)
+    result = exp.measure()
     table = exp.compare_with_paper(result)
 
     rows = []

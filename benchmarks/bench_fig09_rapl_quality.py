@@ -9,11 +9,9 @@ from repro.core.analysis.tables import format_table
 from _common import bench_config, check, publish
 
 
-def test_fig09_rapl_quality(benchmark):
+def test_fig09_rapl_quality():
     exp = RaplQualityExperiment(bench_config())
-    result = benchmark.pedantic(
-        lambda: exp.measure(placements=("all", "half")), rounds=1, iterations=1
-    )
+    result = exp.measure(placements=("all", "half"))
     table = exp.compare_with_paper(result)
 
     # per-workload summary at 2.5 GHz, all threads (the Fig 9a points)

@@ -21,13 +21,13 @@ def _ecdf_sketch(samples: np.ndarray, width: int = 40) -> str:
     return "\n".join(lines)
 
 
-def test_fig10_vxorps_and_shr(benchmark):
+def test_fig10_vxorps_and_shr():
     exp = DataPowerExperiment(bench_config(scale=0.2))  # ~600 blocks
 
     def run():
         return exp.measure("vxorps"), exp.measure("shr")
 
-    vxorps, shr = benchmark.pedantic(run, rounds=1, iterations=1)
+    vxorps, shr = run()
     table = exp.compare_with_paper(vxorps, shr)
 
     rows = []

@@ -5,9 +5,9 @@ from repro.core import IdleSiblingExperiment
 from _common import bench_config, check, publish
 
 
-def test_sec5a_idle_sibling(benchmark):
+def test_sec5a_idle_sibling():
     exp = IdleSiblingExperiment(bench_config())
-    result = benchmark.pedantic(exp.measure, rounds=1, iterations=1)
+    result = exp.measure()
     table = exp.compare_with_paper(result)
     text = (
         table.render()

@@ -7,11 +7,9 @@ from repro.core import RaplUpdateRateExperiment
 from _common import bench_config, check, publish
 
 
-def test_sec7_rapl_update_rate(benchmark):
+def test_sec7_rapl_update_rate():
     exp = RaplUpdateRateExperiment(bench_config())
-    result = benchmark.pedantic(
-        lambda: exp.measure(n_updates=100), rounds=1, iterations=1
-    )
+    result = exp.measure(n_updates=100)
     table = exp.compare_with_paper(result)
     text = (
         table.render()

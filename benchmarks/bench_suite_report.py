@@ -14,14 +14,10 @@ from repro.core.suite import run_suite, suite_to_dict
 from _common import BENCH_JOBS, RESULTS_DIR, bench_cache, bench_config, publish
 
 
-def test_suite_report(benchmark):
+def test_suite_report():
     cfg = bench_config(scale=0.02)
     cache = bench_cache()
-    result = benchmark.pedantic(
-        lambda: run_suite(cfg, parallel=BENCH_JOBS, cache=cache),
-        rounds=1,
-        iterations=1,
-    )
+    result = run_suite(cfg, parallel=BENCH_JOBS, cache=cache)
 
     os.makedirs(RESULTS_DIR, exist_ok=True)
     dump_json(suite_to_dict(result), os.path.join(RESULTS_DIR, "suite_report.json"))

@@ -6,9 +6,9 @@ from repro.core.analysis.tables import format_table
 from _common import bench_config, check, publish
 
 
-def test_tab01_mixed_frequencies(benchmark):
+def test_tab01_mixed_frequencies():
     exp = MixedFrequencyExperiment(bench_config(scale=0.5))
-    result = benchmark.pedantic(exp.measure_applied_frequencies, rounds=1, iterations=1)
+    result = exp.measure_applied_frequencies()
     table = exp.compare_with_paper(result)
 
     rows = [

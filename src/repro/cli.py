@@ -162,12 +162,6 @@ def main(argv: list[str] | None = None) -> int:
         from repro.lint.cli import main as lint_main
 
         return lint_main(argv[1:])
-    if argv and argv[0] == "bench":
-        # `repro-zen2 bench [...]` forwards to the microbenchmark CLI
-        # (also reachable as `python -m repro.bench`).
-        from repro.bench.cli import main as bench_main
-
-        return bench_main(argv[1:])
     if argv and argv[0] == "obs":
         # `repro-zen2 obs [...]` forwards to the observability inspector
         # (also reachable as `python -m repro.obs`).
@@ -185,7 +179,6 @@ def main(argv: list[str] | None = None) -> int:
         prog="repro-zen2",
         description="Reproduce the CLUSTER 2021 Zen 2 energy-efficiency paper "
         "(run 'repro-zen2 lint --help' for the static-analysis pass, "
-        "'repro-zen2 bench --help' for the microbenchmarks, "
         "'repro-zen2 obs --help' for the trace/metrics inspector, "
         "'repro-zen2 serve --help' for the HTTP experiment service)",
     )

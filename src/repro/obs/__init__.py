@@ -3,7 +3,7 @@
 One :class:`Obs` object bundles the two halves of the observability
 layer and is threaded through every subsystem that accepts it
 (``Machine(obs=...)``, ``run_suite(obs=...)``, ``run_tasks(obs=...)``,
-``ResultCache.attach_obs``, the bench harness):
+``ResultCache.attach_obs``):
 
 * :class:`~repro.obs.metrics.MetricsRegistry` — counters, gauges,
   histograms with fixed bucket layouts; Prometheus text exposition and
@@ -14,10 +14,10 @@ layer and is threaded through every subsystem that accepts it
 
 Instrumented hot paths hold a single reference that is ``None`` unless
 an *enabled* Obs is attached, so the disabled path costs one identity
-check (budgeted at <= 2 % on ``sim.dispatch``; see the ``obs.overhead``
-bench kernel and ``docs/observability.md``).  Observability never feeds
-back into simulated state: suite documents are byte-identical with obs
-on or off.
+check (budgeted at <= 2 % of bare dispatch throughput, enforced by
+``make bench-guard``; see ``docs/observability.md``).  Observability
+never feeds back into simulated state: suite documents are
+byte-identical with obs on or off.
 """
 
 from __future__ import annotations

@@ -12,8 +12,8 @@ structured log records (fed by :class:`~repro.obs.log.StructuredLogger`),
 and unconditional coarse breadcrumbs at cold orchestration boundaries
 (suite entry start/end, pool task shells).  The ring costs one deque
 append per recorded event and nothing at all on the obs-disabled
-simulator dispatch path (the ``obs.flightrec_overhead`` bench kernel
-guards the budget).
+simulator dispatch path (``make bench-guard`` holds its ring feed to
+the same 2 % budget).
 
 When something dies — a pool task raises, an invariant trips, a service
 job fails — :func:`dump_bundle` freezes the ring into a schema-tagged

@@ -10,11 +10,11 @@
   :mod:`repro.obs.flightrec` (last-N ring events, metrics snapshot,
   config and cache-key digests).
 
-Both validators mirror :func:`repro.bench.schema.validate_document`:
-they take a parsed JSON object and return a list of human-readable
-problems (empty = conforming), re-deriving internal consistency — e.g.
-that histogram buckets are cumulative and complete-span events never
-partially overlap within a track — rather than only checking shapes.
+Each validator takes a parsed JSON object and returns a list of
+human-readable problems (empty = conforming), re-deriving internal
+consistency — e.g. that histogram buckets are cumulative and
+complete-span events never partially overlap within a track — rather
+than only checking shapes.
 The CI traced-smoke job and ``repro-zen2 obs validate`` both run them.
 """
 

@@ -16,6 +16,7 @@ import asyncio
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -61,8 +62,10 @@ class JobSpec:
         if unknown:
             raise ServiceError(f"unknown job request keys: {sorted(unknown)}")
         tenant = doc.get("tenant", "anonymous")
-        if not isinstance(tenant, str) or not tenant:
-            raise ServiceError("tenant must be a non-empty string")
+        # Tenants become metric labels: a lone surrogate or a control
+        # character would break every later GET /metrics.
+        if not isinstance(tenant, str) or not tenant or not tenant.isprintable():
+            raise ServiceError("tenant must be a non-empty printable string")
         trace = doc.get("trace", False)
         if not isinstance(trace, bool):
             raise ServiceError(f"trace must be a boolean, got {trace!r}")
@@ -110,8 +113,12 @@ def _check_config_types(config: ExperimentConfig) -> None:
         value = getattr(config, name)
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise ServiceError(f"config.{name} must be a number, got {value!r}")
-        if value <= 0:
-            raise ServiceError(f"config.{name} must be positive, got {value!r}")
+        # json.loads accepts NaN and Infinity; neither is a usable scale
+        # or interval, and NaN would make the job document invalid JSON.
+        if not 0 < value < math.inf:
+            raise ServiceError(
+                f"config.{name} must be positive and finite, got {value!r}"
+            )
     if not isinstance(config.sku, str) or not config.sku:
         raise ServiceError("config.sku must be a non-empty string")
     if not isinstance(config.n_packages, int) or config.n_packages < 1:

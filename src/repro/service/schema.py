@@ -10,7 +10,7 @@ event engine, so a config no longer selects one.
 Every job resource the service returns (submit response, status poll)
 is tagged ``"schema": "repro.service/job"`` so clients and tooling can
 reject foreign or stale documents, mirroring the other interchange
-formats in the tree (``repro.bench/result``, ``repro.obs/metrics``,
+formats in the tree (``repro.obs/metrics``, ``repro.obs/trace``,
 ...).  The schema registry (the ``schemas`` section of ``lint.json``)
 pins the field set: adding or removing a field without bumping
 :data:`JOB_SCHEMA_VERSION` fails ``lint --deep``.

@@ -283,7 +283,10 @@ class ExperimentService:
 
         ``t0_ns`` is the request arrival time on the service tracer's
         epoch — the start of a traced job's ``http.accept`` span."""
-        url = urlsplit(target)
+        try:
+            url = urlsplit(target)
+        except ValueError as err:  # e.g. an unterminated "[" IPv6 host
+            raise _HttpError(400, f"malformed request target: {err}") from err
         path = url.path.rstrip("/") or "/"
         if path == "/v1/jobs":
             if method == "POST":
@@ -325,7 +328,7 @@ class ExperimentService:
     ) -> tuple[str, int, bytes, dict[str, str]]:
         try:
             doc = json.loads(body or b"{}")
-        except ValueError as err:
+        except (ValueError, RecursionError) as err:  # nesting too deep
             raise _HttpError(400, f"request body is not JSON: {err}") from err
         try:
             spec = JobSpec.from_request(doc)

@@ -52,7 +52,7 @@ class Simulator:
         self._running = False
         # Observability: None unless an *enabled* repro.obs.Obs is
         # attached — the dispatch hot path only ever pays an identity
-        # check (see the obs.overhead bench kernel).
+        # check (`make bench-guard` holds it to the 2% budget).
         self._obs = None
         self._obs_track = None
         if obs is not None:
@@ -163,10 +163,10 @@ class Simulator:
         self._running = True
         try:
             # Hot loop: EventQueue.pop_due inlined over the raw heap —
-            # the dispatch rate here bounds every timing experiment (see
-            # repro.bench's sim.dispatch kernel).  Safe to hold `heap`
-            # across callbacks: the queue only ever mutates that list in
-            # place (push appends, compaction slice-assigns).
+            # the dispatch rate here bounds every timing experiment.
+            # Safe to hold `heap` across callbacks: the queue only ever
+            # mutates that list in place (push appends, compaction
+            # slice-assigns).
             queue = self._queue
             heap = queue._heap
             if self._obs is None:
@@ -194,7 +194,7 @@ class Simulator:
 
         Kept as a duplicate of the disabled loop (not a merged loop with
         per-event branches) so the disabled path stays within the <= 2 %
-        overhead budget measured by the ``obs.overhead`` kernel.
+        overhead budget ``make bench-guard`` measures.
         """
         tracer = self._obs.tracer
         t0_wall_ns = tracer.now_ns()

@@ -95,7 +95,7 @@ class EventQueue:
     ordering races.  Each shuffled ordering is itself reproducible; the
     scheduling counter still backs the draw so the order stays total.
 
-    Invariants (relied on by tests and ``repro.bench``):
+    Invariants (relied on by tests and the dispatch loop):
 
     * ``len(queue)`` equals the number of pushed, not-yet-popped,
       not-cancelled events at all times (O(1));

@@ -81,7 +81,7 @@ def test_contracts_pass_is_clean_on_real_tree(deep_src_run):
     report, _ = deep_src_run
     assert not [f for f in report.findings if f.rule.startswith("CON")]
     assert report.deep["layers"] == 10
-    assert report.deep["schemas"] == 6
+    assert report.deep["schemas"] == 5
 
 
 def test_cli_contracts_clean_tree_exits_zero(deep_src_run, monkeypatch, capsys):

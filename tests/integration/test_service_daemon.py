@@ -19,12 +19,14 @@ import asyncio
 import json
 import threading
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import example, given, settings
 
 from repro.cache import ResultCache
 from repro.core.experiment import ExperimentConfig
 from repro.core.serialize import dump_json
-from repro.core.suite import run_suite, suite_to_dict
+from repro.core.suite import SUITE, run_suite, suite_to_dict
 from repro.obs import validate_metrics_document
 from repro.service import ServiceLimits, validate_job_document
 import repro.service.server as server_module
@@ -32,6 +34,17 @@ from repro.service.server import MAX_BODY_BYTES, MAX_HEADERS, ExperimentService
 
 ENTRIES = ["sec5a_idle_sibling"]
 SCALE = 0.01
+
+#: urlsplit raises ValueError on an unterminated IPv6 host.
+IPV6_TARGET = b"GET http://[::1 HTTP/1.1\r\n\r\n"
+#: Under MAX_BODY_BYTES, but json.loads raises RecursionError on it.
+_NESTED = b"[" * 100_000 + b"]" * 100_000
+DEEP_JSON = (
+    b"POST /v1/jobs HTTP/1.1\r\nContent-Length: "
+    + str(len(_NESTED)).encode()
+    + b"\r\n\r\n"
+    + _NESTED
+)
 
 
 async def _http(
@@ -260,6 +273,8 @@ def test_error_routes_and_request_validation():
             431,
         ),
         (b"POST /v1/jobs HTTP/1.1\r\nContent-Length: 10\r\n\r\nab", 408),
+        (IPV6_TARGET, 400),
+        (DEEP_JSON, 400),
     ],
     ids=[
         "negative-content-length",
@@ -269,6 +284,8 @@ def test_error_routes_and_request_validation():
         "header-line-too-long",
         "too-many-headers",
         "short-body-read-deadline",
+        "unterminated-ipv6-target",
+        "json-nested-too-deep",
     ],
 )
 def test_unparseable_request_gets_status_line_and_is_counted(
@@ -300,6 +317,93 @@ def test_unparseable_request_gets_status_line_and_is_counted(
         for s in by_name["service.http_requests"]["series"]
     }
     assert counted == {("unparsed", str(status)): 1}
+
+
+_JSON_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=12),
+)
+_JOB_REQUESTS = st.fixed_dictionaries(
+    {},
+    optional={
+        "tenant": _JSON_VALUES,
+        "entries": st.lists(st.sampled_from(sorted(SUITE)) | st.text(max_size=8)),
+        "config": st.dictionaries(
+            st.sampled_from(["seed", "scale", "interval_s", "sku", "n_packages"]),
+            _JSON_VALUES,
+        ),
+        "trace": _JSON_VALUES,
+    },
+)
+_BODIES = st.one_of(
+    st.binary(max_size=200),
+    _JOB_REQUESTS.map(lambda doc: json.dumps(doc).encode()),
+    st.integers(1, 120_000).map(lambda n: b"[" * n + b"]" * n),
+)
+_LATIN1 = st.characters(min_codepoint=0x20, max_codepoint=0xFF)
+
+
+@st.composite
+def _requests(draw) -> bytes:
+    method = draw(st.sampled_from(["GET", "POST", "PUT", "DELETE", "", "G\x00T"]))
+    target = draw(
+        st.sampled_from(
+            [
+                "/v1/jobs",
+                "/v1/jobs/job-000001",
+                "/v1/jobs/job-000001/result?wait_s=nan",
+                "/healthz",
+                "/metrics",
+                "http://[::1",
+            ]
+        )
+        | st.text(_LATIN1, max_size=40)
+    )
+    version = draw(st.sampled_from(["HTTP/1.1", "HTTP/1.0", "HTTP/9", ""]))
+    body = draw(_BODIES)
+    headers = st.tuples(st.text(_LATIN1, max_size=12), st.text(_LATIN1))
+    lines = [f"{method} {target} {version}"]
+    lines += [f"{k}: {v}" for k, v in draw(st.lists(headers, max_size=3))]
+    length = draw(st.none() | st.just(len(body)) | st.integers(-3, len(body) + 3))
+    if length is not None:
+        lines.append(f"Content-Length: {length}")
+    return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + body
+
+
+@settings(max_examples=50, deadline=None)
+@example(raw=IPV6_TARGET)
+@example(raw=DEEP_JSON)
+@given(raw=_requests() | st.binary(max_size=300))
+def test_any_request_gets_a_status_line_or_a_clean_close(raw):
+    errors = []
+
+    async def scenario():
+        loop = asyncio.get_running_loop()
+        loop.set_exception_handler(lambda _loop, context: errors.append(context))
+        service = ExperimentService(pool_jobs=1)
+        service.queue._runner = lambda job: {"entries": list(job.spec.entries)}
+        port = await service.start(port=0)
+        reader, writer = await asyncio.open_connection("127.0.0.1", port)
+        response = b""
+        try:
+            writer.write(raw)
+            writer.write_eof()
+            await writer.drain()
+            while chunk := await reader.read(65536):
+                response += chunk
+        except ConnectionError:
+            pass  # the server may reset a connection it stopped reading
+        writer.close()
+        service.request_drain()
+        await service.wait_drained()
+        return response
+
+    response = asyncio.run(scenario())
+    assert response == b"" or response.startswith(b"HTTP/1.1 "), response[:200]
+    assert errors == []
 
 
 def test_result_before_done_is_conflict():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from repro.machine import Machine
 from repro.smu.edc import EdcManager
 from repro.units import ghz
-from repro.workloads import FIRESTARTER, SPIN, instruction_block
+from repro.workloads import FIRESTARTER, PAUSE_LOOP, SPIN, instruction_block
 
 
 @given(
@@ -82,3 +82,39 @@ def test_breakdown_components_nonnegative(n_active, temp):
     ):
         assert getattr(bd, name) >= 0.0
     assert bd.total_w > 0
+
+
+def _settled_state(workload, busy, requests):
+    """Every observable the settle decides, after the requests in order."""
+    m = Machine("EPYC 7502", seed=1)
+    if busy:
+        m.os.run(workload, sorted(busy))
+    for cpu, freq in requests:
+        m.os.set_frequency(cpu, freq)
+    freqs = [core.applied_freq_hz for core in m.topology.cores()]
+    caps = [m.edc_cap_hz(pkg.index) for pkg in m.topology.packages]
+    rec = m.measure(10.0)
+    m.shutdown()
+    return freqs, caps, rec.ac_mean_w, rec.rapl_pkg_w, rec.rapl_core_w
+
+
+@given(
+    workload=st.sampled_from([FIRESTARTER, SPIN, PAUSE_LOOP]),
+    busy=st.sets(st.integers(min_value=0, max_value=127), max_size=64),
+    requests=st.dictionaries(
+        st.integers(min_value=0, max_value=127),
+        st.sampled_from([ghz(1.5), ghz(2.2), ghz(2.5)]),
+        min_size=1,
+        max_size=40,
+    ),
+    data=st.data(),
+)
+@settings(max_examples=15, deadline=None)
+def test_settle_is_independent_of_request_order(workload, busy, requests, data):
+    # One request per CPU: the settled machine may depend on which
+    # requests were made, never on the order they arrived in.
+    in_order = sorted(requests.items())
+    shuffled = data.draw(st.permutations(in_order))
+    assert _settled_state(workload, busy, in_order) == _settled_state(
+        workload, busy, shuffled
+    )

@@ -253,9 +253,9 @@ class TestAcceptanceMutations:
 
     def test_schema_field_drift_without_bump_trips_con020(self, tmp_path):
         dest = _copy_real_tree(tmp_path)
-        schema = dest / "bench" / "schema.py"
+        schema = dest / "service" / "schema.py"
         text = schema.read_text()
-        anchor = '        "params": {"warmup": warmup, "reps": reps},'
+        anchor = '        "diagnostics_ready": job.diagnostics is not None,'
         assert text.count(anchor) == 1
         schema.write_text(
             text.replace(anchor, anchor + '\n        "hostname": "x",')

@@ -72,6 +72,12 @@ class TestJobSpec:
             {"config": {"n_packages": 0}},
             # A removed config field from an older client fails closed.
             {"config": {"backend": "reference"}},
+            # json.loads accepts the NaN and Infinity tokens.
+            {"config": {"scale": float("nan")}},
+            {"config": {"scale": float("inf")}},
+            {"config": {"interval_s": float("nan")}},
+            # A metric label that /metrics could not encode.
+            {"tenant": "\ud800"},
         ],
     )
     def test_bad_requests_rejected(self, doc):
