@@ -132,14 +132,15 @@ class CStateLatencyExperiment:
     def _prepare_callee(machine, cpu: int, state: str) -> None:
         """Configure sysfs so the callee's deepest reachable state is ``state``."""
         base = f"/sys/devices/system/cpu/cpu{cpu}/cpuidle"
-        # reset
-        machine.os.sysfs.write(f"{base}/state1/disable", "0")
-        machine.os.sysfs.write(f"{base}/state2/disable", "0")
-        if state == "C0":
-            machine.os.sysfs.write(f"{base}/state1/disable", "1")
-            machine.os.sysfs.write(f"{base}/state2/disable", "1")
-        elif state == "C1":
-            machine.os.sysfs.write(f"{base}/state2/disable", "1")
+        with machine.batch():
+            # reset
+            machine.os.sysfs.write(f"{base}/state1/disable", "0")
+            machine.os.sysfs.write(f"{base}/state2/disable", "0")
+            if state == "C0":
+                machine.os.sysfs.write(f"{base}/state1/disable", "1")
+                machine.os.sysfs.write(f"{base}/state2/disable", "1")
+            elif state == "C1":
+                machine.os.sysfs.write(f"{base}/state2/disable", "1")
 
     # ------------------------------------------------------------------
 

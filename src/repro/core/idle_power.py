@@ -98,11 +98,13 @@ class IdlePowerExperiment:
         baseline = machine.measure(self.config.interval_s).ac_mean_w
         n_cores = machine.topology.n_cores
         siblings = [cpu for cpu in machine.os.all_cpus() if cpu >= n_cores]
-        for cpu in siblings:
-            machine.os.sysfs.write(f"/sys/devices/system/cpu/cpu{cpu}/online", "0")
+        with machine.batch():
+            for cpu in siblings:
+                machine.os.sysfs.write(f"/sys/devices/system/cpu/cpu{cpu}/online", "0")
         offline = machine.measure(self.config.interval_s).ac_mean_w
-        for cpu in siblings:
-            machine.os.sysfs.write(f"/sys/devices/system/cpu/cpu{cpu}/online", "1")
+        with machine.batch():
+            for cpu in siblings:
+                machine.os.sysfs.write(f"/sys/devices/system/cpu/cpu{cpu}/online", "1")
         restored = machine.measure(self.config.interval_s).ac_mean_w
         machine.shutdown()
         return {"baseline_w": baseline, "offline_w": offline, "restored_w": restored}

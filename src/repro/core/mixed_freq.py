@@ -68,11 +68,12 @@ class MixedFrequencyExperiment:
     def _setup(self, machine, set_ghz: float, others_ghz: float):
         """All four cores of CCX 0 active; core 0 configured differently."""
         cpus = machine.os.cpus_of_ccx(0)
-        machine.os.run(SPIN, cpus)
         measured = cpus[0]
-        machine.os.set_frequency(measured, ghz(set_ghz))
-        for cpu in cpus[1:]:
-            machine.os.set_frequency(cpu, ghz(others_ghz))
+        with machine.batch():
+            machine.os.run(SPIN, cpus)
+            machine.os.set_frequency(measured, ghz(set_ghz))
+            for cpu in cpus[1:]:
+                machine.os.set_frequency(cpu, ghz(others_ghz))
         return measured
 
     # ------------------------------------------------------------------

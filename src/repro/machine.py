@@ -8,9 +8,13 @@ server.
 
 Two operating modes coexist (DESIGN.md §2.9):
 
-* **steady-state** (default): configuration changes settle immediately
-  (:meth:`reconfigured`), and :meth:`measure` integrates instruments over
-  a whole interval analytically.  All power/RAPL experiments use this.
+* **steady-state** (default): every configuration change calls
+  :meth:`changed`, which settles the machine (:meth:`reconfigured`) at
+  once; inside a :meth:`batch` scope the settle runs once, at the
+  outermost scope's exit, and reads of applied frequencies, caps and
+  observable means see the last settle until then.  :meth:`measure`
+  integrates instruments over a whole interval analytically.  All
+  power/RAPL experiments use this.
 * **event-driven**: with :attr:`event_driven` set, cpufreq writes route
   through the SMU transition engine with its 1 ms slots, and RAPL MSRs
   update on their 1 ms grid — the timing experiments (Figs 3, 8, the
@@ -20,7 +24,9 @@ Two operating modes coexist (DESIGN.md §2.9):
 from __future__ import annotations
 
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -198,8 +204,12 @@ class Machine:
         self.ac_meter = Lmg670(self.rng.child("lmg670"), calibration)
         self._rapl_noise = self.rng.child("rapl-model")
 
-        #: Monotone configuration epoch; bumped by :meth:`reconfigured`.
+        #: Monotone configuration epoch; bumped by :meth:`reconfigured`
+        #: and by :meth:`changed` inside a batch.
         self.state_version = 0
+        #: Open :meth:`batch` scopes, and whether one owes a settle.
+        self._batch_depth = 0
+        self._settle_pending = False
         #: Event-driven mode flag (see module docstring).
         self.event_driven = False
         self._rapl_tick_task = None
@@ -209,7 +219,7 @@ class Machine:
 
         # Every mutation path of power-model inputs must bump
         # state_version (the memoization key — see PowerModel.bind):
-        # reconfigured()/on_freq_request() do it directly; C-state
+        # reconfigured()/changed()/on_freq_request() do it directly; C-state
         # re-resolutions and event-mode SMU transition completions land
         # outside those paths, so they get explicit hooks.
         self.cstates.on_change = self._bump_state_version
@@ -252,6 +262,12 @@ class Machine:
             "machine.measures",
             "Completed measure() intervals",
             "intervals",
+            machine=track,
+        )
+        self._obs_settles = metrics.counter(
+            "machine.settles",
+            "Steady-state settles (reconfigured() passes)",
+            "settles",
             machine=track,
         )
         self._obs_state_version = metrics.gauge(
@@ -337,7 +353,7 @@ class Machine:
             self.smus[pkg.index].transitions.request(core, target)
             self.state_version += 1
         else:
-            self.reconfigured()
+            self.changed()
 
     def _bump_state_version(self) -> None:
         """Invalidate every ``state_version``-keyed cache."""
@@ -347,13 +363,48 @@ class Machine:
         """SMU transition-engine hook: an event-mode frequency landed."""
         self.state_version += 1
 
+    def changed(self) -> None:
+        """A settle input changed: settle now, or at the batch's exit.
+
+        Outside :meth:`batch` this is :meth:`reconfigured`.  Inside, it
+        marks the settle pending and bumps ``state_version``, so the
+        memoized power-model terms are not served for the old inputs.
+        """
+        if self._batch_depth:
+            self._settle_pending = True
+            self.state_version += 1
+        else:
+            self.reconfigured()
+
+    @contextmanager
+    def batch(self) -> Iterator[None]:
+        """Defer settles to the end of the scope: one settle, not one per write.
+
+        Scopes nest.  The outermost exit settles once if a :meth:`changed`
+        call is pending, also when the body raised.  Until then, applied
+        frequencies, caps and observable means are those of the last
+        settle.  Event-mode cpufreq requests do not settle, so they keep
+        their per-request semantics inside a batch.
+        """
+        self._batch_depth += 1
+        try:
+            yield
+        finally:
+            self._batch_depth -= 1
+            if not self._batch_depth and self._settle_pending:
+                self.reconfigured()
+
     def reconfigured(self) -> None:
         """Settle the machine after any configuration change.
 
         Runs the EDC loop per package, resolves frequencies per CCX,
         applies them (instantly, steady-state semantics) and updates the
-        L3 and observable-mean caches.
+        L3 and observable-mean caches.  Configuration writers call
+        :meth:`changed` instead, which batches settles.
         """
+        if self._obs is not None:
+            self._obs_settles.inc()
+        self._settle_pending = False
         # Bumped on entry (the pre-change caches must not serve the
         # settling logic below) and again on exit (the settling mutates
         # frequencies and I/O-die sleep after this first bump).
@@ -696,7 +747,7 @@ class Machine:
         """BIOS I/O-die P-state option (applies to both sockets)."""
         for fc in self.fclk_controllers:
             fc.apply(mode)
-        self.reconfigured()
+        self.changed()
 
     def set_power_limit_w(self, limit_w: float) -> None:
         """Operator power cap per package (the §II-B capping interface).
@@ -706,7 +757,7 @@ class Machine:
         """
         for smu in self.smus:
             smu.ppt.limit_w = limit_w
-        self.reconfigured()
+        self.changed()
 
     def set_dram(self, name: str) -> None:
         """BIOS DRAM speed-grade option."""
@@ -714,7 +765,7 @@ class Machine:
         for pkg, fc in zip(self.topology.packages, self.fclk_controllers):
             pkg.io_die.memclk_hz = cfg.memclk_hz
             fc.on_memclk_change()
-        self.reconfigured()
+        self.changed()
 
     # ------------------------------------------------------------------
     # teardown

@@ -32,7 +32,7 @@ class Hotplug:
             thread.workload = None
         thread.online = False
         machine.cstates.refresh()
-        machine.reconfigured()
+        machine.changed()
 
     def set_online(self, cpu_id: int) -> None:
         """Bring a logical CPU back online (``echo 1 > .../online``).
@@ -46,4 +46,4 @@ class Hotplug:
             return
         thread.online = True
         machine.cstates.refresh()
-        machine.reconfigured()
+        machine.changed()

@@ -50,28 +50,39 @@ class Kernel:
 
     def set_all_frequencies(self, freq_hz: float) -> None:
         """Set every logical CPU's request (the paper's baseline step)."""
-        for cpu_id in sorted(self.machine.topology.cpus):
-            self.set_frequency(cpu_id, freq_hz)
+        with self.machine.batch():
+            for cpu_id in sorted(self.machine.topology.cpus):
+                self.set_frequency(cpu_id, freq_hz)
 
     # --- scheduling / placement -------------------------------------------------
 
     def run(self, workload: Workload, cpu_ids: list[int]) -> None:
-        """Pin ``workload`` to each listed logical CPU."""
-        for cpu_id in cpu_ids:
-            thread = self.machine.topology.thread(cpu_id)
+        """Pin ``workload`` to each listed logical CPU.
+
+        Every CPU is looked up and checked before any is bound, so an
+        unknown or offline CPU leaves the machine as it was.
+        """
+        threads = [self.machine.topology.thread(cpu_id) for cpu_id in cpu_ids]
+        for thread in threads:
             if not thread.online:
-                raise ConfigurationError(f"cpu{cpu_id} is offline")
+                raise ConfigurationError(f"cpu{thread.cpu_id} is offline")
+        for thread in threads:
             thread.workload = workload
         self.machine.cstates.refresh()
-        self.machine.reconfigured()
+        self.machine.changed()
 
     def stop(self, cpu_ids: list[int] | None = None) -> None:
-        """Remove workloads (all CPUs when ``cpu_ids`` is None)."""
-        ids = sorted(self.machine.topology.cpus) if cpu_ids is None else cpu_ids
-        for cpu_id in ids:
-            self.machine.topology.thread(cpu_id).workload = None
+        """Remove workloads (all CPUs when ``cpu_ids`` is None).
+
+        An unknown CPU raises before any workload is removed.
+        """
+        topo = self.machine.topology
+        ids = sorted(topo.cpus) if cpu_ids is None else cpu_ids
+        threads = [topo.thread(cpu_id) for cpu_id in ids]
+        for thread in threads:
+            thread.workload = None
         self.machine.cstates.refresh()
-        self.machine.reconfigured()
+        self.machine.changed()
 
     # --- interrupts -------------------------------------------------------------
 
@@ -83,13 +94,13 @@ class Kernel:
         """
         self.machine.interrupts.register(name, cpu_id, rate_hz)
         self.machine.cstates.refresh()
-        self.machine.reconfigured()
+        self.machine.changed()
 
     def unregister_interrupt(self, name: str) -> None:
         """Remove a wake-up source and let the CPU sleep again."""
         self.machine.interrupts.unregister(name)
         self.machine.cstates.refresh()
-        self.machine.reconfigured()
+        self.machine.changed()
 
     # --- placement helpers ----------------------------------------------------------
 

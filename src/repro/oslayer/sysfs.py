@@ -127,7 +127,7 @@ class SysfsTree:
                     ctrl.disable_state(cpu_id, state.name)
                 else:
                     ctrl.enable_state(cpu_id, state.name)
-                k.machine.reconfigured()
+                k.machine.changed()
                 return ""
             raise SysfsError(path, "no such attribute")
 

@@ -91,7 +91,10 @@ class Core:
 
     @property
     def has_active_thread(self) -> bool:
-        return any(t.is_active for t in self.threads)
+        t0, t1 = self.threads
+        return (t0.online and t0.workload is not None) or (
+            t1.online and t1.workload is not None
+        )
 
     @property
     def deepest_common_cstate_is(self) -> str:
@@ -141,10 +144,10 @@ class CCD:
         self.index_in_package = index_in_package
         self.global_index: int = -1
         self.ccxs = (CCX(self, 0, cores_per_ccx), CCX(self, 1, cores_per_ccx))
+        self._cores = tuple(core for ccx in self.ccxs for core in ccx.cores)
 
     def cores(self) -> Iterator[Core]:
-        for ccx in self.ccxs:
-            yield from ccx.cores
+        return iter(self._cores)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<CCD {self.global_index}>"
@@ -181,18 +184,19 @@ class Package:
         self.index = index
         self.io_die = IODie(self)
         self.ccds = tuple(CCD(self, i, cores_per_ccx) for i in range(n_ccds))
+        # Built once: every settle walks these several times.
+        self._ccxs = tuple(ccx for ccd in self.ccds for ccx in ccd.ccxs)
+        self._cores = tuple(core for ccx in self._ccxs for core in ccx.cores)
+        self._threads = tuple(t for core in self._cores for t in core.threads)
 
     def cores(self) -> Iterator[Core]:
-        for ccd in self.ccds:
-            yield from ccd.cores()
+        return iter(self._cores)
 
     def ccxs(self) -> Iterator[CCX]:
-        for ccd in self.ccds:
-            yield from ccd.ccxs
+        return iter(self._ccxs)
 
     def threads(self) -> Iterator[HardwareThread]:
-        for core in self.cores():
-            yield from core.threads
+        return iter(self._threads)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Package {self.index}>"
@@ -210,6 +214,9 @@ class SystemTopology:
         self.packages = tuple(
             Package(self, i, n_ccds, cores_per_ccx) for i in range(n_packages)
         )
+        self._ccxs = tuple(ccx for pkg in self.packages for ccx in pkg.ccxs())
+        self._cores = tuple(core for pkg in self.packages for core in pkg.cores())
+        self._threads = tuple(t for pkg in self.packages for t in pkg.threads())
         self._assign_global_indices()
         #: cpu_id -> HardwareThread; populated by the enumerator.
         self.cpus: dict[int, HardwareThread] = {}
@@ -230,16 +237,13 @@ class SystemTopology:
     # --- iteration helpers -------------------------------------------------
 
     def cores(self) -> Iterator[Core]:
-        for pkg in self.packages:
-            yield from pkg.cores()
+        return iter(self._cores)
 
     def ccxs(self) -> Iterator[CCX]:
-        for pkg in self.packages:
-            yield from pkg.ccxs()
+        return iter(self._ccxs)
 
     def threads(self) -> Iterator[HardwareThread]:
-        for core in self.cores():
-            yield from core.threads
+        return iter(self._threads)
 
     def thread(self, cpu_id: int) -> HardwareThread:
         """Look up a hardware thread by its Linux logical CPU number."""
@@ -250,11 +254,11 @@ class SystemTopology:
 
     @property
     def n_cores(self) -> int:
-        return sum(1 for _ in self.cores())
+        return len(self._cores)
 
     @property
     def n_threads(self) -> int:
-        return sum(1 for _ in self.threads())
+        return len(self._threads)
 
     def core_by_global_index(self, index: int) -> Core:
         for core in self.cores():

@@ -88,9 +88,10 @@ def play(
         target = nominal if policy is None else policy(phase)
         if phase.duration_s >= WORST_CASE_TRANSITION_S:
             current_f = target
-        for cpu in cpu_ids:
-            machine.os.set_frequency(cpu, current_f)
-        machine.os.run(phase.workload, cpu_ids)
+        with machine.batch():
+            for cpu in cpu_ids:
+                machine.os.set_frequency(cpu, current_f)
+            machine.os.run(phase.workload, cpu_ids)
 
         applied = machine.topology.thread(cpu_ids[0]).core.applied_freq_hz
         slowdown = phase.freq_sensitivity * (ghz(2.5) / applied) + (

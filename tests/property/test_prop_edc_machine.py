@@ -6,7 +6,13 @@ from hypothesis import given, settings
 from repro.machine import Machine
 from repro.smu.edc import EdcManager
 from repro.units import ghz
-from repro.workloads import FIRESTARTER, PAUSE_LOOP, SPIN, instruction_block
+from repro.workloads import (
+    FIRESTARTER,
+    PAUSE_LOOP,
+    SPIN,
+    STREAM_TRIAD,
+    instruction_block,
+)
 
 
 @given(
@@ -118,3 +124,111 @@ def test_settle_is_independent_of_request_order(workload, busy, requests, data):
     assert _settled_state(workload, busy, in_order) == _settled_state(
         workload, busy, shuffled
     )
+
+
+# ---------------------------------------------------------------------------
+# Batched settles against the per-request reference
+# ---------------------------------------------------------------------------
+
+_FREQS = st.sampled_from([ghz(1.5), ghz(2.2), ghz(2.5)])
+_CPU_SETS = st.one_of(
+    st.sets(st.integers(min_value=0, max_value=127), max_size=16),
+    # Contiguous blocks fill whole packages, where EDC and PPT bind.
+    st.tuples(
+        st.integers(min_value=0, max_value=127),
+        st.integers(min_value=1, max_value=128),
+    ).map(lambda span: set(range(span[0], min(128, span[0] + span[1])))),
+)
+_OPS = st.one_of(
+    st.tuples(
+        st.just("run"),
+        st.sampled_from([FIRESTARTER, SPIN, PAUSE_LOOP, STREAM_TRIAD]),
+        _CPU_SETS,
+    ),
+    st.tuples(st.just("stop"), st.one_of(st.none(), _CPU_SETS)),
+    st.tuples(st.just("all"), _FREQS),
+    st.tuples(st.just("freq"), st.integers(min_value=0, max_value=127), _FREQS),
+    st.tuples(
+        st.just("online"),
+        st.integers(min_value=1, max_value=127),
+        st.sampled_from(["0", "1"]),
+    ),
+)
+_STEPS = st.one_of(
+    st.tuples(st.just("op"), _OPS),
+    st.tuples(st.just("group"), st.lists(_OPS, min_size=1, max_size=6)),
+    st.tuples(st.just("measure")),
+)
+
+
+def _apply(m, op, *, reference):
+    kind = op[0]
+    if kind == "run":
+        m.os.run(op[1], sorted(c for c in op[2] if m.topology.thread(c).online))
+    elif kind == "stop":
+        m.os.stop(None if op[1] is None else sorted(op[1]))
+    elif kind == "all":
+        if reference:
+            for cpu in sorted(m.topology.cpus):
+                m.os.set_frequency(cpu, op[1])
+        else:
+            m.os.set_all_frequencies(op[1])
+    elif kind == "freq":
+        m.os.set_frequency(op[1], op[2])
+    else:
+        m.os.sysfs.write(f"/sys/devices/system/cpu/cpu{op[1]}/online", op[2])
+
+
+def _run_step(m, step, *, reference):
+    """Apply one program step; return the measure fields if it measured."""
+    if step[0] == "measure":
+        rec = m.measure(10.0)
+        return rec.ac_mean_w, rec.rapl_pkg_w, rec.rapl_core_w
+    if step[0] == "op":
+        _apply(m, step[1], reference=reference)
+    elif reference:
+        for op in step[1]:
+            _apply(m, op, reference=True)
+    else:
+        with m.batch():
+            for op in step[1]:
+                _apply(m, op, reference=False)
+    return None
+
+
+def _settle_state(m):
+    """Every quantity a settle decides."""
+    topo = m.topology
+    return (
+        [(c.applied_freq_hz, m.observable_mean_hz(c)) for c in topo.cores()],
+        [ccx.l3_freq_hz for ccx in topo.ccxs()],
+        [(m.edc_cap_hz(p.index), p.io_die.low_power) for p in topo.packages],
+        [t.effective_cstate for t in topo.threads()],
+    )
+
+
+@given(
+    boost=st.booleans(),
+    limit_w=st.sampled_from([None, 70.0, 110.0]),
+    program=st.lists(_STEPS, min_size=1, max_size=6),
+)
+@settings(max_examples=25, deadline=None)
+def test_batched_settle_matches_per_request_reference(boost, limit_w, program):
+    # The reference settles after every request; the batched machine
+    # once per group.  The EDC loop reads idle cores' clocks as the
+    # previous settle left them, so agreement after every step is a
+    # property to check, not a given.
+    fast = Machine("EPYC 7502", seed=3, boost_enabled=boost)
+    ref = Machine("EPYC 7502", seed=3, boost_enabled=boost)
+    try:
+        if limit_w is not None:
+            fast.set_power_limit_w(limit_w)
+            ref.set_power_limit_w(limit_w)
+        for step in program:
+            got = _run_step(fast, step, reference=False)
+            want = _run_step(ref, step, reference=True)
+            assert got == want
+            assert _settle_state(fast) == _settle_state(ref)
+    finally:
+        fast.shutdown()
+        ref.shutdown()

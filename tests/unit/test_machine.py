@@ -1,8 +1,12 @@
 """The Machine facade: settling, measuring, BIOS options, modes."""
 
+from unittest.mock import Mock
+
 import pytest
 
+from repro.errors import PStateError
 from repro.iodie.fclk import FclkMode
+from repro.lint.monitor import InvariantMonitor
 from repro.machine import Machine, Quirks
 from repro.units import ghz, ms
 from repro.workloads import FIRESTARTER, SPIN
@@ -59,6 +63,52 @@ class TestReconfigure:
         machine.os.set_frequency(0, ghz(2.2))
         core = machine.topology.thread(0).core
         assert machine.observable_mean_hz(core) == pytest.approx(ghz(2.2))
+
+
+def _spy_settles(machine) -> Mock:
+    """Count ``machine``'s settles (its ``reconfigured()`` calls)."""
+    spy = Mock(wraps=machine.reconfigured)
+    machine.reconfigured = spy
+    return spy
+
+
+class TestBatch:
+    def test_set_all_frequencies_settles_once(self, machine):
+        monitor = InvariantMonitor(machine).attach()
+        before = monitor.checks_run
+        machine.os.set_all_frequencies(ghz(2.2))
+        monitor.detach()
+        assert monitor.checks_run - before == 1
+
+    def test_nested_scopes_settle_once_at_outermost_exit(self, machine):
+        core = machine.topology.thread(0).core
+        settles = _spy_settles(machine)
+        with machine.batch():
+            with machine.batch():
+                machine.os.run(SPIN, [0])
+                machine.os.set_frequency(0, ghz(2.5))
+            assert settles.call_count == 0
+            assert core.applied_freq_hz == ghz(1.5)
+        assert settles.call_count == 1
+        assert core.applied_freq_hz == ghz(2.5)
+
+    def test_empty_batch_does_not_settle(self, machine):
+        settles = _spy_settles(machine)
+        version = machine.state_version
+        with machine.batch():
+            pass
+        assert settles.call_count == 0
+        assert machine.state_version == version
+
+    def test_error_inside_batch_still_settles_earlier_requests(self, machine):
+        machine.os.run(SPIN, [0])
+        settles = _spy_settles(machine)
+        with pytest.raises(PStateError):
+            with machine.batch():
+                machine.os.set_frequency(0, ghz(2.2))
+                machine.os.set_frequency(1, ghz(1.0))  # not a P-state
+        assert settles.call_count == 1
+        assert machine.topology.thread(0).core.applied_freq_hz == ghz(2.2)
 
 
 class TestMeasure:

@@ -97,6 +97,14 @@ def test_machine_measure_spans_and_counters(machine):
     assert validate_trace_document(trace_document(obs.tracer)) == []
 
 
+def test_machine_counts_one_settle_per_set_all_frequencies(machine):
+    obs = Obs()
+    machine.attach_obs(obs)
+    before = _counter_value(obs, "machine.settles", machine="machine0")
+    machine.os.set_all_frequencies(ghz(2.2))
+    assert _counter_value(obs, "machine.settles", machine="machine0") == before + 1
+
+
 def test_machine_measure_identical_with_and_without_obs():
     def run(obs):
         m = Machine("EPYC 7302", seed=7, obs=obs)

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.errors import ConfigurationError, PStateError, SysfsError
+from repro.errors import ConfigurationError, PStateError, SysfsError, TopologyError
+from repro.lint.monitor import InvariantMonitor
 from repro.oslayer.cpufreq import Governor
 from repro.units import ghz
 from repro.workloads import SPIN
@@ -156,6 +157,22 @@ class TestHotplug:
         machine.os.hotplug.set_offline(5)
         with pytest.raises(ConfigurationError):
             machine.os.run(SPIN, [5])
+
+    def test_rejected_run_binds_no_cpu(self, machine):
+        # The offline CPU is checked before cpu1 is bound, so no thread
+        # is left running a workload in C2 without a settle.
+        machine.os.hotplug.set_offline(100)
+        with pytest.raises(ConfigurationError):
+            machine.os.run(SPIN, [1, 100])
+        assert machine.topology.thread(1).workload is None
+        assert InvariantMonitor(machine, raise_on_violation=False).check() == []
+
+    def test_rejected_stop_unbinds_no_cpu(self, machine):
+        machine.os.run(SPIN, [1])
+        with pytest.raises(TopologyError):
+            machine.os.stop([1, 999])
+        assert machine.topology.thread(1).workload is SPIN
+        assert InvariantMonitor(machine, raise_on_violation=False).check() == []
 
 
 class TestKernelPlacement:
