@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import os
 
-from repro.cache import ResultCache
 from repro.core import ExperimentConfig
 from repro.core.report import ComparisonTable
 
@@ -25,23 +24,6 @@ RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 #: for a full-scale run.
 BENCH_SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "0.05"))
 BENCH_SEED = int(os.environ.get("REPRO_BENCH_SEED", "2021"))
-
-#: Worker processes for the suite bench (1 = serial in-process); the
-#: structured runner guarantees byte-identical output either way.
-BENCH_JOBS = int(os.environ.get("REPRO_BENCH_JOBS", "4"))
-
-
-def bench_cache() -> ResultCache | None:
-    """The result cache for suite benches.
-
-    Enabled by default (rooted at ``REPRO_CACHE_DIR`` or
-    ``~/.cache/repro-zen2``) so repeated bench invocations of identical
-    configurations re-use prior results; ``REPRO_BENCH_NO_CACHE=1``
-    forces cold recomputation.
-    """
-    if os.environ.get("REPRO_BENCH_NO_CACHE"):
-        return None
-    return ResultCache()
 
 
 def bench_config(**overrides) -> ExperimentConfig:

@@ -11,13 +11,12 @@ from repro.core.report_md import render_markdown
 from repro.core.serialize import dump_json
 from repro.core.suite import run_suite, suite_to_dict
 
-from _common import BENCH_JOBS, RESULTS_DIR, bench_cache, bench_config, publish
+from _common import RESULTS_DIR, bench_config, publish
 
 
 def test_suite_report():
     cfg = bench_config(scale=0.02)
-    cache = bench_cache()
-    result = run_suite(cfg, parallel=BENCH_JOBS, cache=cache)
+    result = run_suite(cfg)
 
     os.makedirs(RESULTS_DIR, exist_ok=True)
     dump_json(suite_to_dict(result), os.path.join(RESULTS_DIR, "suite_report.json"))

@@ -1,23 +1,29 @@
 """The repro-zen2 command-line interface."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from repro.cli import EXPERIMENTS, main
+import repro
+from repro.cli import main
+from repro.core.suite import SUITE
+
+GOLDEN_PATH = (
+    Path(__file__).resolve().parents[1] / "golden" / "suite_seed2021_scale0.02.json"
+)
 
 
 class TestCli:
     def test_experiment_registry_covers_all_artifacts(self):
         expected = {
-            "fig1", "sec5a", "fig3", "tab1", "fig4", "fig5", "fig6",
-            "fig7", "fig8", "fig9", "fig10", "rapl-rate",
+            "sec5a", "fig3", "tab1", "fig5", "fig6",
+            "fig7", "fig8", "fig9", "fig10", "sec7",
         }
-        assert set(EXPERIMENTS) == expected
-
-    def test_fig1_runs(self, capsys):
-        assert main(["fig1", "--seed", "3"]) == 0
-        out = capsys.readouterr().out
-        assert "Green500" in out
-        assert "Zen 2 (Rome)" in out
+        assert {key.split("_", 1)[0] for key in SUITE} == expected
 
     def test_sec5a_runs_and_passes(self, capsys):
         assert main(["sec5a", "--scale", "0.02"]) == 0
@@ -26,7 +32,7 @@ class TestCli:
         assert "DEVIATES" not in out
 
     def test_rapl_rate_runs(self, capsys):
-        assert main(["rapl-rate", "--scale", "0.02"]) == 0
+        assert main(["sec7", "--scale", "0.02"]) == 0
         assert "update period" in capsys.readouterr().out
 
     def test_tab1_runs(self, capsys):
@@ -92,9 +98,55 @@ class TestCli:
         assert "cache stats:" not in out
 
     def test_seed_changes_nothing_structural(self, capsys):
-        main(["fig1", "--seed", "1"])
+        main(["fig3", "--seed", "1", "--scale", "0.01"])
         first = capsys.readouterr().out
-        main(["fig1", "--seed", "2"])
+        main(["fig3", "--seed", "2", "--scale", "0.01"])
         second = capsys.readouterr().out
         assert first != second  # different draws
         assert first.splitlines()[0] == second.splitlines()[0]  # same header
+
+    def test_failing_band_exits_nonzero(self, capsys):
+        assert main(["fig10", "--seed", "1", "--scale", "0.02", "--no-cache"]) == 1
+        assert "DEVIATES" in capsys.readouterr().out
+
+    def test_entry_command_reproduces_golden_entry(self, tmp_path):
+        path = tmp_path / "r.json"
+        argv = ["fig7", "--seed", "2021", "--scale", "0.02", "--no-cache"]
+        assert main([*argv, "--json", str(path)]) == 0
+        golden = json.loads(GOLDEN_PATH.read_text())["experiments"]
+        doc = json.loads(path.read_text())["experiments"]
+        assert doc == {"fig7_idle_power": golden["fig7_idle_power"]}
+
+    @pytest.mark.parametrize("key", list(SUITE))
+    def test_every_entry_reachable_by_key_and_short_name(self, key, monkeypatch):
+        import repro.core.suite as suite_mod
+
+        calls = []
+
+        def fake_run_suite(cfg, only=None, **kwargs):
+            calls.append(only)
+            return suite_mod.SuiteResult(config=cfg)
+
+        monkeypatch.setattr(suite_mod, "run_suite", fake_run_suite)
+        assert main([key]) == 0
+        assert main([key.split("_", 1)[0]]) == 0
+        assert calls == [[key], [key]]
+
+    def test_only_with_entry_is_usage_error(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["fig3", "--only", "fig7_idle_power"])
+        assert exc.value.code == 2
+
+    def test_import_loads_no_runner_module(self):
+        runners = ("repro.core", "repro.cache", "repro.parallel", "repro.datasets")
+        code = (
+            "import sys, repro.cli; "
+            f"print(sorted(m for m in sys.modules if m.startswith({runners})))"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, env=env, check=True, timeout=60,
+        )
+        assert proc.stdout.strip() == "[]"
