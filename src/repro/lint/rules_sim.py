@@ -1,13 +1,14 @@
 """SIM001 — event callbacks must not re-enter the simulator.
 
 A callback firing inside :meth:`Simulator.run_until` that calls
-``run_until``/``run_for``/``step`` again, or writes the clock, corrupts
-the event loop (the engine also guards at runtime; this catches it
-before a run).  Detection is intra-module: any function or lambda passed
-to ``schedule_at``/``schedule_after``/``periodic``/``push`` is treated
-as an event callback, and its body (plus same-named methods) is scanned
-for re-entry and clock mutation.  Clock writes (``*._now_ns = ...``)
-are additionally flagged *anywhere* outside the engine module itself.
+``run_until``/``run_for``/``run_quanta``/``step`` again, or writes the
+clock, corrupts the event loop (the engine also guards at runtime; this
+catches it before a run).  Detection is intra-module: any function or
+lambda passed to ``schedule_at``/``schedule_after``/``periodic``/``push``
+is treated as an event callback, and its body (plus same-named methods)
+is scanned for re-entry and clock mutation.  Clock writes
+(``*._now_ns = ...``) are additionally flagged *anywhere* outside the
+engine module itself.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from repro.lint.findings import Finding
 from repro.lint.rules import LintRule, ModuleContext, register
 
 _SCHEDULING_METHODS = {"schedule_at", "schedule_after", "periodic", "push"}
-_REENTRY_METHODS = {"run_until", "run_for", "step"}
+_REENTRY_METHODS = {"run_until", "run_for", "run_quanta", "step"}
 _CLOCK_ATTRS = {"_now_ns", "now_ns"}
 
 #: The engine owns the clock; everything else only reads it.

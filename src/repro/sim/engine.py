@@ -238,6 +238,32 @@ class Simulator:
         """Advance the clock by ``duration_ns``, executing due events."""
         self.run_until(self._now_ns + duration_ns)
 
+    def run_quanta(self, quantum_ns: int, max_quanta: int) -> int:
+        """Advance whole quanta to the next pending event; return how many.
+
+        Runs the least count k in ``1..max_quanta`` whose boundary
+        ``now + k * quantum_ns`` is at or after the next pending event
+        (``max_quanta`` if none is due by then), in one ``run_until``
+        call.  That is exactly k calls of ``run_for(quantum_ns)``, the
+        first k - 1 of which would dispatch nothing: a polling loop whose
+        state only changes inside callbacks checks it once per call and
+        keeps its quantum grid.  Both arguments must be positive ints.
+        """
+        quantum_ns = _as_int_ns(quantum_ns, "quantum_ns")
+        if type(max_quanta) is not int or quantum_ns <= 0 or max_quanta <= 0:
+            raise SimulationError(
+                f"run_quanta needs a positive quantum and int count, got "
+                f"{quantum_ns} ns x {max_quanta!r}"
+            )
+        now = self._now_ns
+        next_ns = self._queue.peek_time()
+        k = max_quanta
+        if next_ns is not None:
+            # ceil((next_ns - now) / quantum_ns), at least one quantum
+            k = min(max(1, -((now - next_ns) // quantum_ns)), max_quanta)
+        self.run_until(now + k * quantum_ns)
+        return k
+
     def step(self) -> bool:
         """Execute exactly one event. Returns False if the queue is empty."""
         if self._running:

@@ -3,14 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.core import FrequencyTransitionExperiment
-from repro.units import ghz
+from repro.core import ExperimentConfig, FrequencyTransitionExperiment, freq_transition
+from repro.core.analysis.stats import within_interval
+from repro.core.experiment import machine_hook
+from repro.units import ghz, us
 
 
 @pytest.fixture(scope="module")
 def exp():
-    from repro.core import ExperimentConfig
-
     return FrequencyTransitionExperiment(ExperimentConfig(seed=2021))
 
 
@@ -68,3 +68,50 @@ class TestSec5BAnomalies:
         up = exp.measure_pair(ghz(1.5), ghz(2.2), n_samples=300, min_wait_ms=5.0)
         down = exp.measure_pair(ghz(2.2), ghz(1.5), n_samples=300, min_wait_ms=5.0)
         assert up.min_us < down.min_us  # 360 vs 390 us execution
+
+
+class _QuantumStepping(FrequencyTransitionExperiment):
+    """The reference polling loop: one ``run_for(quantum)`` per quantum."""
+
+    timeouts = 0
+
+    def _one_switch(self, machine, cpu, core, target_hz, rng):
+        sim = machine.sim
+        t0 = sim.now_ns
+        machine.os.set_frequency(cpu, target_hz)
+        quantum = self._poll_quantum_ns(core)
+        while abs(core.applied_freq_hz - target_hz) > 1e3:
+            sim.run_for(quantum)
+            if sim.now_ns - t0 > freq_transition.SAMPLE_TIMEOUT_NS:
+                self.timeouts += 1
+                return sim.now_ns - t0, False
+            quantum = self._poll_quantum_ns(core)
+        latency_ns = sim.now_ns - t0
+        probes = target_hz * (1.0 + rng.normal(0.0, 1e-4, size=100))
+        valid = within_interval(target_hz, probes)
+        sim.run_for(100 * self._poll_quantum_ns(core))
+        return latency_ns, valid
+
+
+class TestPollingJumpsToNextEvent:
+    @pytest.mark.parametrize(
+        "from_ghz, to_ghz",
+        [(2.2, 1.5), (2.2, 2.5), (2.5, 2.2)],
+        ids=["down", "fast-return", "partial"],
+    )
+    def test_matches_quantum_stepping_timeouts_included(self, monkeypatch, from_ghz, to_ghz):
+        # A 900 us timeout cuts into the 390-1390 us transitions, so the
+        # timeout branch's jump cap is exercised too.
+        monkeypatch.setattr(freq_transition, "SAMPLE_TIMEOUT_NS", us(900))
+        runs = []
+        for cls in (FrequencyTransitionExperiment, _QuantumStepping):
+            exp = cls(ExperimentConfig(seed=5))
+            machines = []
+            with machine_hook(machines.append):
+                res = exp.measure_pair(ghz(from_ghz), ghz(to_ghz), n_samples=300)
+            runs.append((exp, res, machines[0].sim.now_ns))
+        (_, jumped, jumped_end), (stepping, stepped, stepped_end) = runs
+        assert stepping.timeouts > 0
+        assert np.array_equal(jumped.latencies_us, stepped.latencies_us)
+        assert jumped.n_invalid == stepped.n_invalid
+        assert jumped_end == stepped_end

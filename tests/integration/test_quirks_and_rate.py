@@ -3,16 +3,17 @@
 import pytest
 
 from repro.core import (
+    ExperimentConfig,
     IdleSiblingExperiment,
     RaplUpdateRateExperiment,
 )
+from repro.core.experiment import machine_hook
 from repro.datasets.green500 import amd_leads_x86, synthesize_green500
+from repro.rapl.msrs import RaplMsrs
 
 
 @pytest.fixture(scope="module")
 def cfg():
-    from repro.core import ExperimentConfig
-
     return ExperimentConfig(seed=2021)
 
 
@@ -43,6 +44,16 @@ class TestRaplUpdateRate:
         exp = RaplUpdateRateExperiment(cfg)
         res = exp.measure(n_updates=20, poll_interval_us=5.0)
         assert res.median_ms == pytest.approx(1.0, abs=0.05)
+
+    def test_guard_stops_a_frozen_counter_at_the_same_poll(self, monkeypatch):
+        # The counter never moves, so the guard ends the loop after
+        # n_updates * 1000 + 1 polls of 20 us: poll 2,001, at 40.02 ms.
+        monkeypatch.setattr(RaplMsrs, "tick", lambda self, *args: None)
+        machines = []
+        with machine_hook(machines.append):
+            res = RaplUpdateRateExperiment(ExperimentConfig(seed=3)).measure(n_updates=2)
+        assert len(res.intervals_ms) == 0
+        assert machines[0].sim.now_ns == 40_020_000
 
 
 class TestFig1:

@@ -169,6 +169,7 @@ def test_exc001_allows_hierarchy_and_justified(source):
         "def cb():\n    sim.run_until(10)\nsim.schedule_after(5, cb)\n",
         "def cb():\n    machine.sim.run_for(100)\nsim.schedule_at(5, cb)\n",
         "sim.schedule_after(5, lambda: sim.step())\n",
+        "def cb():\n    sim.run_quanta(2000, 10)\nsim.schedule_after(5, cb)\n",
         "sim.periodic(10, cb, phase_ns=3)\n"
         "def cb():\n    sim.run_until(99)\n",
         "sim._now_ns = 5\n",  # clock mutation anywhere
