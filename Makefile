@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint lint-changed update-schema-registry ordering-check selfcheck suite-parallel suite-traced golden bench-guard serve service-smoke
+.PHONY: test lint lint-changed update-schema-registry ordering-check selfcheck suite-parallel suite-traced golden serve service-smoke
 
 # The default gate: static analysis first (DET001/SIM001/... keep the
 # cache/parallel code deterministic), then the full pytest tree — which
@@ -52,12 +52,6 @@ suite-traced:
 # JSON diff before committing (see docs/parallelism.md).
 golden:
 	$(PYTHON) -m pytest tests/integration/test_golden_suite.py --update-golden -q
-
-# Overhead budget check: the obs-disabled dispatch path and the
-# flight-recorder feed must each keep >=98% of bare sim.dispatch
-# throughput (interleaved rounds, median ratio; see docs/performance.md).
-bench-guard:
-	$(PYTHON) -m repro.bench
 
 # Run the HTTP experiment service in the foreground (SIGTERM/Ctrl-C
 # drains gracefully; see docs/service.md).

@@ -140,9 +140,6 @@ class ResultCache:
         """Mirror :class:`CacheStats` into a :class:`repro.obs.Obs` registry
         as live metrics (hit/miss counters, store/eviction counters,
         get/put latency histograms)."""
-        from repro.obs import effective_obs
-
-        obs = effective_obs(obs)
         if obs is None:
             return
         metrics = obs.metrics
@@ -274,7 +271,7 @@ class ResultCache:
         try:
             with open(path) as fh:
                 doc = json.load(fh)
-        except (OSError, ValueError):
+        except (OSError, ValueError, RecursionError):  # nesting too deep
             self._drop_entry(key)
             return None
         if not isinstance(doc, dict):
@@ -354,15 +351,21 @@ class ResultCache:
                     pass
 
     def _load_index(self) -> _Index:
+        """The index on disk; an unreadable or misshapen one is empty."""
         try:
             with open(self._index_path) as fh:
                 raw = json.load(fh)
-            entries = {
-                str(key): _IndexEntry(size=int(e["size"]), seq=int(e["seq"]))
-                for key, e in raw.get("entries", {}).items()
-            }
-            return _Index(seq=int(raw.get("seq", 0)), entries=entries)
-        except (OSError, ValueError, KeyError, TypeError):
+            entries = raw.get("entries", {}) if isinstance(raw, dict) else None
+            if not isinstance(entries, dict):
+                return _Index()
+            return _Index(
+                seq=int(raw.get("seq", 0)),
+                entries={
+                    str(key): _IndexEntry(size=int(e["size"]), seq=int(e["seq"]))
+                    for key, e in entries.items()
+                },
+            )
+        except (OSError, ValueError, KeyError, TypeError, RecursionError):
             return _Index()
 
     def _save_index(self, index: _Index) -> None:

@@ -49,6 +49,7 @@ def main(argv: list[str] | None = None) -> int:
     from repro.core.experiment import ExperimentConfig
     from repro.core.serialize import dump_json
     from repro.core.suite import SUITE, run_suite, suite_to_dict, suite_trace_document
+    from repro.errors import ConfigurationError
 
     parser = argparse.ArgumentParser(
         prog="repro-zen2",
@@ -121,7 +122,10 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    cfg = ExperimentConfig(seed=args.seed, scale=args.scale)
+    try:
+        cfg = ExperimentConfig(seed=args.seed, scale=args.scale)
+    except ConfigurationError as err:
+        parser.error(f"argument --scale: {err}")
 
     if args.experiment == "selfcheck":
         from repro.core.selfcheck import selfcheck

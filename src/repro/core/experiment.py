@@ -8,10 +8,12 @@ scale where affordable.
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator
 
+from repro.errors import ConfigurationError
 from repro.machine import Machine
 
 #: Active machine-construction hooks (see :func:`machine_hook`).
@@ -48,6 +50,20 @@ class ExperimentConfig:
     interval_s: float = 10.0
     sku: str = "EPYC 7502"
     n_packages: int = 2
+
+    def __post_init__(self) -> None:
+        for name in ("scale", "interval_s"):
+            value = getattr(self, name)
+            # NaN and infinity pass float() and json.loads alike; neither
+            # is a usable scale or interval, and NaN is not valid JSON.
+            if (
+                not isinstance(value, (int, float))
+                or isinstance(value, bool)
+                or not 0 < value < math.inf
+            ):
+                raise ConfigurationError(
+                    f"{name} must be a positive finite number, got {value!r}"
+                )
 
     def scaled(self, count: int, minimum: int = 10) -> int:
         """A paper sample count scaled down, but never below ``minimum``."""

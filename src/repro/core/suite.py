@@ -380,11 +380,10 @@ def run_suite(
     if monitor:
         cache = None
     if obs is not None:
-        from repro.obs import effective_obs, mint_trace_id
+        from repro.obs import mint_trace_id
 
-        obs = effective_obs(obs)
         result.obs = obs
-        if obs is not None and obs.tracer.trace_id is None:
+        if obs.tracer.trace_id is None:
             # Content-derived, so identical runs mint identical ids.
             obs.tracer.trace_id = mint_trace_id(
                 "suite", cfg.seed, cfg.scale, cfg.sku, *names

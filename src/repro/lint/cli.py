@@ -40,7 +40,7 @@ def main(argv: list[str] | None = None) -> int:
         "--deep",
         action="store_true",
         help="also run the whole-program effects and contracts analyses "
-        "(HOT/OBS/PAR, CON rules) over one shared program, with one "
+        "(OBS/PAR, CON rules) over one shared program, with one "
         "digest-keyed result cache",
     )
     parser.add_argument(

@@ -2,7 +2,7 @@
 
 One run takes the modules the engine already parsed, builds one
 :class:`~repro.lint.program.Program`, and runs both whole-program
-analyzers over it: effects (HOT001-HOT003, OBS001, PAR001) and contracts
+analyzers over it: effects (OBS001, PAR001) and contracts
 (CON010, CON020, CON021).  Their inputs come from one manifest
 (:mod:`repro.lint.manifest`).
 
@@ -38,10 +38,7 @@ from repro.lint.contracts.schemas import (
 )
 from repro.lint.effects import EFFECTS_RULE_IDS
 from repro.lint.effects.guards import check_guards
-from repro.lint.effects.hotpath import check_regions
 from repro.lint.effects.parsafe import check_submissions
-from repro.lint.effects.regions import collect_regions
-from repro.lint.effects.summaries import summarize_program
 from repro.lint.engine import ParsedModule, iter_python_files, parse_module, read_source
 from repro.lint.findings import Finding
 from repro.lint.manifest import Manifest, load_manifest, write_schemas
@@ -63,8 +60,8 @@ class DeepReport:
 
     findings: list[Finding] = field(default_factory=list)
     suppressed: int = 0
-    #: Program and analyzer counts (modules, functions, regions, layers,
-    #: schemas), finding counts, cache status and wall time.
+    #: Program and analyzer counts (modules, functions, layers, schemas),
+    #: finding counts, cache status and wall time.
     stats: dict[str, Any] = field(default_factory=dict)
 
 
@@ -100,10 +97,8 @@ def cache_key(modules: Sequence[ParsedModule], manifest: Manifest) -> str:
 
 def _analyze(program: Program, manifest: Manifest) -> dict[str, Any]:
     """Run every analyzer; returns the cacheable document of raw findings."""
-    regions = collect_regions(program, manifest)
     registry_findings, registry = check_registry(program, manifest)
     raw = [
-        *check_regions(program, summarize_program(program), regions),
         *check_guards(program),
         *check_submissions(program),
         *check_layers(program, manifest),
@@ -115,7 +110,6 @@ def _analyze(program: Program, manifest: Manifest) -> dict[str, Any]:
         "counts": {
             "modules": len(program.modules),
             "functions": len(program.functions),
-            "regions": len(regions.regions),
             "layers": len(manifest.layers.assign),
             "schemas": len(registry.schemas()),
         },

@@ -1,8 +1,8 @@
 """OBS001: every obs use must sit behind the single ``is None`` guard.
 
-PR 5's instrumentation contract is that the disabled path pays exactly
-one identity check: ``self._obs`` is either ``None`` or an enabled
-bundle, and every metrics/tracer touch (``self._obs``,
+The instrumentation contract is that the uninstrumented path pays
+exactly one identity check: ``self._obs`` is either ``None`` or an
+attached bundle, and every metrics/tracer touch (``self._obs``,
 ``self._obs_dispatched``, ...) happens only where that check has already
 proven the bundle attached.  This pass machine-checks the contract with
 a straight-line dominance walk per function:
@@ -15,8 +15,8 @@ a straight-line dominance walk per function:
   attributes outside a non-null region are violations;
 * a method whose *only* unguarded uses hang off ``self`` is excused when
   every resolved call site in the program sits inside a caller's
-  non-null region (the ``_run_instrumented`` pattern: run_until guards,
-  the helper uses) — but only if at least one call site resolves;
+  non-null region (a metering helper that only guarded code calls) —
+  but only if at least one call site resolves;
 * uses inside the *null* branch are always violations (the guard proves
   the bundle absent there).
 
@@ -30,7 +30,7 @@ import ast
 import copy
 from dataclasses import dataclass, field
 
-from repro.lint.effects.summaries import Resolver
+from repro.lint.effects.resolver import Resolver
 from repro.lint.findings import Finding
 from repro.lint.program import FuncInfo, Program
 

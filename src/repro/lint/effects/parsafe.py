@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import ast
 
-from repro.lint.effects.summaries import Resolver
+from repro.lint.effects.resolver import Resolver
 from repro.lint.findings import Finding
 from repro.lint.program import Program, _dotted_parts
 

@@ -36,14 +36,14 @@ _SKIP_DIRS = {
 #: Engine-level rule: a ``# lint: disable=RULE`` that excused nothing.
 UNUSED_SUPPRESSION_RULE = "LINT001"
 
-#: Engine-level rule: an effects-rule suppression without a ``reason=``.
+#: Engine-level rule: an OBS/PAR/CON suppression without a ``reason=``.
 SUPPRESSION_REASON_RULE = "LINT002"
 
 #: Rule-id prefixes whose suppressions must carry a ``reason=`` token.
-#: Effects and contracts findings gate perf, isolation and structural
-#: invariants; excusing one without a recorded justification defeats
-#: the review trail.
-REASON_REQUIRED_PREFIXES = ("HOT", "OBS", "PAR", "CON")
+#: Effects and contracts findings gate the obs guard, process isolation
+#: and structural invariants; excusing one without a recorded
+#: justification defeats the review trail.
+REASON_REQUIRED_PREFIXES = ("OBS", "PAR", "CON")
 
 
 @dataclass
@@ -186,12 +186,12 @@ def unused_suppression_findings(
 
 
 def suppression_reason_findings(parsed: ParsedModule) -> tuple[list[Finding], int]:
-    """LINT002 findings: effects-rule suppressions must state a reason.
+    """LINT002 findings: OBS, PAR and CON suppressions must state a reason.
 
-    Any ``# lint: disable[-file]=`` comment naming a HOT/OBS/PAR rule
-    must carry a ``reason=`` token in the same comment, e.g.::
+    Any ``# lint: disable[-file]=`` comment naming an OBS, PAR or CON
+    rule must carry a ``reason=`` token in the same comment, e.g.::
 
-        x = (a, b)  # lint: disable=HOT001 reason=hoisted by caller
+        run_tasks([Task("t", fn)])  # lint: disable=PAR001 reason=fork only
 
     Purely syntactic, so it runs whether or not ``--deep`` does.
     """
@@ -215,7 +215,7 @@ def suppression_reason_findings(parsed: ParsedModule) -> tuple[list[Finding], in
             rule=SUPPRESSION_REASON_RULE,
             message=(
                 f"suppression of {', '.join(needing)} lacks a 'reason=' "
-                "token; effects-rule suppressions must record their "
+                "token; OBS, PAR and CON suppressions must record their "
                 "justification inline"
             ),
         )

@@ -9,9 +9,6 @@ One reviewable JSON object with these sections:
   unconstrained.
 * ``tests_root`` — directory scanned for validator references by the
   CON021 reachability check; absent means CON021 is off.
-* ``hot`` / ``cold`` — ``{"function": qname, "reason": text}`` entries
-  declaring hot regions and cold boundaries for the effects rules
-  (inline ``# lint: hot`` / ``# lint: cold`` markers add to them).
 * ``schemas`` — the schema registry snapshot for CON020: schema id ->
   ``{"version", "writer", "validator", "fields"}``.
   ``--update-schema-registry`` rewrites this section and nothing else.
@@ -35,9 +32,8 @@ DEFAULT_MANIFEST = "lint.json"
 
 MANIFEST_VERSION = 1
 
-_TOP_KEYS = frozenset({"version", "layers", "tests_root", "hot", "cold", "schemas"})
+_TOP_KEYS = frozenset({"version", "layers", "tests_root", "schemas"})
 _LAYER_KEYS = frozenset({"assign", "allow"})
-_REGION_KEYS = frozenset({"function", "reason"})
 _SCHEMA_KEYS = frozenset({"version", "writer", "validator", "fields"})
 
 
@@ -95,9 +91,6 @@ class Manifest:
     path: str | None = None
     layers: LayerDecl = field(default_factory=LayerDecl)
     tests_root: str | None = None
-    #: hot / cold qualified name -> declared reason.
-    hot: dict[str, str] = field(default_factory=dict)
-    cold: dict[str, str] = field(default_factory=dict)
     #: schema id -> registry snapshot entry.
     schemas: dict[str, dict[str, Any]] = field(default_factory=dict)
 
@@ -114,8 +107,6 @@ class Manifest:
                 "path": self.path,
                 "layers": [self.layers.assign, self.layers.allow],
                 "tests_root": self.tests_root,
-                "hot": self.hot,
-                "cold": self.cold,
                 "schemas": self.schemas,
             },
             sort_keys=True,
@@ -163,21 +154,6 @@ def _parse_layers(doc: object, path: str) -> LayerDecl:
     return LayerDecl(assign=assign, allow=allow)
 
 
-def _parse_regions(entries: object, key: str, path: str) -> dict[str, str]:
-    if not isinstance(entries, list):
-        raise LintError(f"manifest {path}: '{key}' must be a list")
-    out: dict[str, str] = {}
-    for entry in entries:
-        if not isinstance(entry, dict) or "function" not in entry:
-            raise LintError(
-                f"manifest {path}: every '{key}' entry needs a 'function' "
-                "qualified name"
-            )
-        _check_keys(entry, _REGION_KEYS, f"a '{key}' entry", path)
-        out[str(entry["function"])] = str(entry.get("reason", ""))
-    return out
-
-
 def _parse_schemas(doc: object, path: str) -> dict[str, dict[str, Any]]:
     schemas = _object(doc, "'schemas'", path)
     for schema, entry in schemas.items():
@@ -194,7 +170,7 @@ def _read(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as handle:
             doc = json.load(handle)
-    except (OSError, json.JSONDecodeError) as err:
+    except (OSError, ValueError, RecursionError) as err:  # nesting too deep
         raise LintError(f"cannot read manifest {path}: {err}") from err
     return _object(doc, "the top level", path)
 
@@ -217,8 +193,6 @@ def load_manifest(path: str | None) -> Manifest:
         path=path,
         layers=_parse_layers(doc.get("layers", {}), path),
         tests_root=tests_root,
-        hot=_parse_regions(doc.get("hot", []), "hot", path),
-        cold=_parse_regions(doc.get("cold", []), "cold", path),
         schemas=_parse_schemas(doc.get("schemas", {}), path),
     )
 

@@ -116,9 +116,6 @@ class InvariantMonitor:
         (sim-time axis) when the machine is itself instrumented, else on
         the host track.
         """
-        from repro.obs import effective_obs
-
-        obs = effective_obs(obs)
         if obs is None:
             return
         self._obs = obs

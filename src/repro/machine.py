@@ -243,11 +243,10 @@ class Machine:
         simulator dispatch loop and the power-model memo, bridges
         :class:`~repro.oslayer.tracing.TraceBuffer` tracepoints onto the
         exported timeline, and registers measure/preheat/RAPL metrics.
-        A disabled obs is ignored entirely.
+        ``None`` leaves the machine uninstrumented.
         """
-        from repro.obs import COUNT_BUCKETS, effective_obs
+        from repro.obs import COUNT_BUCKETS
 
-        obs = effective_obs(obs)
         if obs is None:
             return
         tracer = obs.tracer
@@ -491,8 +490,8 @@ class Machine:
         # The estimator inputs are exactly (machine state, temperatures):
         # between configuration changes and measure() intervals both are
         # constant, so consecutive 1 ms ticks reuse the computed powers.
-        # The hit path compares against the cached state in place — no
-        # per-tick key tuple (lint --deep HOT001 budget).
+        # The hit path compares against the cached state in place, with
+        # no per-tick key tuple.
         cached = self._rapl_tick_cache
         if (
             cached is not None
@@ -508,7 +507,7 @@ class Machine:
             pkg_powers, core_powers = self._rapl_tick_compute()
         self.rapl_msrs.tick(pkg_powers, core_powers, self.sim.now_ns)
 
-    def _rapl_tick_compute(self):  # lint: cold (memo-miss estimator sweep)
+    def _rapl_tick_compute(self):
         """Recompute and cache the per-tick estimator outputs.
 
         The temperature list is copied into the cache entry: the thermal

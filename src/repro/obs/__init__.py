@@ -13,11 +13,10 @@ layer and is threaded through every subsystem that accepts it
   trace-event / Perfetto-loadable ``repro.obs/trace`` v1 document.
 
 Instrumented hot paths hold a single reference that is ``None`` unless
-an *enabled* Obs is attached, so the disabled path costs one identity
-check (budgeted at <= 2 % of bare dispatch throughput, enforced by
-``make bench-guard``; see ``docs/observability.md``).  Observability
-never feeds back into simulated state: suite documents are
-byte-identical with obs on or off.
+an Obs is attached, so the uninstrumented path costs one identity check
+per call (lint rule OBS001 keeps every use behind it; see
+``docs/observability.md``).  Observability never feeds back into
+simulated state: suite documents are byte-identical with obs on or off.
 """
 
 from __future__ import annotations
@@ -112,15 +111,13 @@ __all__ = [
 class Obs:
     """The observability bundle handed to instrumented subsystems.
 
-    An Obs with ``enabled=False`` is accepted everywhere but attaches
-    nowhere — subsystems treat it exactly like ``obs=None``, keeping
-    the disabled hot path to a single ``is None`` check.
+    ``obs=None`` is the one way to say "off": subsystems then keep their
+    instrument reference at ``None`` and pay a single ``is None`` check.
     """
 
     def __init__(
         self,
         *,
-        enabled: bool = True,
         max_events: int = DEFAULT_MAX_EVENTS,
         clock: Callable[[], int] | None = None,
         trace_id: str | None = None,
@@ -129,7 +126,6 @@ class Obs:
         log_stream: Any | None = None,
         log_path: str | None = None,
     ) -> None:
-        self.enabled = enabled
         # metrics= lets the service share one registry across per-job Obs
         # bundles; epoch_ns= puts per-job tracers on the service tracer's
         # time base so cross-object complete() spans align.
@@ -195,14 +191,3 @@ class Obs:
     def to_prometheus(self) -> str:
         """The Prometheus text exposition of all metric families."""
         return self.metrics.to_prometheus()
-
-
-def effective_obs(obs: Obs | None) -> Obs | None:
-    """Collapse a disabled Obs to ``None`` at attach time.
-
-    Every subsystem boundary calls this once, so hot paths only ever
-    test ``self._obs is not None``.
-    """
-    if obs is not None and obs.enabled:
-        return obs
-    return None

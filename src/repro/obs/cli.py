@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import glob
-import json
 import os
 import sys
 
@@ -42,7 +41,7 @@ from repro.obs.schema import (
 def _load(path: str) -> object:
     try:
         return load_json(path)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # nesting too deep
         raise SystemExit(f"error: cannot read {path}: {exc}") from exc  # EXC001: CLI boundary, exits with a message not a traceback
 
 

@@ -11,9 +11,9 @@ observability events — tracer spans and instants (fed by
 structured log records (fed by :class:`~repro.obs.log.StructuredLogger`),
 and unconditional coarse breadcrumbs at cold orchestration boundaries
 (suite entry start/end, pool task shells).  The ring costs one deque
-append per recorded event and nothing at all on the obs-disabled
-simulator dispatch path (``make bench-guard`` holds its ring feed to
-the same 2 % budget).
+append per recorded event and nothing at all on the uninstrumented
+simulator dispatch path: an untraced suite entry pushes exactly its two
+``suite.entry`` notes, however many events it dispatches.
 
 When something dies — a pool task raises, an invariant trips, a service
 job fails — :func:`dump_bundle` freezes the ring into a schema-tagged
@@ -67,8 +67,8 @@ class FlightRecorder:
     def push(self, record: dict[str, Any]) -> None:
         """Append one pre-built event dict (tracer span/instant, log record).
 
-        Declared hot in ``lint.json``: fed from the
-        tracer commit path, so it must stay one bounded-deque append.
+        Fed from the tracer commit path, so it stays one bounded-deque
+        append.
         """
         events = self._events
         if len(events) == self.capacity:

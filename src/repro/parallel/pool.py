@@ -290,12 +290,7 @@ def run_tasks(
     max_attempts = retries + 1
     worker_count = min(len(tasks), jobs or MAX_JOBS, MAX_JOBS)
 
-    pobs = None
-    if obs is not None:
-        from repro.obs import effective_obs
-
-        if effective_obs(obs) is not None:
-            pobs = _PoolObs(obs, len(slots))
+    pobs = _PoolObs(obs, len(slots)) if obs is not None else None
 
     if pobs is None:
         _gang_phase(slots, worker_count, timeout_s)

@@ -97,9 +97,6 @@ class PowerModel:
 
     def attach_obs(self, obs, machine: str = "") -> None:
         """Count memo hits/misses into a :class:`repro.obs.Obs` registry."""
-        from repro.obs import effective_obs
-
-        obs = effective_obs(obs)
         if obs is None:
             return
         metrics = obs.metrics
@@ -141,7 +138,7 @@ class PowerModel:
         # A second SMT thread adds ~30 % more outstanding traffic.
         return wl.dram_gbs_1t * (1.0 if smt == 1 else 1.3)
 
-    def package_dram_traffic_gbs(self, pkg: Package, bandwidth_model=None) -> float:
+    def package_dram_traffic_gbs(self, pkg: Package) -> float:
         """Achieved DRAM traffic of a package (demand, capped).
 
         The cap is the four-quadrant DRAM ceiling; per-link limits are
@@ -149,7 +146,7 @@ class PowerModel:
         (Fig 5), while for *power* the aggregate is sufficient.
         """
         machine = self._bound_machine()
-        if machine is None or bandwidth_model is not None:
+        if machine is None:
             return self._compute_traffic_gbs(pkg)
         version = machine.state_version
         if version != self._traffic_version:

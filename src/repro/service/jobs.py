@@ -16,14 +16,13 @@ import asyncio
 import dataclasses
 import hashlib
 import json
-import math
 from dataclasses import dataclass, field
 from typing import Any
 
 from repro.cache import cache_key
 from repro.core.experiment import ExperimentConfig
 from repro.core.suite import SUITE
-from repro.errors import ServiceError
+from repro.errors import ConfigurationError, ServiceError
 from repro.service.schema import JOB_STATES
 
 #: Config fields a request may set (every ExperimentConfig field).
@@ -97,7 +96,7 @@ class JobSpec:
             )
         try:
             config = ExperimentConfig(**cfg_doc)
-        except TypeError as err:
+        except (TypeError, ConfigurationError) as err:
             raise ServiceError(f"invalid config: {err}") from err
         _check_config_types(config)
         return cls(
@@ -109,16 +108,6 @@ def _check_config_types(config: ExperimentConfig) -> None:
     """Reject configs that would fingerprint but not execute sanely."""
     if not isinstance(config.seed, int) or isinstance(config.seed, bool):
         raise ServiceError(f"config.seed must be an integer, got {config.seed!r}")
-    for name in ("scale", "interval_s"):
-        value = getattr(config, name)
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ServiceError(f"config.{name} must be a number, got {value!r}")
-        # json.loads accepts NaN and Infinity; neither is a usable scale
-        # or interval, and NaN would make the job document invalid JSON.
-        if not 0 < value < math.inf:
-            raise ServiceError(
-                f"config.{name} must be positive and finite, got {value!r}"
-            )
     if not isinstance(config.sku, str) or not config.sku:
         raise ServiceError("config.sku must be a non-empty string")
     if not isinstance(config.n_packages, int) or config.n_packages < 1:

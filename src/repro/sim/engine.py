@@ -50,9 +50,8 @@ class Simulator:
         self._now_ns = 0
         self._queue = EventQueue(tiebreak_rng=tiebreak_rng)
         self._running = False
-        # Observability: None unless an *enabled* repro.obs.Obs is
-        # attached — the dispatch hot path only ever pays an identity
-        # check (`make bench-guard` holds it to the 2% budget).
+        # Observability: None unless a repro.obs.Obs is attached;
+        # unattached, dispatch pays two identity checks per run_until.
         self._obs = None
         self._obs_track = None
         if obs is not None:
@@ -62,14 +61,16 @@ class Simulator:
         """Instrument dispatch with a :class:`repro.obs.Obs` bundle.
 
         ``track`` names the trace track dispatch spans land on; machines
-        pass their own so per-machine timelines stay separate.  A
-        disabled obs is ignored entirely.
+        pass their own so per-machine timelines stay separate.  ``None``
+        leaves dispatch uninstrumented.  Attaching from inside a callback
+        is an error: the running batch started unmetered.
         """
-        from repro.obs import COUNT_BUCKETS, effective_obs
+        from repro.obs import COUNT_BUCKETS
 
-        obs = effective_obs(obs)
         if obs is None:
             return
+        if self._running:
+            raise SimulationError("attach_obs called from a callback")
         if track is None:
             track = obs.tracer.new_track("sim")
         self._obs = obs
@@ -161,45 +162,16 @@ class Simulator:
         if self._running:
             raise SimulationError("run_until called re-entrantly from a callback")
         self._running = True
-        try:
-            # Hot loop: EventQueue.pop_due inlined over the raw heap —
-            # the dispatch rate here bounds every timing experiment.
-            # Safe to hold `heap` across callbacks: the queue only ever
-            # mutates that list in place (push appends, compaction
-            # slice-assigns).
-            queue = self._queue
-            heap = queue._heap
-            if self._obs is None:
-                while heap:
-                    head = heap[0]
-                    event = head[2]
-                    if event.cancelled:
-                        heappop(heap)
-                        continue
-                    if head[0] > time_ns:
-                        break
-                    heappop(heap)
-                    queue._live -= 1
-                    event._queue = None
-                    self._now_ns = head[0]
-                    event.callback()
-            else:
-                self._run_instrumented(queue, heap, time_ns)
-            self._now_ns = time_ns
-        finally:
-            self._running = False
-
-    def _run_instrumented(self, queue: EventQueue, heap: list, time_ns: int) -> None:
-        """The run_until hot loop with obs instrumentation.
-
-        Kept as a duplicate of the disabled loop (not a merged loop with
-        per-event branches) so the disabled path stays within the <= 2 %
-        overhead budget ``make bench-guard`` measures.
-        """
-        tracer = self._obs.tracer
-        t0_wall_ns = tracer.now_ns()
-        t0_sim_ns = self._now_ns
+        if self._obs is not None:
+            t0_wall_ns = self._obs.tracer.now_ns()
+            t0_sim_ns = self._now_ns
         dispatched = 0
+        # Hot loop: EventQueue.pop_due inlined over the raw heap — the
+        # dispatch rate here bounds every timing experiment.  Safe to
+        # hold `heap` across callbacks: the queue only ever mutates that
+        # list in place (push appends, compaction slice-assigns).
+        queue = self._queue
+        heap = queue._heap
         try:
             while heap:
                 head = heap[0]
@@ -216,23 +188,29 @@ class Simulator:
                 event.callback()
                 dispatched += 1
         finally:
-            if dispatched:
-                self._obs_dispatched.inc(dispatched)
-                self._obs_batches.observe(dispatched)
-                tracer.complete(
-                    "sim.dispatch",
-                    cat="sim",
-                    track=self._obs_track,
-                    t0_wall_ns=t0_wall_ns,
-                    sim_t0_ns=t0_sim_ns,
-                    sim_t1_ns=self._now_ns,
-                    events=dispatched,
-                )
-            self._obs_depth.set(queue._live)
-            compactions = queue.compactions
-            if compactions != self._obs_compact_seen:
-                self._obs_compactions.inc(compactions - self._obs_compact_seen)
-                self._obs_compact_seen = compactions
+            self._running = False
+            # Metered before the clock moves to time_ns, so the span
+            # ends at the last dispatched event (or where a callback
+            # raised).
+            if self._obs is not None:
+                if dispatched:
+                    self._obs_dispatched.inc(dispatched)
+                    self._obs_batches.observe(dispatched)
+                    self._obs.tracer.complete(
+                        "sim.dispatch",
+                        cat="sim",
+                        track=self._obs_track,
+                        t0_wall_ns=t0_wall_ns,
+                        sim_t0_ns=t0_sim_ns,
+                        sim_t1_ns=self._now_ns,
+                        events=dispatched,
+                    )
+                self._obs_depth.set(queue._live)
+                compactions = queue.compactions
+                if compactions != self._obs_compact_seen:
+                    self._obs_compactions.inc(compactions - self._obs_compact_seen)
+                    self._obs_compact_seen = compactions
+        self._now_ns = time_ns
 
     def run_for(self, duration_ns: int) -> None:
         """Advance the clock by ``duration_ns``, executing due events."""

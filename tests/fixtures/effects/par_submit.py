@@ -37,3 +37,11 @@ def build_good():
 
 def build_good_partial():
     return Task(name="t", fn=partial(_entry, 4), args=())  # OK: partial
+
+
+def build_suppressed():
+    return Task(name="t", fn=lambda x: x, args=(5,))  # lint: disable=PAR001 reason=demonstrates a justified suppression
+
+
+def build_suppressed_reasonless():
+    return Task(name="t", fn=lambda x: x, args=(6,))  # lint: disable=PAR001

@@ -80,7 +80,7 @@ def test_cli_bad_path_exits_two(capsys):
 def test_contracts_pass_is_clean_on_real_tree(deep_src_run):
     report, _ = deep_src_run
     assert not [f for f in report.findings if f.rule.startswith("CON")]
-    assert report.deep["layers"] == 10
+    assert report.deep["layers"] == 9
     assert report.deep["schemas"] == 5
 
 

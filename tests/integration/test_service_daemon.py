@@ -232,6 +232,12 @@ def test_error_routes_and_request_validation():
         )
         assert status == 400
 
+        status, _, content = await _http(
+            port, "POST", "/v1/jobs", {"config": {"scale": 0}}
+        )
+        assert status == 400
+        assert "positive finite" in json.loads(content)["error"]
+
         status, _, content = await _http(port, "GET", "/healthz")
         assert status == 200
         health = json.loads(content)

@@ -114,6 +114,31 @@ class TestStore:
         # the stale index entry is dropped, so accounting stays truthful
         assert key not in cache.keys()
 
+    def test_deeply_nested_object_degrades_to_miss(self, tmp_path):
+        cache = ResultCache(str(tmp_path / "c"))
+        key = "cd" + "1" * 62
+        cache.put(key, {"ok": True})
+        with open(cache._object_path(key), "w") as fh:
+            fh.write("[" * 100_000 + "]" * 100_000)
+        assert cache.get(key) is None
+        assert key not in cache.keys()
+
+    @pytest.mark.parametrize(
+        "index",
+        ["[]", '{"seq": 3, "entries": []}', "[" * 100_000 + "]" * 100_000],
+        ids=["list", "entries-list", "deep"],
+    )
+    def test_misshapen_index_reads_as_empty(self, tmp_path, index):
+        cache = ResultCache(str(tmp_path / "c"))
+        old, new = "ef" + "0" * 62, "ab" + "2" * 62
+        cache.put(old, {"ok": True})
+        with open(cache._index_path, "w") as fh:
+            fh.write(index)
+        assert cache.keys() == []
+        assert cache.get(old) == {"ok": True}  # a hit re-adopts the object
+        cache.put(new, {"x": 1})
+        assert cache.keys() == [old, new]
+
     def test_lru_eviction_prefers_least_recently_used(self, tmp_path):
         def doc(tag: str) -> dict:
             return {"tag": tag, "pad": "x" * 100}

@@ -137,6 +137,13 @@ class TestCli:
             main(["fig3", "--only", "fig7_idle_power"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("scale", ["nan", "inf", "0", "-1"])
+    def test_scale_must_be_positive_and_finite(self, scale, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["fig3", "--scale", scale, "--no-cache"])
+        assert exc.value.code == 2
+        assert "scale must be a positive finite number" in capsys.readouterr().err
+
     def test_import_loads_no_runner_module(self):
         runners = ("repro.core", "repro.cache", "repro.parallel", "repro.datasets")
         code = (

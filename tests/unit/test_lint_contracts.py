@@ -112,11 +112,13 @@ class TestManifestHealth:
                 "deny",
                 id="layers-key",
             ),
+            # The removed hot-path sections fail closed like any other.
             pytest.param(
-                {"hot": [{"function": "f", "reason": "r", "budget": 1}]},
-                "budget",
+                {"hot": [{"function": "f", "reason": "r"}]},
+                "hot",
                 id="hot-entry-key",
             ),
+            pytest.param({"cold": []}, "cold", id="cold"),
         ],
     )
     def test_unknown_top_level_key_fails_closed(self, tmp_path, doc, key):
@@ -227,7 +229,6 @@ class TestSarifCatalogue:
             "CON010",
             "CON020",
             "CON021",
-            "HOT001",
             "OBS001",
             "PAR001",
             "DET001",

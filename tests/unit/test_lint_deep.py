@@ -39,7 +39,7 @@ class TestJointCorpus:
             (f.rule, os.path.basename(f.path), f.line) for f in report.findings
         }
         assert got == EFFECTS_EXPECTED | CONTRACTS_EXPECTED
-        assert len(report.findings) == 23
+        assert len(report.findings) == 15
         assert report.suppressed == 2
 
 
@@ -106,13 +106,25 @@ class TestCli:
     ):
         from repro.lint.cli import main
 
-        shutil.copytree(EFFECTS_FIXTURES, tmp_path / "corpus")
-        shutil.copy(EFFECTS_MANIFEST, tmp_path / "lint.json")
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        for path in CONTRACTS_FILES:
+            shutil.copy(path, corpus)
+        shutil.copy(CONTRACTS_MANIFEST, tmp_path / "lint.json")
         monkeypatch.chdir(tmp_path)
         assert main(["corpus", "--deep", "--format", "json"]) == 1
         with_manifest = json.loads(capsys.readouterr().out)["counts_by_rule"]
         os.remove("lint.json")
         main(["corpus", "--deep", "--format", "json"])
         without = json.loads(capsys.readouterr().out)["counts_by_rule"]
-        assert with_manifest["HOT001"] == 6
-        assert without.get("HOT001", 0) < 6
+        assert with_manifest["CON010"] == 2
+        assert "CON010" not in without
+
+    def test_deeply_nested_manifest_exits_two(self, tmp_path, capsys):
+        from repro.lint.cli import main
+
+        manifest = tmp_path / "lint.json"
+        manifest.write_text("[" * 100_000 + "]" * 100_000)
+        argv = [EFFECTS_FIXTURES, "--deep", "--manifest", str(manifest)]
+        assert main(argv) == 2
+        assert "cannot read manifest" in capsys.readouterr().err

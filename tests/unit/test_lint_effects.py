@@ -1,4 +1,4 @@
-"""Whole-program effects analysis: fixtures, regions, summaries, guards,
+"""Whole-program effects analysis: fixtures, call resolution, guards,
 parallel safety, LINT002, the cache, the real tree and the
 --changed-only plumbing.
 
@@ -15,7 +15,7 @@ import pytest
 
 from repro.lint.deep import analyze_modules, analyze_paths
 from repro.lint.effects import EFFECTS_RULE_IDS
-from repro.lint.effects.summaries import summarize_program
+from repro.lint.effects.resolver import Resolver
 from repro.lint.engine import (
     iter_python_files,
     lint_paths,
@@ -30,17 +30,7 @@ FIXTURES = os.path.join("tests", "fixtures", "effects")
 MANIFEST = os.path.join(FIXTURES, "lint.json")
 
 #: Every seeded true positive in the fixture corpus, by (rule, file, line).
-#: HOT001 transitive findings sit at the *call site* inside the hot
-#: region, with the allocating callee named in the witness chain.
 EXPECTED = {
-    ("HOT001", "hot_engine.py", 22),  # tuple display
-    ("HOT001", "hot_engine.py", 23),  # list comprehension
-    ("HOT001", "hot_engine.py", 24),  # f-string formatting
-    ("HOT001", "hot_engine.py", 25),  # dict display
-    ("HOT001", "hot_engine.py", 26),  # allocating callee make_key()
-    ("HOT001", "hot_engine.py", 28),  # per-event closure definition
-    ("HOT003", "hot_engine.py", 31),  # try/except control flow
-    ("HOT002", "hot_engine.py", 37),  # self.count read twice per loop
     ("OBS001", "obs_wiring.py", 11),  # unguarded obs use
     ("OBS001", "obs_wiring.py", 16),  # use on the proven-None branch
     ("PAR001", "par_submit.py", 15),  # lambda callable
@@ -51,17 +41,13 @@ EXPECTED = {
 
 #: Lines that look like positives but must stay silent (negatives).
 NEGATIVE_LINES = {
-    ("hot_engine.py", 19),  # cold-marked compute_slow body
-    ("hot_engine.py", 41),  # allocation inside a raise is exempt
-    ("hot_engine.py", 42),  # call into a declared cold boundary
-    ("hot_engine.py", 43),  # small a, b = x, y unpack
-    ("hot_engine.py", 44),  # suppressed with a reason
-    ("hot_engine.py", 45),  # suppressed (LINT002's job, not HOT001's)
     ("obs_wiring.py", 21),  # guarded use
     ("obs_wiring.py", 27),  # early-exit guard promotes non-null
     ("obs_wiring.py", 31),  # excused: every call site is guarded
     ("par_submit.py", 35),  # module-level callable
     ("par_submit.py", 39),  # functools.partial over module-level fn
+    ("par_submit.py", 43),  # suppressed with a reason
+    ("par_submit.py", 47),  # suppressed (LINT002's job, not PAR001's)
 }
 
 
@@ -76,8 +62,9 @@ def _parse_fixtures():
     ]
 
 
-def _summaries():
-    return summarize_program(build_program(_parse_fixtures()))
+def _resolver(module_name: str):
+    program = build_program(_parse_fixtures())
+    return program, Resolver(program, program.modules[module_name])
 
 
 class TestFixtureCorpus:
@@ -100,58 +87,46 @@ class TestFixtureCorpus:
     def test_severities(self):
         report = _run_fixture()
         by_rule = {f.rule: f.severity for f in report.findings}
-        assert by_rule["HOT002"] == "warning"
-        for rule in ("HOT001", "HOT003", "OBS001", "PAR001"):
+        for rule in ("OBS001", "PAR001"):
             assert by_rule[rule] == "error"
-
-    def test_transitive_finding_carries_witness_chain(self):
-        report = _run_fixture()
-        chain = next(
-            f for f in report.findings if f.rule == "HOT001" and f.line == 26
-        )
-        assert "call chain" in chain.message
-        assert "make_key" in chain.message
 
     def test_suppressions_are_counted(self):
         report = _run_fixture()
         assert report.suppressed == 2
 
-    def test_unmatched_manifest_entry_is_reported(self, tmp_path):
-        manifest = tmp_path / "lint.json"
-        manifest.write_text(
-            json.dumps(
-                {
-                    "version": 1,
-                    "hot": [{"function": "no.such.fn", "reason": "x"}],
-                    "cold": [],
-                }
-            )
+
+class TestResolver:
+    def test_resolves_self_methods_and_imported_names(self):
+        program, resolver = _resolver("obs_wiring")
+        caller = program.functions["obs_wiring.Engine.run_caller_guarded"]
+        call = caller.body[-1].value
+        resolved = resolver.resolve_call(call, caller, {})
+        assert (resolved.kind, resolved.target) == (
+            "func",
+            "obs_wiring.Engine._helper",
         )
-        report = analyze_paths([FIXTURES], str(manifest))
-        stale = [f for f in report.findings if f.path == str(manifest)]
-        assert len(stale) == 1
-        assert stale[0].rule == "HOT001" and "no.such.fn" in stale[0].message
-
-
-class TestSummaries:
-    def test_effect_bits_reach_summaries(self):
-        summaries = _summaries()
-        assert summaries["hot_engine.Queue.dispatch"].allocates
-        assert summaries["hot_engine.Queue.make_key"].allocates
+        program, resolver = _resolver("par_submit")
+        builder = program.functions["par_submit.build_good"]
+        task = builder.body[-1].value
+        resolved = resolver.resolve_call(task, builder, {})
+        assert (resolved.kind, resolved.target) == (
+            "external",
+            "repro.parallel.pool.Task",
+        )
 
 
 class TestSuppressionReason:
     def test_reasonless_effects_suppression_is_flagged(self):
-        path = os.path.join(FIXTURES, "hot_engine.py")
+        path = os.path.join(FIXTURES, "par_submit.py")
         parsed = parse_module(read_source(path), path)
         findings, _ = suppression_reason_findings(parsed)
-        assert [(f.rule, f.line) for f in findings] == [("LINT002", 45)]
+        assert [(f.rule, f.line) for f in findings] == [("LINT002", 47)]
         assert findings[0].severity == "error"
         assert "reason=" in findings[0].message
 
     def test_reasoned_and_base_rule_suppressions_pass(self):
         src = (
-            "x = (1, 2)  # lint: disable=HOT001 reason=hoisted upstream\n"
+            "x = (1, 2)  # lint: disable=PAR001 reason=fork-only helper\n"
             "import os  # lint: disable=IMP001\n"
         )
         findings, _ = suppression_reason_findings(parse_module(src, "m.py"))
@@ -164,8 +139,8 @@ class TestObsGuardInjection:
 
     PATH = os.path.join("src", "repro", "sim", "engine.py")
     NEEDLE = (
-        "                    self._now_ns = head[0]\n"
-        "                    event.callback()"
+        "                self._now_ns = head[0]\n"
+        "                event.callback()"
     )
 
     def test_committed_run_until_is_silent(self):
@@ -178,11 +153,11 @@ class TestObsGuardInjection:
         src = read_source(self.PATH)
         injected = src.replace(
             self.NEEDLE,
-            self.NEEDLE + "\n                    self._obs_dispatched.inc(1)",
+            self.NEEDLE + "\n                self._obs_dispatched.inc(1)",
         )
         report = analyze_modules([parse_module(injected, self.PATH)])
         assert [f.rule for f in report.findings] == ["OBS001"]
-        assert "proven None" in report.findings[0].message
+        assert "not dominated" in report.findings[0].message
 
 
 class TestCache:
@@ -208,7 +183,7 @@ class TestCache:
         assert not first.stats["cache_hit"]
         assert analyze_paths([FIXTURES], str(manifest)).stats["cache_hit"]
         doc = json.loads(manifest.read_text())
-        doc["hot"][0]["reason"] = "edited"
+        doc["tests_root"] = "edited"
         manifest.write_text(json.dumps(doc))
         edited = analyze_paths([FIXTURES], str(manifest))
         assert not edited.stats["cache_hit"]
@@ -224,7 +199,6 @@ class TestRealTree:
     def test_scales_to_the_whole_package(self, deep_src_run):
         stats = deep_src_run[0].deep
         assert stats["modules"] > 100 and stats["functions"] > 500
-        assert stats["regions"] >= 8  # manifest entries plus inline markers
 
 
 class TestChangedOnly:
@@ -247,7 +221,7 @@ class TestChangedOnly:
         report = lint_paths(
             [FIXTURES], deep=True, manifest=MANIFEST, changed_only=True
         )
-        assert report.files_checked == 3
+        assert report.files_checked == 2
         got = {
             (f.rule, os.path.basename(f.path), f.line)
             for f in report.findings
@@ -265,7 +239,7 @@ class TestSarif:
         rule_ids = {r["id"] for r in run["tool"]["driver"]["rules"]}
         assert EFFECTS_RULE_IDS <= rule_ids and "LINT002" in rule_ids
         levels = {r["ruleId"]: r["level"] for r in run["results"]}
-        assert levels["HOT001"] == "error" and levels["HOT002"] == "warning"
+        assert levels["OBS001"] == "error" and levels["PAR001"] == "error"
         lines = [
             r["locations"][0]["physicalLocation"]["region"]["startLine"]
             for r in run["results"]
@@ -282,17 +256,18 @@ class TestCli:
         )
         payload = json.loads(capsys.readouterr().out)
         assert status == 1  # seeded errors fail the run
-        assert payload["counts_by_rule"]["HOT001"] == 6
+        assert payload["counts_by_rule"]["OBS001"] == 2
         assert payload["counts_by_rule"]["PAR001"] == 4
 
     @pytest.mark.parametrize(
         "select, status, counts",
         [
-            ("HOT001", 1, {"HOT001": 6}),
-            ("DET001", 0, {}),  # no HOT/OBS/PAR/LINT002 finding slips in
+            ("PAR001", 1, {"PAR001": 4}),
+            ("DET001", 0, {}),  # no OBS/PAR/LINT002 finding slips in
             ("NOPE999", 2, None),
+            ("HOT001", 2, None),  # a removed rule is unknown
         ],
-        ids=["HOT001", "DET001", "NOPE999"],
+        ids=["PAR001", "DET001", "NOPE999", "HOT001"],
     )
     def test_select_filters_every_pass(self, select, status, counts, capsys):
         # --select takes any id --list-rules prints and keeps only those
@@ -303,7 +278,7 @@ class TestCli:
         assert main([*argv, "--select", select]) == status
         captured = capsys.readouterr()
         if counts is None:
-            assert "unknown lint rule(s): NOPE999" in captured.err
+            assert f"unknown lint rule(s): {select}" in captured.err
         else:
             assert json.loads(captured.out)["counts_by_rule"] == counts
 

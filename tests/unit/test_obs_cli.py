@@ -74,6 +74,18 @@ def test_unreadable_file_is_a_clean_error(tmp_path):
         obs_main(["validate", str(tmp_path / "missing.json")])
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["validate"], ["summarize"], ["merge", "out.json"], ["report"]],
+    ids=["validate", "summarize", "merge", "report"],
+)
+def test_deeply_nested_file_is_a_clean_error(tmp_path, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "nested.json").write_text("[" * 100_000 + "]" * 100_000)
+    with pytest.raises(SystemExit, match="cannot read nested.json"):
+        obs_main([*command, "nested.json"])
+
+
 def test_top_level_cli_forwards_obs(tmp_path, capsys):
     from repro.cli import main as top_main
 

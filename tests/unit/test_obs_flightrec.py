@@ -88,6 +88,27 @@ def test_tracer_and_logger_feed_the_process_ring():
     assert log_event["trace_id"] == "feedbeef"
 
 
+def test_untraced_suite_feeds_only_the_entry_notes():
+    # The ring-feed cost of an untraced run, in exact form: two notes per
+    # suite entry, however many events the entries dispatch.
+    from repro.core.experiment import ExperimentConfig
+    from repro.core.suite import run_suite
+
+    rec = recorder()
+    result = run_suite(
+        ExperimentConfig(seed=2021, scale=0.02),
+        only=["sec7_rapl_update_rate", "fig3_transition_delay"],
+    )
+    assert result.all_ok
+    assert len(rec) + rec.dropped == 4
+    assert [(e["name"], e["args"]["entry"]) for e in rec.events()] == [
+        ("suite.entry.start", "sec7_rapl_update_rate"),
+        ("suite.entry.end", "sec7_rapl_update_rate"),
+        ("suite.entry.start", "fig3_transition_delay"),
+        ("suite.entry.end", "fig3_transition_delay"),
+    ]
+
+
 # ---------------------------------------------------------------------------
 # bundles
 # ---------------------------------------------------------------------------

@@ -1,8 +1,7 @@
 """Instrumentation wiring: obs attached through the hot layers.
 
 The contract under test everywhere: attaching an obs bundle changes
-*what is recorded*, never *what is computed* — and a disabled bundle
-collapses to the uninstrumented fast path at the attach boundary.
+*what is recorded*, never *what is computed*.
 """
 
 from __future__ import annotations
@@ -10,7 +9,8 @@ from __future__ import annotations
 import pytest
 
 from repro.machine import Machine
-from repro.obs import Obs, effective_obs
+from repro.errors import MeasurementError, SimulationError
+from repro.obs import COUNT_BUCKETS, Obs
 from repro.obs.export import trace_document
 from repro.obs.schema import validate_trace_document
 from repro.parallel import Task, run_tasks
@@ -28,13 +28,6 @@ def _counter_value(obs: Obs, name: str, **labels) -> float:
 # ---------------------------------------------------------------------------
 
 
-def test_disabled_obs_collapses_to_none():
-    assert effective_obs(None) is None
-    assert effective_obs(Obs(enabled=False)) is None
-    obs = Obs()
-    assert effective_obs(obs) is obs
-
-
 def test_simulator_counts_dispatches_and_records_spans():
     obs = Obs()
     sim = Simulator(obs=obs)
@@ -44,18 +37,52 @@ def test_simulator_counts_dispatches_and_records_spans():
     sim.run_until(1_000)
     assert fired == [100, 200, 300]
     assert _counter_value(obs, "sim.events_dispatched", machine="sim0") == 3
-    spans = obs.tracer.spans("sim.dispatch")
-    assert spans and all("t0_sim_ns" in s for s in spans)
+    # One span per non-empty batch, ending at the last event's sim time
+    # rather than at the run_until target.
+    [span] = obs.tracer.spans("sim.dispatch")
+    assert (span["t0_sim_ns"], span["t1_sim_ns"]) == (0, 300)
+    assert span["args"]["events"] == 3
+    batches = obs.metrics.histogram(
+        "sim.dispatch_batch", buckets=COUNT_BUCKETS, machine="sim0"
+    )
+    assert (batches.count, batches.sum) == (1, 3)
+    assert obs.metrics.gauge("sim.queue_depth", machine="sim0").value == 0
+    sim.run_until(2_000)  # an empty batch adds no span
+    assert len(obs.tracer.spans("sim.dispatch")) == 1
+    assert sim.now_ns == 2_000
     assert validate_trace_document(trace_document(obs.tracer)) == []
 
 
-def test_simulator_disabled_obs_leaves_no_hooks():
-    sim = Simulator(obs=Obs(enabled=False))
+@pytest.mark.parametrize("traced", [False, True], ids=["bare", "obs"])
+def test_simulator_callback_error_keeps_the_clock_at_the_event(traced):
+    obs = Obs() if traced else None
+    sim = Simulator(obs=obs)
+    fired = []
+
+    def boom():
+        raise MeasurementError("callback failed")
+
+    sim.schedule_at(100, lambda: fired.append(100))
+    sim.schedule_at(200, boom)
+    sim.schedule_at(300, lambda: fired.append(300))
+    with pytest.raises(MeasurementError, match="callback failed"):
+        sim.run_until(1_000)
+    assert sim.now_ns == 200  # where the callback raised, not the target
+    assert not sim._running
+    if traced:
+        [span] = obs.tracer.spans("sim.dispatch")
+        assert (span["t0_sim_ns"], span["t1_sim_ns"]) == (0, 200)
+        assert span["args"]["events"] == 1
+    sim.run_until(1_000)  # the next batch runs normally
+    assert fired == [100, 300] and sim.now_ns == 1_000
+
+
+def test_simulator_rejects_attach_from_a_callback():
+    sim = Simulator()
+    sim.schedule_at(10, lambda: sim.attach_obs(Obs()))
+    with pytest.raises(SimulationError, match="attach_obs"):
+        sim.run_until(100)
     assert sim._obs is None
-    done = []
-    sim.schedule_at(10, lambda: done.append(1))
-    sim.run_until(100)
-    assert done == [1]
 
 
 def test_simulator_results_identical_with_and_without_obs():
@@ -246,4 +273,3 @@ def test_pool_results_identical_with_and_without_obs():
     plain = run_tasks(tasks, jobs=2)
     traced = run_tasks(tasks, jobs=2, obs=Obs())
     assert [o.value for o in plain] == [o.value for o in traced]
-    assert run_tasks(tasks, jobs=2, obs=Obs(enabled=False))[0].value == 0
