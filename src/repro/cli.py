@@ -46,6 +46,7 @@ def main(argv: list[str] | None = None) -> int:
         return service_main(["serve", *argv[1:]])
 
     from repro.cache import ResultCache
+    from repro.console import say
     from repro.core.experiment import ExperimentConfig
     from repro.core.serialize import dump_json
     from repro.core.suite import SUITE, run_suite, suite_to_dict, suite_trace_document
@@ -133,7 +134,7 @@ def main(argv: list[str] | None = None) -> int:
         machine = cfg.build_machine()
         table = selfcheck(machine)
         machine.shutdown()
-        print(table.render())
+        say(table.render())
         return 0 if table.all_ok else 1
 
     if args.experiment in ("all", "suite"):
@@ -157,23 +158,23 @@ def main(argv: list[str] | None = None) -> int:
         monitor=args.monitor,
         obs=obs,
     )
-    print(result.render())
-    print(f"\nsuite verdict: {'OK' if result.all_ok else 'FAILURES'}")
+    say(result.render())
+    say(f"\nsuite verdict: {'OK' if result.all_ok else 'FAILURES'}")
     if args.cache_stats and cache is not None:
-        print("cache stats: " + json.dumps(cache.stats.as_dict(), sort_keys=True))
+        say("cache stats: " + json.dumps(cache.stats.as_dict(), sort_keys=True))
     if args.json:
         dump_json(suite_to_dict(result), args.json)
-        print(f"structured report written to {args.json}")
+        say(f"structured report written to {args.json}")
     if args.trace:
         # Merged timeline: the parent document plus every worker-
         # shipped trace of a parallel run (serial runs merge one).
         dump_json(suite_trace_document(result), args.trace)
-        print(f"trace written to {args.trace}")
+        say(f"trace written to {args.trace}")
     if args.metrics:
         with open(args.metrics, "w") as fh:
             fh.write(obs.to_prometheus())
         dump_json(obs.metrics_snapshot(), f"{args.metrics}.json")
-        print(
+        say(
             f"metrics written to {args.metrics} "
             f"(JSON snapshot: {args.metrics}.json)"
         )

@@ -2,30 +2,37 @@
 
 The frequency-transition methodology (§V-B) validates performance levels
 with a 95 % confidence interval; the data-power experiment (§VII-B) uses
-empirical cumulative distributions.  Implementations are numpy-only so
-the hot loops stay allocation-light.
+empirical cumulative distributions.  :func:`mean_std` runs numpy's own
+reductions directly, without the Python wrappers of ``ndarray.mean`` and
+``ndarray.std``, and must equal ``arr.mean()`` and ``arr.std(ddof=1)``
+bit for bit, so every CI bound and validity decision does too.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
 from repro.errors import MeasurementError
 
-#: Two-sided 97.5 % standard-normal quantile (95 % CI half-width factor).
-_Z975 = 1.959963984540054
-
 
 def mean_std(samples: np.ndarray) -> tuple[float, float]:
-    """Sample mean and (ddof=1) standard deviation."""
+    """Sample mean and (ddof=1) standard deviation.
+
+    These are the operations numpy's ``_mean``, ``_var`` and ``_std`` run
+    on float64 input, in the same order, for any shape or strides.
+    """
     arr = np.asarray(samples, dtype=float)
-    if arr.size == 0:
+    n = arr.size
+    if n == 0:
         raise MeasurementError("no samples")
-    if arr.size == 1:
-        return float(arr[0]), 0.0
-    return float(arr.mean()), float(arr.std(ddof=1))
+    if n == 1:
+        return float(arr.flat[0]), 0.0
+    mean = np.add.reduce(arr, None) / n
+    d = arr - mean
+    return float(mean), math.sqrt(np.add.reduce(d * d, None) / (n - 1))
 
 
 def confidence_interval(samples: np.ndarray, level: float = 0.95) -> tuple[float, float]:
@@ -41,10 +48,14 @@ def confidence_interval(samples: np.ndarray, level: float = 0.95) -> tuple[float
     n = np.asarray(samples).size
     if n < 2:
         return mean, mean
-    # Quantile for the requested level via the error function.
-    z = math.sqrt(2.0) * _erfinv(level)
-    half = z * std / math.sqrt(n)
+    half = _z(level) * std / math.sqrt(n)
     return mean - half, mean + half
+
+
+@functools.lru_cache(maxsize=8)
+def _z(level: float) -> float:
+    """Two-sided standard-normal quantile for ``level``, via the error function."""
+    return math.sqrt(2.0) * _erfinv(level)
 
 
 def _erfinv(y: float) -> float:

@@ -35,6 +35,9 @@ from repro.workloads import SPIN
 #: polling loop's quantization — latency resolution — is this runtime.
 MINIMAL_WORKLOAD_NS_AT_NOMINAL = 2_000
 
+#: The nominal clock that runtime is quoted at.
+NOMINAL_HZ = ghz(2.5)
+
 #: Give up on a transition after this long (flags a broken sample).
 SAMPLE_TIMEOUT_NS = ms(20)
 
@@ -133,7 +136,7 @@ class FrequencyTransitionExperiment:
 
     def _poll_quantum_ns(self, core) -> int:
         """Runtime of the minimal workload at the current clock."""
-        scale = ghz(2.5) / core.applied_freq_hz
+        scale = NOMINAL_HZ / core.applied_freq_hz
         return max(1, int(MINIMAL_WORKLOAD_NS_AT_NOMINAL * scale))
 
     def _one_switch(self, machine, cpu: int, core, target_hz: float, rng) -> tuple[int, bool]:
@@ -157,8 +160,12 @@ class FrequencyTransitionExperiment:
             quantum = self._poll_quantum_ns(core)
         latency_ns = sim.now_ns - t0
         # Validation: 100 more performance probes must agree with the
-        # target level (95 % CI).  Perf probes carry small jitter.
-        probes = target_hz * (1.0 + rng.normal(0.0, 1e-4, size=100))
+        # target level (95 % CI).  Perf probes carry small jitter.  IEEE +
+        # and * commute, so building them in place gives the values of
+        # ``target_hz * (1.0 + jitter)``.
+        probes = rng.normal(0.0, 1e-4, size=100)
+        probes += 1.0
+        probes *= target_hz
         valid = within_interval(target_hz, probes)
         sim.run_for(100 * self._poll_quantum_ns(core))
         return latency_ns, valid

@@ -11,6 +11,7 @@ import argparse
 import os
 import sys
 
+from repro.console import say
 from repro.errors import LintError
 from repro.lint.engine import lint_paths
 from repro.lint.formatters import format_human, format_json, format_sarif
@@ -88,7 +89,7 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.list_rules:
         for rule_id, title in sorted(rule_titles().items()):
-            print(f"{rule_id}  {title}")
+            say(f"{rule_id}  {title}")
         return 0
 
     try:
@@ -139,14 +140,14 @@ def main(argv: list[str] | None = None) -> int:
         ]
 
     formatters = {"json": format_json, "sarif": format_sarif, "human": format_human}
-    print(formatters[args.format](report))
+    say(formatters[args.format](report))
     status = 0 if report.clean else 1
 
     if args.ordering_check:
         from repro.lint.shuffle import selfcheck_ordering
 
         ordering = selfcheck_ordering(seeds=seeds)
-        print(ordering.render())
+        say(ordering.render())
         if not ordering.deterministic:
             status = 1
 

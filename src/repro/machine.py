@@ -666,19 +666,18 @@ class Machine:
 
         # RAPL: estimator power integrated over the interval (per package
         # and per core), with small model noise, deposited in bulk.
+        mean_temps = [float(np.mean(traj)) for traj in trajectories]
         rapl_pkg_w = []
         for pkg in self.topology.packages:
-            mean_temp = float(np.mean(trajectories[pkg.index]))
             traffic = self.power_model.package_dram_traffic_gbs(pkg)
             p = self.rapl_estimator.package_power_w(
-                pkg, mean_temp, dram_traffic_gbs=traffic
+                pkg, mean_temps[pkg.index], dram_traffic_gbs=traffic
             )
             p += self._rapl_noise.normal(0.0, 0.05)
             rapl_pkg_w.append(max(0.0, p))
         rapl_core_w = []
         for core in self.topology.cores():
-            mean_temp = float(np.mean(trajectories[core.package.index]))
-            p = self.rapl_estimator.core_power_w(core, mean_temp)
+            p = self.rapl_estimator.core_power_w(core, mean_temps[core.package.index])
             p += self._rapl_noise.normal(0.0, 0.004)
             rapl_core_w.append(max(0.0, p))
         self.rapl_msrs.advance_bulk(

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from repro.core import ExperimentConfig, FrequencyTransitionExperiment, freq_transition
-from repro.core.analysis.stats import within_interval
 from repro.core.experiment import machine_hook
 from repro.units import ghz, us
+from tests.property.test_prop_stats import numpy_within_interval
 
 
 @pytest.fixture(scope="module")
@@ -71,7 +71,8 @@ class TestSec5BAnomalies:
 
 
 class _QuantumStepping(FrequencyTransitionExperiment):
-    """The reference polling loop: one ``run_for(quantum)`` per quantum."""
+    """The reference polling loop: one ``run_for(quantum)`` per quantum,
+    probes built by allocation and judged with numpy's own mean and std."""
 
     timeouts = 0
 
@@ -88,7 +89,7 @@ class _QuantumStepping(FrequencyTransitionExperiment):
             quantum = self._poll_quantum_ns(core)
         latency_ns = sim.now_ns - t0
         probes = target_hz * (1.0 + rng.normal(0.0, 1e-4, size=100))
-        valid = within_interval(target_hz, probes)
+        valid = numpy_within_interval(target_hz, probes)
         sim.run_for(100 * self._poll_quantum_ns(core))
         return latency_ns, valid
 

@@ -1,14 +1,117 @@
 """Properties of the analysis statistics."""
 
+import math
+
 import numpy as np
 import hypothesis.strategies as st
 from hypothesis import given, settings
 from hypothesis.extra.numpy import arrays
 
 from repro.core.analysis.histogram import Histogram
-from repro.core.analysis.stats import confidence_interval, ecdf, overlap_fraction
+from repro.core.analysis.stats import (
+    _erfinv,
+    confidence_interval,
+    ecdf,
+    mean_std,
+    overlap_fraction,
+    within_interval,
+)
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+
+
+def numpy_mean_std(samples) -> tuple[float, float]:
+    """The reference: numpy's own ``mean`` and ``std(ddof=1)`` methods."""
+    a = np.asarray(samples, dtype=float)
+    return float(a.mean()), float(a.std(ddof=1))
+
+
+def numpy_interval(samples, level: float = 0.95) -> tuple[float, float]:
+    """The CI bounds from numpy's methods and the erfinv quantile."""
+    mean, std = numpy_mean_std(samples)
+    half = math.sqrt(2.0) * _erfinv(level) * std / math.sqrt(np.size(samples))
+    return mean - half, mean + half
+
+
+def numpy_within_interval(value: float, samples, level: float = 0.95) -> bool:
+    """The §V-B predicate on :func:`numpy_interval`."""
+    lo, hi = numpy_interval(samples, level)
+    return lo <= value <= hi
+
+
+@st.composite
+def sample_sets(draw):
+    """2-1,000 float64 values, as an array of some layout or a list.
+
+    Magnitudes run from 1e-6 to 1e12; ``probes`` is fig3's validation
+    shape ``t * (1 + N(0, 1e-4))``, whose near-equal values make the
+    summation order visible in the last bits.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.floats(min_value=1e-6, max_value=1e12))
+    kind = draw(st.sampled_from(["probes", "spread", "offset"]))
+    layout = draw(st.sampled_from(["1-d", "2-d", "transposed", "strided", "list"]))
+
+    def values(size):
+        if kind == "probes":
+            return scale * (1.0 + rng.normal(0.0, 1e-4, size=size))
+        if kind == "spread":
+            return rng.uniform(-scale, scale, size=size)
+        return scale + rng.normal(0.0, scale * 1e-3, size=size)
+
+    if layout in ("2-d", "transposed"):
+        rows = draw(st.integers(2, 40))
+        grid = values((rows, draw(st.integers(1, 1000 // rows))))
+        return grid if layout == "2-d" else grid.T
+    if layout == "strided":
+        step = draw(st.integers(2, 4))
+        return values(step * draw(st.integers(2, 1000)))[::step]
+    sample = values(draw(st.integers(2, 1000)))
+    return sample if layout == "1-d" else sample.tolist()
+
+
+any_samples = st.one_of(
+    sample_sets(),
+    arrays(
+        np.float64,
+        st.integers(2, 50),
+        elements=st.floats(min_value=-1e12, max_value=1e12, allow_nan=False),
+    ),
+)
+
+
+@given(samples=any_samples)
+@settings(max_examples=500, deadline=None)
+def test_mean_std_equals_numpy_methods_bit_for_bit(samples):
+    got = mean_std(samples)
+    want = numpy_mean_std(samples)
+    assert [v.hex() for v in got] == [v.hex() for v in want]
+
+
+@given(
+    samples=any_samples,
+    level=st.one_of(st.just(0.95), st.floats(min_value=0.01, max_value=0.999)),
+    where=st.sampled_from(
+        ["mean", "lo", "hi", "below lo", "above lo", "below hi", "above hi", "random"]
+    ),
+    u=st.floats(min_value=-1.0, max_value=2.0),
+)
+@settings(max_examples=500, deadline=None)
+def test_within_interval_equals_numpy_reference(samples, level, where, u):
+    lo, hi = numpy_interval(samples, level)
+    value = {
+        "mean": numpy_mean_std(samples)[0],
+        "lo": lo,
+        "hi": hi,
+        "below lo": np.nextafter(lo, -np.inf),
+        "above lo": np.nextafter(lo, np.inf),
+        "below hi": np.nextafter(hi, -np.inf),
+        "above hi": np.nextafter(hi, np.inf),
+        "random": lo + u * (hi - lo),
+    }[where]
+    assert within_interval(value, samples, level) == numpy_within_interval(
+        value, samples, level
+    )
 
 
 @given(samples=arrays(np.float64, st.integers(2, 200), elements=finite_floats))

@@ -25,6 +25,10 @@ class TestStats:
     def test_single_sample(self):
         assert mean_std(np.array([5.0])) == (5.0, 0.0)
 
+    @pytest.mark.parametrize("sample", [5.0, [[5.0]]], ids=["scalar", "2-d"])
+    def test_single_sample_of_any_shape(self, sample):
+        assert mean_std(sample) == (5.0, 0.0)
+
     def test_empty_raises(self):
         with pytest.raises(MeasurementError):
             mean_std(np.array([]))

@@ -157,3 +157,61 @@ class TestCli:
             capture_output=True, text=True, env=env, check=True, timeout=60,
         )
         assert proc.stdout.strip() == "[]"
+
+
+def _run_module(args, cwd, *, stdout_closed):
+    """``python -m <args>``, its stdout read in full or a pipe whose read
+    end is already closed (the reader of ``| head`` has gone)."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    cmd = [sys.executable, "-m", *args]
+    kwargs = dict(
+        cwd=cwd, env={**os.environ, "PYTHONPATH": src}, text=True, timeout=120
+    )
+    if not stdout_closed:
+        return subprocess.run(cmd, capture_output=True, **kwargs)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        return subprocess.run(cmd, stdout=write_end, stderr=subprocess.PIPE, **kwargs)
+    finally:
+        os.close(write_end)
+
+
+class TestClosedStdout:
+    """A reader that has gone changes neither the files nor the exit status."""
+
+    def test_experiment_writes_every_file(self, tmp_path):
+        runs = {}
+        for name, closed in (("read", False), ("closed", True)):
+            out = tmp_path / name
+            out.mkdir()
+            argv = [
+                "repro.cli", "sec7", "--seed", "2021", "--no-cache",
+                "--json", "F.json", "--trace", "T.json", "--metrics", "M.prom",
+            ]
+            runs[name] = _run_module(argv, out, stdout_closed=closed)
+            assert "Traceback" not in runs[name].stderr
+            for produced in ("F.json", "T.json", "M.prom", "M.prom.json"):
+                assert (out / produced).exists(), (name, produced)
+        assert runs["closed"].returncode == runs["read"].returncode == 0
+        read_doc = (tmp_path / "read" / "F.json").read_bytes()
+        assert (tmp_path / "closed" / "F.json").read_bytes() == read_doc
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["repro.cli", "selfcheck"],
+            ["repro.cli", "lint", "--list-rules"],
+            ["repro.cli", "lint", "{units}", "--format", "sarif"],
+            ["repro.lint", "--list-rules"],
+            ["repro.lint", "{units}", "--format", "sarif"],
+        ],
+        ids=["selfcheck", "zen2-lint-rules", "zen2-lint-sarif", "lint-rules", "lint-sarif"],
+    )
+    def test_exit_status_is_unchanged(self, argv, tmp_path):
+        units = str(Path(repro.__file__).resolve().parent / "units.py")
+        argv = [arg.format(units=units) for arg in argv]
+        read = _run_module(argv, tmp_path, stdout_closed=False)
+        closed = _run_module(argv, tmp_path, stdout_closed=True)
+        assert "Traceback" not in closed.stderr
+        assert closed.returncode == read.returncode == 0
