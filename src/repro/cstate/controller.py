@@ -66,7 +66,7 @@ class CStateController:
         self.refresh()
 
     def is_disabled(self, cpu_id: int, name: str) -> bool:
-        return name in self._disabled.get(cpu_id, set())
+        return name in self._disabled.get(cpu_id, ())
 
     def deepest_enabled(self, cpu_id: int) -> str:
         """Deepest state the OS may request on this CPU."""

@@ -108,6 +108,6 @@ class PackageSleepResolver:
 
     def apply_to_io_dies(self) -> None:
         """Propagate the low-power flag onto the I/O-die objects."""
-        deep = self.report().in_deep_sleep
+        deep = self.cstates.system_in_deep_sleep()
         for pkg in self.topo.packages:
             pkg.io_die.low_power = deep

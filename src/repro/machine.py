@@ -418,7 +418,7 @@ class Machine:
                     self.resolver.core_request_hz(core), boost_decision
                 )
                 for core in pkg.cores()
-                if core.has_active_thread
+                if core.active_thread_count
             ]
             cap = None
             if active_requests:
@@ -726,7 +726,7 @@ class Machine:
                 continue
             if thread.is_active:
                 mean_hz = self.observable_mean_hz(thread.core)
-                smt = sum(1 for t in thread.core.threads if t.is_active)
+                smt = thread.core.active_thread_count
                 thread.aperf_cycles += mean_hz * duration_s
                 thread.mperf_cycles += self.cal.nominal_freq_hz * duration_s
                 thread.instructions += (

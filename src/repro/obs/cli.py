@@ -21,6 +21,7 @@ import glob
 import os
 import sys
 
+from repro.console import say
 from repro.core.serialize import dump_json, load_json
 from repro.obs.export import (
     merge_trace_documents,
@@ -49,11 +50,11 @@ def _cmd_summarize(args: argparse.Namespace) -> int:
     doc = _load(args.file)
     schema = sniff_schema(doc)
     if schema == TRACE_SCHEMA_ID:
-        print(summarize_trace(doc))
+        say(summarize_trace(doc))
     elif schema == METRICS_SCHEMA_ID:
-        print(summarize_metrics(doc))
+        say(summarize_metrics(doc))
     elif schema == FLIGHTREC_SCHEMA_ID:
-        print(summarize_flightrec(doc))
+        say(summarize_flightrec(doc))
     elif schema == LOG_SCHEMA_ID:
         records = doc.get("records") or []
         levels: dict[str, int] = {}
@@ -62,8 +63,8 @@ def _cmd_summarize(args: argparse.Namespace) -> int:
                 level = str(rec.get("level", "?"))
                 levels[level] = levels.get(level, 0) + 1
         mix = ", ".join(f"{k}={n}" for k, n in sorted(levels.items()))
-        print(f"log: {len(records)} record(s) from pid {doc.get('pid')}"
-              + (f" ({mix})" if mix else ""))
+        say(f"log: {len(records)} record(s) from pid {doc.get('pid')}"
+            + (f" ({mix})" if mix else ""))
     else:
         print(f"error: {args.file}: unknown schema {schema!r}", file=sys.stderr)
         return 1
@@ -76,11 +77,11 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         problems = validate_document(_load(path))
         if problems:
             status = 1
-            print(f"{path}: INVALID")
+            say(f"{path}: INVALID")
             for problem in problems:
-                print(f"  {problem}")
+                say(f"  {problem}")
         else:
-            print(f"{path}: ok ({sniff_schema(_load(path))})")
+            say(f"{path}: ok ({sniff_schema(_load(path))})")
     return status
 
 
@@ -97,7 +98,7 @@ def _cmd_merge(args: argparse.Namespace) -> int:
         docs.append(doc)
     merged = merge_trace_documents(docs)
     dump_json(merged, args.out)
-    print(
+    say(
         f"merged {len(docs)} traces "
         f"({merged['otherData']['records']} records) -> {args.out}"
     )
@@ -114,22 +115,22 @@ def _cmd_report(args: argparse.Namespace) -> int:
         else:
             paths.append(target)
     if not paths:
-        print("no flight-recorder bundles found")
+        say("no flight-recorder bundles found")
         return 0
     status = 0
     for i, path in enumerate(paths):
         if i:
-            print()
+            say()
         doc = _load(path)
         problems = validate_document(doc)
         if problems or sniff_schema(doc) != FLIGHTREC_SCHEMA_ID:
             status = 1
-            print(f"{path}: INVALID")
+            say(f"{path}: INVALID")
             for problem in problems:
-                print(f"  {problem}")
+                say(f"  {problem}")
             continue
-        print(f"{path}:")
-        print(summarize_flightrec(doc))
+        say(f"{path}:")
+        say(summarize_flightrec(doc))
     return status
 
 

@@ -32,6 +32,9 @@ class ResidencyEntry:
     target_residency_ns: int
 
 
+#: Depth of each idle state (C0 shallowest).
+_DEPTH = {"C0": 0, "C1": 1, "C2": 2}
+
 #: Governor table (deepest first).
 RESIDENCY_TABLE: tuple[ResidencyEntry, ...] = (
     ResidencyEntry("C2", us(100)),
@@ -57,10 +60,9 @@ class MenuGovernor:
         still wins); never deeper than the prediction allows.
         """
         prediction = self.predicted_sleep_ns(cpu_id)
-        order = {"C0": 0, "C1": 1, "C2": 2}
-        max_depth = order[deepest_enabled]
+        max_depth = _DEPTH[deepest_enabled]
         for entry in RESIDENCY_TABLE:
-            if order[entry.state] > max_depth:
+            if _DEPTH[entry.state] > max_depth:
                 continue
             if prediction >= entry.target_residency_ns:
                 return entry.state

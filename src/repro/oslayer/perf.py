@@ -61,7 +61,7 @@ class PerfStat:
             core = thread.core
             mean_hz = self.machine.observable_mean_hz(core)
             wl = thread.workload
-            smt = sum(1 for t in core.threads if t.is_active)
+            smt = core.active_thread_count
             inst_rate = wl.ipc(smt) / smt * mean_hz
             return mean_hz, inst_rate
         # idle: housekeeping only — the wake-up sources pinned to the CPU

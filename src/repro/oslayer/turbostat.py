@@ -18,7 +18,7 @@ def core_rows(machine) -> list[tuple]:
     """One row per core: clock, busy %, idle states, workload."""
     rows = []
     for core in machine.topology.cores():
-        busy = sum(1 for t in core.threads if t.is_active)
+        busy = core.active_thread_count
         states = "/".join(t.effective_cstate for t in core.threads)
         wl = next(
             (t.workload.name for t in core.threads if t.workload is not None),

@@ -120,21 +120,12 @@ class PowerModel:
     # helpers
     # ------------------------------------------------------------------
 
-    def _core_smt_threads(self, core: Core) -> int:
-        return sum(1 for t in core.threads if t.is_active)
-
-    def _active_workload(self, core: Core):
-        for t in core.threads:
-            if t.is_active:
-                return t.workload
-        return None
-
     def core_dram_demand_gbs(self, core: Core) -> float:
         """DRAM traffic demand of one core's threads."""
-        wl = self._active_workload(core)
+        wl = core.active_workload
         if wl is None or wl.dram_gbs_1t == 0.0:
             return 0.0
-        smt = self._core_smt_threads(core)
+        smt = core.active_thread_count
         # A second SMT thread adds ~30 % more outstanding traffic.
         return wl.dram_gbs_1t * (1.0 if smt == 1 else 1.3)
 
@@ -227,7 +218,7 @@ class PowerModel:
         toggle_w = 0.0
         any_active = False
         for core in topo.cores():
-            smt = self._core_smt_threads(core)
+            smt = core.active_thread_count
             if smt == 0:
                 continue
             any_active = True
@@ -237,7 +228,7 @@ class PowerModel:
             active_w += cal.pause_core_nominal_w * scale
             if smt == 2:
                 active_w += cal.pause_thread_nominal_w * scale
-            wl = self._active_workload(core)
+            wl = core.active_workload
             if wl is not None:
                 dyn_w += wl.power_coeff(smt) * cal.dyn_w_per_v2ghz * scale
                 if wl.toggle_width_bits:
@@ -294,7 +285,7 @@ class PowerModel:
         cal = self.cal
         core_w = 0.0
         for core in pkg.cores():
-            smt = self._core_smt_threads(core)
+            smt = core.active_thread_count
             if core.deepest_common_cstate_is == "C1":
                 core_w += cal.c1_per_core_w
             if smt == 0:
@@ -303,7 +294,7 @@ class PowerModel:
             core_w += cal.pause_core_nominal_w * scale
             if smt == 2:
                 core_w += cal.pause_thread_nominal_w * scale
-            wl = self._active_workload(core)
+            wl = core.active_workload
             if wl is not None:
                 core_w += wl.power_coeff(smt) * cal.dyn_w_per_v2ghz * scale
                 if wl.toggle_width_bits:

@@ -22,15 +22,14 @@ targets; the transition engine / the machine's settle step apply them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.power.calibration import CALIBRATION, Calibration
 from repro.topology.components import CCX, Core
 from repro.units import snap_to_pstate_grid
 
 
-@dataclass(frozen=True)
-class ResolvedCoreFrequency:
+class ResolvedCoreFrequency(NamedTuple):
     """Resolution result for one core.
 
     ``target_hz`` is the P-state the SMU will program (grid-snapped);
@@ -65,16 +64,17 @@ class FrequencyResolver:
         processors") only threads that are online and not in a deep idle
         state vote; if none qualify, the core parks at the minimum vote.
         """
-        votes = []
-        for thread in core.threads:
-            if self.offline_threads_vote:
-                votes.append(thread.requested_freq_hz)
-            else:
-                if thread.online and thread.is_active:
-                    votes.append(thread.requested_freq_hz)
-        if not votes:
-            votes = [min(t.requested_freq_hz for t in core.threads)]
-        return max(votes)
+        t0, t1 = core.threads
+        f0 = t0.requested_freq_hz
+        f1 = t1.requested_freq_hz
+        if not self.offline_threads_vote:
+            active0 = t0.is_active
+            if active0 != t1.is_active:
+                return f0 if active0 else f1
+            if not active0:
+                return f1 if f1 < f0 else f0
+        # max() keeps the first of equal votes; so does this.
+        return f1 if f1 > f0 else f0
 
     # --- CCX-level resolution ----------------------------------------------
 
@@ -93,38 +93,49 @@ class FrequencyResolver:
         ``boost_ceiling_hz`` lifts active cores whose request is at (or
         above) ``nominal_hz`` — Core Performance Boost; the EDC cap is
         applied *after* the lift, so a binding EDC limit makes boost a
-        no-op (the §V-E observation).
+        no-op (the §V-E observation).  A core's neighbours are the other
+        cores of the CCX whose clock runs, at their lifted requests.
         """
-        requests = {core.global_index: self.core_request_hz(core) for core in ccx.cores}
-        if boost_ceiling_hz is not None and nominal_hz is not None:
-            for core in ccx.cores:
-                req = requests[core.global_index]
-                if core.has_active_thread and req >= nominal_hz - 1e3:
-                    requests[core.global_index] = max(req, boost_ceiling_hz)
-        resolved = []
+        boost = boost_ceiling_hz is not None and nominal_hz is not None
+        # One pass over the cores: each core's vote (boost-lifted),
+        # activity, and its request as a neighbour (None when gated).
+        requests = []
+        active = []
+        neighbours = []
         for core in ccx.cores:
-            req = requests[core.global_index]
+            req = self.core_request_hz(core)
+            is_active = core.active_thread_count != 0
+            if boost and is_active and req >= nominal_hz - 1e3:
+                req = boost_ceiling_hz if boost_ceiling_hz > req else req
+            requests.append(req)
+            active.append(is_active)
+            neighbours.append(req if self._core_clock_runs(core) else None)
+        penalties: dict[tuple[float, float], float] = {}
+        resolved = []
+        for i, core in enumerate(ccx.cores):
+            req = requests[i]
             limited = False
-            if edc_cap_hz is not None and core.has_active_thread and req > edc_cap_hz:
+            if edc_cap_hz is not None and active[i] and req > edc_cap_hz:
                 req = edc_cap_hz
                 limited = True
             target = snap_to_pstate_grid(req)
-            others = [
-                requests[c.global_index]
-                for c in ccx.cores
-                if c is not core and self._core_clock_runs(c)
-            ]
-            max_other = max(others, default=0.0)
-            if edc_cap_hz is not None:
-                max_other = min(max_other, edc_cap_hz)
-            mean = target - self._coupling_penalty_hz(target, max_other)
+            # max(others, default=0.0): the first of the largest.
+            max_other = None
+            for j, other in enumerate(neighbours):
+                if j != i and other is not None and (
+                    max_other is None or other > max_other
+                ):
+                    max_other = other
+            if max_other is None:
+                max_other = 0.0
+            if edc_cap_hz is not None and edc_cap_hz < max_other:
+                max_other = edc_cap_hz
+            key = (target, max_other)
+            penalty = penalties.get(key)
+            if penalty is None:
+                penalty = penalties[key] = self._coupling_penalty_hz(target, max_other)
             resolved.append(
-                ResolvedCoreFrequency(
-                    core_index=core.global_index,
-                    target_hz=target,
-                    observable_mean_hz=mean,
-                    limited_by_edc=limited,
-                )
+                ResolvedCoreFrequency(core.global_index, target, target - penalty, limited)
             )
         return resolved
 
@@ -135,21 +146,27 @@ class FrequencyResolver:
         architecture floor (the PPR names 400 MHz as the minimum
         supported L3 frequency, §III-C).
         """
-        running = [
-            self.core_request_hz(core) for core in ccx.cores if self._core_clock_runs(core)
-        ]
-        if not running:
+        highest = None
+        for core in ccx.cores:
+            if self._core_clock_runs(core):
+                req = self.core_request_hz(core)
+                if highest is None or req > highest:
+                    highest = req
+        if highest is None:
             return 400e6
-        return snap_to_pstate_grid(max(running))
+        return snap_to_pstate_grid(highest)
 
     # --- helpers -------------------------------------------------------------
 
     @staticmethod
     def _core_clock_runs(core: Core) -> bool:
         """True when the core clock is not gated (some thread in C0)."""
-        return any(
-            t.online and t.effective_cstate == "C0" for t in core.threads
-        ) or core.has_active_thread
+        if core.active_thread_count:
+            return True
+        t0, t1 = core.threads
+        return (t0.effective_cstate == "C0" and t0.online) or (
+            t1.effective_cstate == "C0" and t1.online
+        )
 
     def _coupling_penalty_hz(self, set_hz: float, max_other_hz: float) -> float:
         """Table I penalty plus the small diagonal shortfalls."""

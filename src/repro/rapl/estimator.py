@@ -62,11 +62,11 @@ class RaplEstimator:
     def core_power_w(self, core: Core, temp_c: float | None = None) -> float:
         """Modelled power of one core (the per-core RAPL core domain)."""
         cal = self.cal
-        smt = sum(1 for t in core.threads if t.is_active)
+        smt = core.active_thread_count
         if smt == 0:
             power = self.GATED_CORE_W
         else:
-            wl = next(t.workload for t in core.threads if t.is_active)
+            wl = core.active_workload
             v = cal.voltage_at(core.applied_freq_hz)
             v2f = v * v * (core.applied_freq_hz / ghz(1))
             ipc = wl.ipc(smt)
@@ -103,8 +103,9 @@ class RaplEstimator:
         l3_active = sum(
             self.UNCORE_L3_W
             for core in pkg.cores()
+            if core.active_thread_count
             for t in core.threads
-            if t.is_active and t.workload is not None and t.workload.l3_util > 0.3
+            if t.is_active and t.workload.l3_util > 0.3
         )
         uncore = self.UNCORE_BASE_W + self.UNCORE_PER_GBS_W * dram_traffic_gbs + l3_active
         power = cores + uncore

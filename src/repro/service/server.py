@@ -49,6 +49,7 @@ from typing import Any
 from urllib.parse import parse_qs, urlsplit
 
 from repro.cache import ResultCache
+from repro.console import say
 from repro.core.suite import run_suite, suite_to_dict, suite_trace_document
 from repro.errors import ReproError, ServiceError
 from repro.obs import Obs
@@ -160,9 +161,9 @@ class ExperimentService:
                 loop.add_signal_handler(sig, self.request_drain)
             except NotImplementedError:  # pragma: no cover - non-Unix loops
                 pass
-        print(f"repro service listening on http://{host}:{bound}", flush=True)
+        say(f"repro service listening on http://{host}:{bound}")
         await self.wait_drained()
-        print("repro service drained, exiting", flush=True)
+        say("repro service drained, exiting")
 
     # --- HTTP plumbing -----------------------------------------------------
 

@@ -66,10 +66,9 @@ class EdcManager:
         """Demand if every active core of ``pkg`` ran at ``freq_hz``."""
         total = 0.0
         for core in pkg.cores():
-            smt = sum(1 for t in core.threads if t.is_active)
-            wl = next((t.workload for t in core.threads if t.is_active), None)
+            smt = core.active_thread_count
             f = freq_hz if smt else core.applied_freq_hz
-            total += self.core_current_a(wl, smt, f)
+            total += self.core_current_a(core.active_workload, smt, f)
         return total
 
     # --- control ------------------------------------------------------------
@@ -88,8 +87,7 @@ class EdcManager:
         floor = ghz(0.4)
         while f > floor:
             f -= PSTATE_FREQ_STEP_HZ
-            if self.package_demand_a(pkg, f) <= self.limit_a:
-                return EdcAssessment(
-                    self.package_demand_a(pkg, f), self.limit_a, f, True
-                )
+            demand = self.package_demand_a(pkg, f)
+            if demand <= self.limit_a:
+                return EdcAssessment(demand, self.limit_a, f, True)
         return EdcAssessment(self.package_demand_a(pkg, floor), self.limit_a, floor, True)

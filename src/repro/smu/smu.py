@@ -80,9 +80,7 @@ class MasterSmu:
         for smu, ccd in zip(self.die_smus, self.package.ccds):
             smu.current_a = sum(
                 self.edc.core_current_a(
-                    next((t.workload for t in c.threads if t.is_active), None),
-                    sum(1 for t in c.threads if t.is_active),
-                    c.applied_freq_hz,
+                    c.active_workload, c.active_thread_count, c.applied_freq_hz
                 )
                 for c in ccd.cores()
             )

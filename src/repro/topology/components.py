@@ -12,6 +12,10 @@ State conventions
   thread idles or is offline; the resolution itself happens in
   :class:`repro.pstate.resolver.FrequencyResolver`.
 * ``HardwareThread.online`` models the sysfs ``cpuN/online`` switch.
+* A thread is *active* when it is online and runs a workload.  Every
+  write to ``workload`` or ``online`` refreshes the core's
+  ``active_thread_count`` and ``active_workload``, so the settle, power
+  and RAPL terms read those two fields instead of walking the threads.
 * C-state bookkeeping (requested vs. effective idle state) lives on the
   thread; core/package aggregation lives in
   :class:`repro.cstate.controller.CStateController`.
@@ -28,6 +32,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.workloads.base import Workload
 
 
+#: Depth of each idle state, for :attr:`Core.deepest_common_cstate_is`.
+_CSTATE_ORDER = {"C0": 0, "C1": 1, "C2": 2}
+
+
 class HardwareThread:
     """One SMT hardware thread (a Linux "logical CPU")."""
 
@@ -38,8 +46,10 @@ class HardwareThread:
         self.cpu_id: int = -1
         #: cpufreq target frequency for this logical CPU.
         self.requested_freq_hz: float = ghz(1.5)
-        #: sysfs cpuN/online
-        self.online: bool = True
+        # sysfs cpuN/online and the bound workload: properties, whose
+        # setters keep the core's activity fields current.
+        self._online = True
+        self._workload: Optional["Workload"] = None
         #: Name of the C-state the OS most recently requested for this
         #: thread ("C0" while something runs).  Maintained by the
         #: C-state controller.
@@ -47,8 +57,6 @@ class HardwareThread:
         #: The idle state actually in effect (can differ from the request,
         #: e.g. the offline-thread anomaly parks threads in C1).
         self.effective_cstate: str = "C2"
-        #: Currently bound workload, if any.
-        self.workload: Optional["Workload"] = None
         #: Free-running counters (advanced by the perf model; halted in C1+).
         self.aperf_cycles: float = 0.0
         self.mperf_cycles: float = 0.0
@@ -63,9 +71,29 @@ class HardwareThread:
         return self.core.threads[1 - self.smt_index]
 
     @property
+    def online(self) -> bool:
+        """sysfs cpuN/online."""
+        return self._online
+
+    @online.setter
+    def online(self, value: bool) -> None:
+        self._online = value
+        self.core._refresh_activity()
+
+    @property
+    def workload(self) -> Optional["Workload"]:
+        """Currently bound workload, if any."""
+        return self._workload
+
+    @workload.setter
+    def workload(self, value: Optional["Workload"]) -> None:
+        self._workload = value
+        self.core._refresh_activity()
+
+    @property
     def is_active(self) -> bool:
         """True when a workload occupies the thread (C0)."""
-        return self.online and self.workload is not None
+        return self._online and self._workload is not None
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<HardwareThread cpu{self.cpu_id} core={self.core.global_index}>"
@@ -80,6 +108,10 @@ class Core:
         #: Global core index across the whole system (assigned by builder).
         self.global_index: int = -1
         self.threads = (HardwareThread(self, 0), HardwareThread(self, 1))
+        #: Active (online, workload-bound) threads, and the workload of the
+        #: first of them in thread order; kept by the threads' setters.
+        self.active_thread_count = 0
+        self.active_workload: Optional["Workload"] = None
         #: Frequency currently applied by the SMU to this core's domain.
         self.applied_freq_hz: float = ghz(1.5)
         #: Target the SMU is currently transitioning towards (None if settled).
@@ -91,10 +123,19 @@ class Core:
 
     @property
     def has_active_thread(self) -> bool:
-        t0, t1 = self.threads
-        return (t0.online and t0.workload is not None) or (
-            t1.online and t1.workload is not None
-        )
+        return self.active_thread_count != 0
+
+    def _refresh_activity(self) -> None:
+        """Recount the active threads after a ``workload``/``online`` write."""
+        count = 0
+        workload = None
+        for thread in self.threads:
+            if thread._online and thread._workload is not None:
+                if not count:
+                    workload = thread._workload
+                count += 1
+        self.active_thread_count = count
+        self.active_workload = workload
 
     @property
     def deepest_common_cstate_is(self) -> str:
@@ -103,9 +144,9 @@ class Core:
         The *core* can only clock/power gate as deep as its shallowest
         thread; "C0" < "C1" < "C2" in depth (string compare works for
         these names, but we keep it explicit)."""
-        order = {"C0": 0, "C1": 1, "C2": 2}
-        shallowest = min(self.threads, key=lambda t: order[t.effective_cstate])
-        return shallowest.effective_cstate
+        s0 = self.threads[0].effective_cstate
+        s1 = self.threads[1].effective_cstate
+        return s1 if _CSTATE_ORDER[s1] < _CSTATE_ORDER[s0] else s0
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Core {self.global_index} ccx={self.ccx.global_index}>"

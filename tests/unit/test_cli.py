@@ -2,8 +2,12 @@
 
 import json
 import os
+import signal
+import socket
 import subprocess
 import sys
+import time
+import urllib.request
 from pathlib import Path
 
 import pytest
@@ -177,6 +181,26 @@ def _run_module(args, cwd, *, stdout_closed):
         os.close(write_end)
 
 
+def _free_port():
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return sock.getsockname()[1]
+
+
+def _healthz(port, attempts):
+    """The ``/healthz`` status, polled every 0.1 s until the daemon
+    answers (None if it never does)."""
+    for _ in range(attempts):
+        try:
+            with urllib.request.urlopen(
+                f"http://127.0.0.1:{port}/healthz", timeout=5
+            ) as resp:
+                return resp.status
+        except OSError:
+            time.sleep(0.1)
+    return None
+
+
 class TestClosedStdout:
     """A reader that has gone changes neither the files nor the exit status."""
 
@@ -215,3 +239,55 @@ class TestClosedStdout:
         closed = _run_module(argv, tmp_path, stdout_closed=True)
         assert "Traceback" not in closed.stderr
         assert closed.returncode == read.returncode == 0
+
+    @pytest.mark.parametrize(
+        "obs", [["repro.obs"], ["repro.cli", "obs"]], ids=["module", "zen2"]
+    )
+    def test_obs_summarize_exits_zero(self, obs, tmp_path):
+        made = _run_module(
+            ["repro.cli", "sec7", "--seed", "2021", "--no-cache", "--trace", "T.json"],
+            tmp_path,
+            stdout_closed=False,
+        )
+        assert made.returncode == 0, made.stderr
+        for argv in ([*obs, "summarize", "T.json"], [*obs, "validate", "T.json"]):
+            closed = _run_module(argv, tmp_path, stdout_closed=True)
+            assert "Traceback" not in closed.stderr, argv
+            assert closed.returncode == 0, argv
+
+    @pytest.mark.parametrize(
+        "obs", [["repro.obs"], ["repro.cli", "obs"]], ids=["module", "zen2"]
+    )
+    def test_obs_validate_invalid_keeps_exit_one(self, obs, tmp_path):
+        (tmp_path / "bad.json").write_text("{}")
+        argv = [*obs, "validate", "bad.json"]
+        read = _run_module(argv, tmp_path, stdout_closed=False)
+        closed = _run_module(argv, tmp_path, stdout_closed=True)
+        assert "INVALID" in read.stdout
+        assert "Traceback" not in closed.stderr
+        assert closed.returncode == read.returncode == 1
+
+    def test_serve_answers_and_drains(self, tmp_path):
+        port = _free_port()
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src, "REPRO_CACHE_DIR": str(tmp_path)}
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "repro.service", "serve", "--port", str(port)],
+                cwd=tmp_path, env=env, stdout=write_end, stderr=subprocess.PIPE,
+                text=True,
+            )
+        finally:
+            os.close(write_end)
+        try:
+            assert _healthz(port, attempts=600) == 200
+            proc.send_signal(signal.SIGTERM)
+            _, err = proc.communicate(timeout=60)
+            assert "Traceback" not in err
+            assert proc.returncode == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
