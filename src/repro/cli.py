@@ -107,6 +107,7 @@ def main(argv: list[str] | None = None) -> int:
         "--only",
         metavar="NAME",
         action="append",
+        choices=list(SUITE),
         help="with 'all'/'suite': run only this entry key (repeatable)",
     )
     parser.add_argument(
@@ -128,7 +129,18 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigurationError as err:
         parser.error(f"argument --scale: {err}")
 
+    if args.jobs < 1:
+        parser.error(f"argument --jobs: must be at least 1, got {args.jobs}")
+    if args.only and len(set(args.only)) != len(args.only):
+        parser.error("argument --only: an entry is named more than once")
+
     if args.experiment == "selfcheck":
+        unused = [
+            f"--{name}" for name in ("json", "trace", "metrics", "only")
+            if getattr(args, name)
+        ]
+        if unused:
+            parser.error(f"'selfcheck' does not take {', '.join(unused)}")
         from repro.core.selfcheck import selfcheck
 
         machine = cfg.build_machine()

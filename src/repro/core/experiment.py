@@ -15,6 +15,8 @@ from typing import Callable, Iterator
 
 from repro.errors import ConfigurationError
 from repro.machine import Machine
+from repro.topology.components import PACKAGE_COUNTS
+from repro.topology.skus import sku_by_name
 
 #: Active machine-construction hooks (see :func:`machine_hook`).
 _MACHINE_HOOKS: list[Callable[[Machine], None]] = []
@@ -52,6 +54,15 @@ class ExperimentConfig:
     n_packages: int = 2
 
     def __post_init__(self) -> None:
+        for name in ("seed", "n_packages"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+        if self.n_packages not in PACKAGE_COUNTS:
+            raise ConfigurationError(
+                f"n_packages must be one of {PACKAGE_COUNTS}, got {self.n_packages!r}"
+            )
+        sku_by_name(self.sku)
         for name in ("scale", "interval_s"):
             value = getattr(self, name)
             # NaN and infinity pass float() and json.loads alike; neither

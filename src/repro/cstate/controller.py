@@ -43,11 +43,6 @@ class CStateController:
         #: idle threads enter the governor's selection rather than
         #: blindly the deepest enabled state.
         self.governor = None
-        #: Optional zero-argument callback fired after every
-        #: :meth:`refresh` (the machine hooks this to invalidate its
-        #: ``state_version``-keyed power-model caches — effective C-state
-        #: changes are power-model inputs).
-        self.on_change = None
 
     # --- sysfs-backed configuration -----------------------------------------
 
@@ -81,8 +76,6 @@ class CStateController:
         """Recompute requested/effective states for every thread."""
         for thread in self.topo.threads():
             self._resolve_thread(thread)
-        if self.on_change is not None:
-            self.on_change()
 
     def _resolve_thread(self, thread: HardwareThread) -> None:
         if not thread.online:

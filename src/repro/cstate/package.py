@@ -105,9 +105,3 @@ class PackageSleepResolver:
             io_dies_low_power=deep,
             blockers=self.blockers(),
         )
-
-    def apply_to_io_dies(self) -> None:
-        """Propagate the low-power flag onto the I/O-die objects."""
-        deep = self.cstates.system_in_deep_sleep()
-        for pkg in self.topo.packages:
-            pkg.io_die.low_power = deep

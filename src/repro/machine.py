@@ -181,7 +181,6 @@ class Machine:
             self.pkg_power_factors = [1.0] * n_packages
 
         self.power_model = PowerModel(calibration)
-        self.power_model.bind(self)
         self.thermal = ThermalModel(calibration)
         self.thermal_state = ThermalState.ambient(n_packages, calibration)
         self.rapl_estimator = RaplEstimator(calibration)
@@ -204,9 +203,6 @@ class Machine:
         self.ac_meter = Lmg670(self.rng.child("lmg670"), calibration)
         self._rapl_noise = self.rng.child("rapl-model")
 
-        #: Monotone configuration epoch; bumped by :meth:`reconfigured`
-        #: and by :meth:`changed` inside a batch.
-        self.state_version = 0
         #: Open :meth:`batch` scopes, and whether one owes a settle.
         self._batch_depth = 0
         self._settle_pending = False
@@ -215,16 +211,6 @@ class Machine:
         self._rapl_tick_task = None
         self._observable_mean_hz: dict[int, float] = {}
         self._edc_caps: list[float | None] = [None] * n_packages
-        self._rapl_tick_cache: tuple | None = None
-
-        # Every mutation path of power-model inputs must bump
-        # state_version (the memoization key — see PowerModel.bind):
-        # reconfigured()/changed()/on_freq_request() do it directly; C-state
-        # re-resolutions and event-mode SMU transition completions land
-        # outside those paths, so they get explicit hooks.
-        self.cstates.on_change = self._bump_state_version
-        for smu in self.smus:
-            smu.transitions.on_applied = self._on_transition_applied
 
         # Observability (repro.obs): None unless an *enabled* bundle is
         # attached, so instrumented paths cost one identity check.
@@ -240,9 +226,10 @@ class Machine:
         """Instrument this machine with a :class:`repro.obs.Obs` bundle.
 
         Assigns the machine its own trace track, instruments the
-        simulator dispatch loop and the power-model memo, bridges
+        simulator dispatch loop, bridges
         :class:`~repro.oslayer.tracing.TraceBuffer` tracepoints onto the
-        exported timeline, and registers measure/preheat/RAPL metrics.
+        exported timeline, and registers measure, settle and preheat
+        metrics.
         ``None`` leaves the machine uninstrumented.
         """
         from repro.obs import COUNT_BUCKETS
@@ -254,7 +241,6 @@ class Machine:
         self._obs = obs
         self._obs_track = track
         self.sim.attach_obs(obs, track=track)
-        self.power_model.attach_obs(obs, machine=track)
 
         metrics = obs.metrics
         self._obs_measures = metrics.counter(
@@ -267,12 +253,6 @@ class Machine:
             "machine.settles",
             "Steady-state settles (reconfigured() passes)",
             "settles",
-            machine=track,
-        )
-        self._obs_state_version = metrics.gauge(
-            "machine.state_version",
-            "Configuration epoch (the state_version memo key)",
-            "bumps",
             machine=track,
         )
         self._obs_preheat_sweeps = metrics.histogram(
@@ -288,13 +268,6 @@ class Machine:
         )
         self._obs_preheat_unconv = metrics.counter(
             "machine.preheats", help_ph, "runs", machine=track, converged="false"
-        )
-        help_rapl = "1 ms RAPL ticks by estimator-cache outcome"
-        self._obs_rapl_hit = metrics.counter(
-            "machine.rapl_ticks", help_rapl, "ticks", machine=track, result="hit"
-        )
-        self._obs_rapl_compute = metrics.counter(
-            "machine.rapl_ticks", help_rapl, "ticks", machine=track, result="compute"
         )
 
         def _bridge(time_ns, name, cpu_id, payload, _tracer=tracer, _track=track):
@@ -350,28 +323,17 @@ class Machine:
             if cap is not None and core.has_active_thread:
                 target = min(target, cap)
             self.smus[pkg.index].transitions.request(core, target)
-            self.state_version += 1
         else:
             self.changed()
-
-    def _bump_state_version(self) -> None:
-        """Invalidate every ``state_version``-keyed cache."""
-        self.state_version += 1
-
-    def _on_transition_applied(self, core: Core, target_hz: float) -> None:
-        """SMU transition-engine hook: an event-mode frequency landed."""
-        self.state_version += 1
 
     def changed(self) -> None:
         """A settle input changed: settle now, or at the batch's exit.
 
         Outside :meth:`batch` this is :meth:`reconfigured`.  Inside, it
-        marks the settle pending and bumps ``state_version``, so the
-        memoized power-model terms are not served for the old inputs.
+        marks the settle pending.
         """
         if self._batch_depth:
             self._settle_pending = True
-            self.state_version += 1
         else:
             self.reconfigured()
 
@@ -404,10 +366,6 @@ class Machine:
         if self._obs is not None:
             self._obs_settles.inc()
         self._settle_pending = False
-        # Bumped on entry (the pre-change caches must not serve the
-        # settling logic below) and again on exit (the settling mutates
-        # frequencies and I/O-die sleep after this first bump).
-        self.state_version += 1
         self._observable_mean_hz.clear()
         for pkg, smu in zip(self.topology.packages, self.smus):
             boost_decision = self.boost.ceiling_hz(
@@ -447,8 +405,6 @@ class Machine:
                             res.observable_mean_hz
                         )
                     ccx.l3_freq_hz = self.resolver.l3_target_hz(ccx)
-        self.sleep.apply_to_io_dies()
-        self.state_version += 1
 
     def observable_mean_hz(self, core: Core) -> float:
         """Time-averaged clock a perf observer sees for ``core``."""
@@ -487,33 +443,6 @@ class Machine:
         # span; depositing again would double-count (and run time backwards).
         if self.sim.now_ns <= self.rapl_msrs.last_update_ns:
             return
-        # The estimator inputs are exactly (machine state, temperatures):
-        # between configuration changes and measure() intervals both are
-        # constant, so consecutive 1 ms ticks reuse the computed powers.
-        # The hit path compares against the cached state in place, with
-        # no per-tick key tuple.
-        cached = self._rapl_tick_cache
-        if (
-            cached is not None
-            and cached[0] == self.state_version
-            and cached[1] == self.thermal_state.temps_c
-        ):
-            pkg_powers, core_powers = cached[2], cached[3]
-            if self._obs is not None:
-                self._obs_rapl_hit.inc()
-        else:
-            if self._obs is not None:
-                self._obs_rapl_compute.inc()
-            pkg_powers, core_powers = self._rapl_tick_compute()
-        self.rapl_msrs.tick(pkg_powers, core_powers, self.sim.now_ns)
-
-    def _rapl_tick_compute(self):
-        """Recompute and cache the per-tick estimator outputs.
-
-        The temperature list is copied into the cache entry: the thermal
-        state mutates it in place, and an aliased reference would make
-        every future comparison a false hit.
-        """
         pkg_powers = [
             self.rapl_estimator.package_power_w(
                 pkg,
@@ -525,13 +454,7 @@ class Machine:
         core_powers = [
             self.rapl_estimator.core_power_w(core) for core in self.topology.cores()
         ]
-        self._rapl_tick_cache = (
-            self.state_version,
-            list(self.thermal_state.temps_c),
-            pkg_powers,
-            core_powers,
-        )
-        return pkg_powers, core_powers
+        self.rapl_msrs.tick(pkg_powers, core_powers, self.sim.now_ns)
 
     # ------------------------------------------------------------------
     # thermal
@@ -635,7 +558,6 @@ class Machine:
         finally:
             tracer.end(sim_ns=self.sim.now_ns)
             self._obs_measures.inc()
-            self._obs_state_version.set(self.state_version)
 
     def _measure_impl(self, duration_s: float) -> MeasurementRecord:
         temps0 = list(self.thermal_state.temps_c)

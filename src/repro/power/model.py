@@ -27,8 +27,7 @@ leakage               temperature-dependent, per package
 
 from __future__ import annotations
 
-import weakref
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 from repro.power.calibration import CALIBRATION, Calibration
 from repro.topology.components import Core, Package
@@ -59,62 +58,13 @@ class PowerModel:
 
     The model reads the same state the mechanisms maintain: effective
     C-states from the controller, applied frequencies from the cores,
-    workload bindings from the threads, fclk from the I/O dies.
-
-    When bound to its :class:`~repro.machine.Machine` (see :meth:`bind`),
-    the temperature-independent part of :meth:`breakdown` and the
-    per-package :meth:`package_dram_traffic_gbs` are memoized keyed on
-    ``Machine.state_version``: every state mutation path (``reconfigured``,
-    cpufreq requests, C-state refreshes, event-mode SMU transition
-    completions) bumps the version, so a cache hit is exactly a repeat
-    evaluation of unchanged state — ``measure()`` and the 1 ms RAPL tick
-    stop recomputing the whole topology walk.  Unbound models (or calls
-    with a foreign machine) always compute fresh.
+    workload bindings from the threads, fclk from the I/O dies.  It keeps
+    no state of its own, so every figure is that of the state at the
+    call, however the state got there.
     """
 
     def __init__(self, calibration: Calibration = CALIBRATION) -> None:
         self.cal = calibration
-        self._machine_ref: weakref.ref | None = None
-        self._bd_version: int | None = None
-        self._bd_no_leak: PowerBreakdown | None = None
-        self._traffic_version: int | None = None
-        self._traffic: dict[int, float] = {}
-        self._obs = None
-
-    def bind(self, machine) -> None:
-        """Enable ``state_version``-keyed memoization for ``machine``.
-
-        Called once by ``Machine.__init__``; the reference is weak, so
-        binding does not keep the machine alive.
-        """
-        self._machine_ref = weakref.ref(machine)
-        self._bd_version = None
-        self._traffic_version = None
-        self._traffic.clear()
-
-    def _bound_machine(self):
-        return self._machine_ref() if self._machine_ref is not None else None
-
-    def attach_obs(self, obs, machine: str = "") -> None:
-        """Count memo hits/misses into a :class:`repro.obs.Obs` registry."""
-        if obs is None:
-            return
-        metrics = obs.metrics
-        help_bd = "breakdown() state_version memo lookups"
-        help_tr = "package_dram_traffic_gbs() state_version memo lookups"
-        self._obs_bd_hits = metrics.counter(
-            "power.breakdown_memo", help_bd, "lookups", machine=machine, result="hit"
-        )
-        self._obs_bd_misses = metrics.counter(
-            "power.breakdown_memo", help_bd, "lookups", machine=machine, result="miss"
-        )
-        self._obs_traffic_hits = metrics.counter(
-            "power.traffic_memo", help_tr, "lookups", machine=machine, result="hit"
-        )
-        self._obs_traffic_misses = metrics.counter(
-            "power.traffic_memo", help_tr, "lookups", machine=machine, result="miss"
-        )
-        self._obs = obs
 
     # ------------------------------------------------------------------
     # helpers
@@ -136,28 +86,19 @@ class PowerModel:
         the bandwidth model's business and matter for *performance*
         (Fig 5), while for *power* the aggregate is sufficient.
         """
-        machine = self._bound_machine()
-        if machine is None:
-            return self._compute_traffic_gbs(pkg)
-        version = machine.state_version
-        if version != self._traffic_version:
-            self._traffic.clear()
-            self._traffic_version = version
-        cached = self._traffic.get(pkg.index)
-        if cached is None:
-            cached = self._compute_traffic_gbs(pkg)
-            self._traffic[pkg.index] = cached
-            if self._obs is not None:
-                self._obs_traffic_misses.inc()
-        elif self._obs is not None:
-            self._obs_traffic_hits.inc()
-        return cached
-
-    def _compute_traffic_gbs(self, pkg: Package) -> float:
         demand = sum(self.core_dram_demand_gbs(core) for core in pkg.cores())
         memclk_ghz = pkg.io_die.memclk_hz / ghz(1)
         ceiling = 8 * 8.0 * 2.0 * memclk_ghz * self.cal.dram_channel_efficiency
         return min(demand, ceiling)
+
+    def _wake_and_iodie_w(self, machine) -> tuple[float, float]:
+        """The system-wake and I/O-die terms, shared by all packages."""
+        wake = 0.0 if machine.cstates.system_in_deep_sleep() else self.cal.system_wake_w
+        iodie_w = 0.0
+        if wake > 0.0:
+            # I/O-die fclk power only flows while the system is awake.
+            iodie_w = sum(fc.extra_power_w() for fc in machine.fclk_controllers)
+        return wake, iodie_w
 
     # ------------------------------------------------------------------
     # the model
@@ -166,43 +107,16 @@ class PowerModel:
     def breakdown(self, machine, pkg_temps_c: list[float] | None = None) -> PowerBreakdown:
         """Full-system power for the machine's current state.
 
-        The temperature-independent terms are memoized per
-        ``machine.state_version`` when the model is bound to ``machine``
-        (see the class docstring); the leakage term is always evaluated
-        fresh from ``pkg_temps_c``.
+        Leakage is evaluated from ``pkg_temps_c``; without temperatures
+        it is 0.
         """
-        if machine is self._bound_machine():
-            version = machine.state_version
-            if version != self._bd_version:
-                self._bd_no_leak = self._compute_breakdown(machine)
-                self._bd_version = version
-                if self._obs is not None:
-                    self._obs_bd_misses.inc()
-            elif self._obs is not None:
-                self._obs_bd_hits.inc()
-            bd = self._bd_no_leak
-        else:
-            bd = self._compute_breakdown(machine)
-        if pkg_temps_c is None:
-            return bd
-        cal = self.cal
-        leak_w = 0.0
-        for temp in pkg_temps_c:
-            leak_w += max(0.0, cal.leakage_w_per_k_pkg * (temp - cal.reference_temp_c))
-        if leak_w == 0.0:
-            return bd
-        return replace(bd, leakage_w=leak_w)
-
-    def _compute_breakdown(self, machine) -> PowerBreakdown:
-        """The full topology walk (leakage excluded; see :meth:`breakdown`)."""
         cal = self.cal
         topo = machine.topology
-        cstates = machine.cstates
         n_pkg = len(topo.packages)
 
         platform = cal.platform_base_w + cal.dram_idle_w + n_pkg * cal.package_sleep_w
 
-        wake = 0.0 if cstates.system_in_deep_sleep() else cal.system_wake_w
+        wake, iodie_w = self._wake_and_iodie_w(machine)
 
         # C1 cores: clock-gated but voltage-plane-awake cores.
         c1_cores = sum(
@@ -249,10 +163,10 @@ class PowerModel:
             for pkg in topo.packages
         )
 
-        iodie_w = 0.0
-        if wake > 0.0:
-            # I/O-die fclk power only flows while the system is awake.
-            iodie_w = sum(fc.extra_power_w() for fc in machine.fclk_controllers)
+        leak_w = 0.0
+        if pkg_temps_c is not None:
+            for temp in pkg_temps_c:
+                leak_w += max(0.0, cal.leakage_w_per_k_pkg * (temp - cal.reference_temp_c))
 
         return PowerBreakdown(
             platform_base_w=platform,
@@ -263,7 +177,7 @@ class PowerModel:
             toggle_w=toggle_w,
             dram_active_w=dram_w,
             iodie_w=iodie_w,
-            leakage_w=0.0,
+            leakage_w=leak_w,
         )
 
     def system_power_w(self, machine, pkg_temps_c: list[float] | None = None) -> float:
@@ -276,11 +190,9 @@ class PowerModel:
         Splits the breakdown: per-core terms attribute to their package,
         system-level terms split evenly.
         """
-        # Only the temperature-independent shared terms are needed here
-        # (this package's leakage is added from its own temperature below).
-        bd = self.breakdown(machine, None)
+        wake, iodie_w = self._wake_and_iodie_w(machine)
         n_pkg = len(machine.topology.packages)
-        shared = (bd.system_wake_w * 0.6 + bd.iodie_w) / n_pkg
+        shared = (wake * 0.6 + iodie_w) / n_pkg
 
         cal = self.cal
         core_w = 0.0

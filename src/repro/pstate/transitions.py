@@ -66,16 +66,9 @@ class _CoreContext:
 class TransitionEngine:
     """Event-driven frequency transitions on top of a :class:`Simulator`."""
 
-    def __init__(
-        self,
-        sim: Simulator,
-        calibration: Calibration = CALIBRATION,
-        *,
-        on_applied=None,
-    ) -> None:
+    def __init__(self, sim: Simulator, calibration: Calibration = CALIBRATION) -> None:
         self.sim = sim
         self.cal = calibration
-        self.on_applied = on_applied
         self._contexts: dict[int, _CoreContext] = {}
         self._pending_cores: list[Core] = []
         self._boundary_scheduled_for: int = -1
@@ -98,7 +91,6 @@ class TransitionEngine:
             return
         ctx.pending_target_hz = target_hz
         ctx.requested_at_ns = now
-        core.pending_freq_hz = target_hz
 
         # Fast-return path (§V-B: "some transitions are executed
         # instantaneously (1 us)"): an *up*-switch back to the previous
@@ -202,7 +194,6 @@ class TransitionEngine:
             return
         old = core.applied_freq_hz
         core.applied_freq_hz = target
-        core.pending_freq_hz = None
         ctx.pending_target_hz = None
         ctx.in_flight = False
         ctx.previous_hz = old
@@ -226,5 +217,3 @@ class TransitionEngine:
             ctx.voltage_settled_at_ns = now
         ctx.record.completed_at_ns = now
         ctx.record.fast_return = fast_return
-        if self.on_applied is not None:
-            self.on_applied(core, target)

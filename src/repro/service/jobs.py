@@ -98,22 +98,8 @@ class JobSpec:
             config = ExperimentConfig(**cfg_doc)
         except (TypeError, ConfigurationError) as err:
             raise ServiceError(f"invalid config: {err}") from err
-        _check_config_types(config)
         return cls(
             tenant=tenant, entries=tuple(entries), config=config, trace=trace
-        )
-
-
-def _check_config_types(config: ExperimentConfig) -> None:
-    """Reject configs that would fingerprint but not execute sanely."""
-    if not isinstance(config.seed, int) or isinstance(config.seed, bool):
-        raise ServiceError(f"config.seed must be an integer, got {config.seed!r}")
-    if not isinstance(config.sku, str) or not config.sku:
-        raise ServiceError("config.sku must be a non-empty string")
-    if not isinstance(config.n_packages, int) or config.n_packages < 1:
-        raise ServiceError(
-            f"config.n_packages must be a positive integer, got "
-            f"{config.n_packages!r}"
         )
 
 

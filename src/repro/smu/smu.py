@@ -1,9 +1,12 @@
-"""SMU hierarchy: per-die SMUs and the master SMU (§III-C).
+"""The master SMU of a package (§III-C).
 
 Burd et al. (cited in §III-C) describe one SMU per die; a master is
 elected to evaluate telemetry from the others and run the package control
 loops, trigger frequency changes and drive the external voltage
-regulator.  Two observable consequences are reproduced here:
+regulator.  Only the master is modelled: every control loop reads the
+package's live state directly, so the per-die SMUs' telemetry would be a
+copy of that state which no modelled behaviour reads.  Two observable
+consequences of the hierarchy are reproduced here:
 
 * the master's control cadence *is* the 1 ms frequency-update slot grid
   measured in §V-B (Fig 3) — the :class:`~repro.pstate.transitions.TransitionEngine`
@@ -16,25 +19,12 @@ regulator.  Two observable consequences are reproduced here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.power.calibration import CALIBRATION, Calibration
 from repro.pstate.transitions import TransitionEngine
 from repro.sim.engine import Simulator
 from repro.smu.edc import EdcAssessment, EdcManager
 from repro.smu.ppt import PptAssessment, PptManager
 from repro.topology.components import Package
-
-
-@dataclass
-class Smu:
-    """A per-die management unit; holds die-local telemetry."""
-
-    die_name: str
-    #: Most recent die temperature reported to the master (deg C).
-    temperature_c: float = 30.0
-    #: Most recent die current estimate reported to the master (A).
-    current_a: float = 0.0
 
 
 class MasterSmu:
@@ -51,10 +41,6 @@ class MasterSmu:
         self.sim = sim
         self.package = package
         self.cal = calibration
-        # One SMU per CCD plus one on the I/O die; the I/O-die SMU is
-        # conventionally the master on Rome.
-        self.die_smus = [Smu(f"ccd{ccd.index_in_package}") for ccd in package.ccds]
-        self.io_smu = Smu("iod")
         self.edc = EdcManager(edc_limit_a, calibration)
         self.ppt = PptManager(
             ppt_limit_w if ppt_limit_w is not None else 1e9, calibration
@@ -63,27 +49,12 @@ class MasterSmu:
         self._edc_cap_hz: float | None = None
         self._ppt_cap_hz: float | None = None
 
-    # --- telemetry aggregation ------------------------------------------------
-
-    def collect_telemetry(self, pkg_temp_c: float) -> None:
-        """Refresh die telemetry (all dies share the package RC node)."""
-        for smu in self.die_smus:
-            smu.temperature_c = pkg_temp_c
-        self.io_smu.temperature_c = pkg_temp_c
-
     # --- control loops -----------------------------------------------------------
 
     def run_edc_loop(self, requested_hz: float) -> EdcAssessment:
         """Evaluate EDC for the package and cache the cap."""
         assessment = self.edc.assess(self.package, requested_hz)
         self._edc_cap_hz = assessment.cap_hz
-        for smu, ccd in zip(self.die_smus, self.package.ccds):
-            smu.current_a = sum(
-                self.edc.core_current_a(
-                    c.active_workload, c.active_thread_count, c.applied_freq_hz
-                )
-                for c in ccd.cores()
-            )
         return assessment
 
     def run_ppt_loop(

@@ -114,8 +114,6 @@ class Core:
         self.active_workload: Optional["Workload"] = None
         #: Frequency currently applied by the SMU to this core's domain.
         self.applied_freq_hz: float = ghz(1.5)
-        #: Target the SMU is currently transitioning towards (None if settled).
-        self.pending_freq_hz: float | None = None
 
     @property
     def package(self) -> "Package":
@@ -212,9 +210,6 @@ class IODie:
         self.fclk_hz: float = ghz(1.467)
         #: Memory clock (MEMCLK, "DDR4-3200" = 1.6 GHz).
         self.memclk_hz: float = ghz(1.6)
-        #: True when the die has dropped into its idle low-power state
-        #: (possible only during whole-system sleep; §VI-A).
-        self.low_power: bool = False
 
 
 class Package:
@@ -243,11 +238,16 @@ class Package:
         return f"<Package {self.index}>"
 
 
+#: Socket counts the model supports: EPYC Rome systems carry one or two
+#: packages, and the paper's test system has two.
+PACKAGE_COUNTS = (1, 2)
+
+
 class SystemTopology:
     """The full machine: one or two packages plus lookup tables."""
 
     def __init__(self, n_packages: int, n_ccds: int, cores_per_ccx: int, sku_name: str = "custom") -> None:
-        if n_packages not in (1, 2):
+        if n_packages not in PACKAGE_COUNTS:
             raise TopologyError(f"1 or 2 packages supported, got {n_packages}")
         if not 1 <= n_ccds <= 8:
             raise TopologyError(f"1..8 CCDs per package supported, got {n_ccds}")

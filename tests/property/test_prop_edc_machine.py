@@ -202,7 +202,8 @@ def _settle_state(m):
     return (
         [(c.applied_freq_hz, m.observable_mean_hz(c)) for c in topo.cores()],
         [ccx.l3_freq_hz for ccx in topo.ccxs()],
-        [(m.edc_cap_hz(p.index), p.io_die.low_power) for p in topo.packages],
+        [m.edc_cap_hz(p.index) for p in topo.packages],
+        m.cstates.system_in_deep_sleep(),
         [t.effective_cstate for t in topo.threads()],
     )
 

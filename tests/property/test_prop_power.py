@@ -4,8 +4,10 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from repro.machine import Machine
+from repro.power.model import PowerModel
 from repro.units import ghz
 from repro.workloads import SPIN, instruction_block
+from tests.property.test_prop_topology import _STEP, _apply
 
 FREQS = [ghz(1.5), ghz(2.2), ghz(2.5)]
 
@@ -86,3 +88,29 @@ def test_breakdown_total_equals_component_sum(temps):
     )
     m.shutdown()
     assert bd.total_w == manual
+
+
+# --- every figure is that of the live state --------------------------------
+
+
+def _figures(model, machine, temps):
+    return (
+        model.breakdown(machine, temps),
+        [model.package_power_w(machine, pkg, temps) for pkg in machine.topology.packages],
+        [model.package_dram_traffic_gbs(pkg) for pkg in machine.topology.packages],
+    )
+
+
+@given(program=st.lists(_STEP, max_size=25))
+@settings(max_examples=100, deadline=None)
+def test_power_figures_equal_a_fresh_model(program):
+    # The programs mix OS calls with direct thread writes, which settle
+    # nothing; a model asked after any step must answer as a new one.
+    m = Machine("EPYC 7252", n_packages=1, seed=0)
+    try:
+        for step in program:
+            _apply(m, step)
+            temps = m.thermal_state.temps_c
+            assert _figures(m.power_model, m, temps) == _figures(PowerModel(m.cal), m, temps), step
+    finally:
+        m.shutdown()

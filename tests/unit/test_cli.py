@@ -141,6 +141,36 @@ class TestCli:
             main(["fig3", "--only", "fig7_idle_power"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["all", "--only", "nope"],
+            ["all", "--jobs", "0"],
+            ["all", "--jobs", "-3"],
+            ["all", "--only", "sec7_rapl_update_rate", "--only", "sec7_rapl_update_rate"],
+            ["selfcheck", "--json", "F"],
+            ["selfcheck", "--trace", "F"],
+            ["selfcheck", "--metrics", "F"],
+            ["selfcheck", "--only", "sec7_rapl_update_rate"],
+        ],
+        ids=[
+            "only-unknown", "jobs-zero", "jobs-negative", "only-repeated",
+            "selfcheck-json", "selfcheck-trace", "selfcheck-metrics", "selfcheck-only",
+        ],
+    )
+    def test_bad_input_is_usage_error(self, argv, tmp_path, monkeypatch, capsys):
+        # Exit 1 means a paper band failed; a typo must not read as one.
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err_lines = [
+            line for line in capsys.readouterr().err.splitlines()
+            if line.startswith("repro-zen2: error:")
+        ]
+        assert len(err_lines) == 1
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("scale", ["nan", "inf", "0", "-1"])
     def test_scale_must_be_positive_and_finite(self, scale, capsys):
         with pytest.raises(SystemExit) as exc:

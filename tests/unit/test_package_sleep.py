@@ -42,9 +42,9 @@ class TestPackageState:
         assert 70 in report.blockers
 
     def test_io_die_low_power_follows_sleep(self, m):
-        assert all(pkg.io_die.low_power for pkg in m.topology.packages)
+        assert m.sleep.report().io_dies_low_power
         m.os.run(SPIN, [0])
-        assert not any(pkg.io_die.low_power for pkg in m.topology.packages)
+        assert not m.sleep.report().io_dies_low_power
 
 
 class TestXgmi:

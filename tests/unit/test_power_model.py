@@ -130,8 +130,8 @@ class TestWorkloadPower:
 
 
 class TestBreakdownMemoization:
-    """The state_version-keyed caches must be invisible except for speed:
-    every mutation path that feeds the power model bumps the version."""
+    """Every figure comes from live state: repeated calls agree, and every
+    mutation path that feeds the power model shows at the next call."""
 
     def test_repeated_calls_identical(self, m):
         temps = m.thermal_state.temps_c
@@ -146,8 +146,8 @@ class TestBreakdownMemoization:
         assert m.power_model.breakdown(m).total_w != base
 
     def test_invalidated_by_cstate_change_without_reconfigure(self, m):
-        # disable_state() -> refresh() -> on_change hook: no explicit
-        # reconfigured() call, the cache must still drop.
+        # disable_state() refreshes the C-states without a settle; the
+        # model must still see the new state.
         base = m.power_model.breakdown(m).total_w
         m.cstates.disable_state(0, "C2")
         assert m.power_model.breakdown(m).total_w == pytest.approx(
@@ -176,14 +176,13 @@ class TestBreakdownMemoization:
         assert bd_hot.leakage_w == pytest.approx(
             2 * 20.0 * CALIBRATION.leakage_w_per_k_pkg, rel=1e-9
         )
-        # The temperature-independent terms come from the same cache.
+        # Only the leakage term depends on the temperatures.
         assert bd_hot.total_w - bd_hot.leakage_w == pytest.approx(
             bd_cold.total_w, rel=1e-12
         )
 
     def test_unbound_machine_bypasses_cache(self, m):
-        # A model asked about a machine it is not bound to must still
-        # answer correctly (no cross-machine cache pollution).
+        # One model answers for whichever machine it is asked about.
         other = Machine("EPYC 7502", seed=0)
         try:
             other.cstates.disable_state(0, "C2")

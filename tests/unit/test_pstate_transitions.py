@@ -143,14 +143,6 @@ class TestBookkeeping:
         sim.run_until(ms(2))
         assert not engine.in_flight(core)
 
-    def test_on_applied_callback(self, setup):
-        sim, core, engine = setup
-        seen = []
-        engine.on_applied = lambda c, f: seen.append((c.global_index, f))
-        engine.request(core, ghz(1.5))
-        sim.run_until(ms(3))
-        assert seen == [(core.global_index, ghz(1.5))]
-
     def test_independent_cores_transition_in_parallel(self, setup):
         sim, core, engine = setup
         topo = core.ccx.ccd.package.system

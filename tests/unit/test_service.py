@@ -78,6 +78,10 @@ class TestJobSpec:
             {"config": {"interval_s": float("nan")}},
             # A metric label that /metrics could not encode.
             {"tenant": "\ud800"},
+            # An unknown SKU or socket count fails at admission, not in a worker.
+            {"config": {"n_packages": 3}},
+            {"config": {"n_packages": True}},
+            {"config": {"sku": "EPYC 9999"}},
         ],
     )
     def test_bad_requests_rejected(self, doc):

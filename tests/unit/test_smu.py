@@ -88,23 +88,3 @@ class TestEdcControl:
             results[sku] = machine.topology.thread(0).core.applied_freq_hz
             machine.shutdown()
         assert results["EPYC 7742"] < results["EPYC 7502"]
-
-
-class TestSmuHierarchy:
-    def test_one_smu_per_ccd_plus_iod(self, m):
-        smu = m.smus[0]
-        assert len(smu.die_smus) == 4
-        assert smu.io_smu.die_name == "iod"
-
-    def test_telemetry_collection(self, m):
-        smu = m.smus[0]
-        smu.collect_telemetry(66.0)
-        assert all(s.temperature_c == 66.0 for s in smu.die_smus)
-        assert smu.io_smu.temperature_c == 66.0
-
-    def test_edc_loop_updates_die_currents(self, m):
-        m.os.set_all_frequencies(ghz(2.5))
-        m.os.run(FIRESTARTER, m.os.all_cpus())
-        smu = m.smus[0]
-        smu.run_edc_loop(ghz(2.5))
-        assert all(s.current_a > 0 for s in smu.die_smus)
