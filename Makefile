@@ -48,10 +48,13 @@ suite-traced:
 	$(PYTHON) -m repro.cli obs validate suite_trace.json suite_metrics.prom.json
 	$(PYTHON) -m repro.cli obs summarize suite_trace.json
 
-# Deliberately regenerate the checked-in golden snapshot; review the
-# JSON diff before committing (see docs/parallelism.md).
+# Deliberately regenerate both checked-in golden snapshots: the scale-0.02
+# suite the tests compare against and the scale-1.0 suite CI diffs
+# against; review the JSON diffs before committing (see docs/parallelism.md).
 golden:
 	$(PYTHON) -m pytest tests/integration/test_golden_suite.py --update-golden -q
+	$(PYTHON) -m repro.cli all --seed 2021 --scale 1.0 --no-cache \
+	  --json tests/golden/suite_seed2021_scale1.0.json
 
 # Run the HTTP experiment service in the foreground (SIGTERM/Ctrl-C
 # drains gracefully; see docs/service.md).

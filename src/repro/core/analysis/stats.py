@@ -6,6 +6,8 @@ empirical cumulative distributions.  :func:`mean_std` runs numpy's own
 reductions directly, without the Python wrappers of ``ndarray.mean`` and
 ``ndarray.std``, and must equal ``arr.mean()`` and ``arr.std(ddof=1)``
 bit for bit, so every CI bound and validity decision does too.
+:func:`rows_within_interval` judges many validation sets in one call,
+with :func:`within_interval`'s decision on every row.
 """
 
 from __future__ import annotations
@@ -70,6 +72,31 @@ def within_interval(value: float, samples: np.ndarray, level: float = 0.95) -> b
     """The §V-B validation predicate: does ``value`` sit in the CI?"""
     lo, hi = confidence_interval(samples, level)
     return lo <= value <= hi
+
+
+def mean_std_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`mean_std` of each row of a 2-D array, bit for bit.
+
+    ``np.add.reduce(rows, axis=1)`` sums each row of a C-contiguous array
+    in the pairwise order the 1-D reduction uses, and every other step is
+    the same elementwise operation on the same operands.
+    """
+    arr = np.ascontiguousarray(rows, dtype=float)
+    if arr.ndim != 2 or arr.shape[1] < 2:
+        raise MeasurementError(f"need rows of at least 2 samples, got shape {arr.shape}")
+    n = arr.shape[1]
+    mean = np.add.reduce(arr, axis=1) / n
+    d = arr - mean[:, None]
+    return mean, np.sqrt(np.add.reduce(d * d, axis=1) / (n - 1))
+
+
+def rows_within_interval(value: float, rows: np.ndarray, level: float = 0.95) -> np.ndarray:
+    """:func:`within_interval` of ``value`` against each row, in one call."""
+    if not 0.0 < level < 1.0:
+        raise MeasurementError(f"confidence level must be in (0,1), got {level}")
+    mean, std = mean_std_rows(rows)
+    half = _z(level) * std / math.sqrt(np.shape(rows)[1])
+    return (mean - half <= value) & (value <= mean + half)
 
 
 def ecdf(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -10,7 +10,7 @@ The paper's methodology, reimplemented step by step:
    same quantization the real benchmark has;
 3. validate with 100 further measurements under a 95 % confidence
    interval; discard the sample (and the next) if validation fails;
-4. switch back, validate again, wait a random 0–10 ms, repeat.
+4. switch back, probe again, wait a random 0–10 ms, repeat.
 
 Each (initial, target) pair is sampled ``n_samples`` times (100 000 in
 the paper; the distribution converges far earlier).  Other cores sit at
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.analysis.histogram import Histogram
-from repro.core.analysis.stats import within_interval
+from repro.core.analysis.stats import rows_within_interval
 from repro.core.experiment import ExperimentConfig
 from repro.core.report import ComparisonTable
 from repro.errors import MeasurementError
@@ -40,6 +40,14 @@ NOMINAL_HZ = ghz(2.5)
 
 #: Give up on a transition after this long (flags a broken sample).
 SAMPLE_TIMEOUT_NS = ms(20)
+
+#: Performance probes that validate one switch (§V-B).
+VALIDATION_PROBES = 100
+
+#: Samples whose validation one CI call judges.  The round's probes take
+#: about 100 KB; 512 rows run no faster, and 2,048 rows add about 4 MB
+#: (11 %) to the peak RSS of a process that measures one pair.
+ROUND_SAMPLES = 128
 
 
 @dataclass
@@ -113,19 +121,43 @@ class FrequencyTransitionExperiment:
         n_invalid = 0
         filled = 0
         discard_next = False
+        # One round's forward switches: a row of validation probes each.
+        # A switch that timed out drew none; its row is zeroed and its
+        # verdict masked to invalid.
+        drawn = np.zeros(ROUND_SAMPLES, dtype=bool)
+        probes = np.zeros((ROUND_SAMPLES, VALIDATION_PROBES))
         while filled < n:
-            # --- forward switch: the measured sample ---
-            latency_ns, valid = self._one_switch(machine, cpu, core, to_hz, rng)
-            if not valid or discard_next:
-                n_invalid += int(not valid)
-                discard_next = not valid  # discard this and the next sample
-            else:
-                latencies[filled] = ns_to_us(latency_ns)
-                filled += 1
-            # --- return switch + random pause ---
-            self._one_switch(machine, cpu, core, from_hz, rng)
-            wait_ns = int(rng.uniform(ms(min_wait_ms), ms(max_wait_ms)))
-            machine.sim.run_for(wait_ns)
+            # A verdict only decides which latencies are kept: the machine,
+            # the RNG stream and every later switch are the same whatever
+            # it says.  So a round runs its switches first and judges them
+            # after.  Each switch fills at most one sample, so the next
+            # ``k`` switches run in the sequential loop too.
+            k = min(ROUND_SAMPLES, n - filled)
+            round_ns = []
+            for i in range(k):
+                # --- forward switch: the measured sample ---
+                latency_ns, jitter = self._one_switch(machine, cpu, core, to_hz, rng)
+                round_ns.append(latency_ns)
+                drawn[i] = jitter is not None
+                probes[i] = 0.0 if jitter is None else jitter
+                # --- return switch + random pause ---
+                self._one_switch(machine, cpu, core, from_hz, rng)
+                wait_ns = int(rng.uniform(ms(min_wait_ms), ms(max_wait_ms)))
+                machine.sim.run_for(wait_ns)
+            # The probes are ``target_hz * (1.0 + jitter)``; IEEE + and *
+            # commute, so building them in place gives the same values.
+            round_probes = probes[:k]
+            round_probes += 1.0
+            round_probes *= to_hz
+            valid = rows_within_interval(to_hz, round_probes) & drawn[:k]
+            # Replay the sequential keep/discard rule in sample order.
+            for ok, latency_ns in zip(valid.tolist(), round_ns):
+                if not ok or discard_next:
+                    n_invalid += int(not ok)
+                    discard_next = not ok  # discard this and the next sample
+                else:
+                    latencies[filled] = ns_to_us(latency_ns)
+                    filled += 1
 
         machine.shutdown()
         return TransitionDelayResult(
@@ -139,12 +171,16 @@ class FrequencyTransitionExperiment:
         scale = NOMINAL_HZ / core.applied_freq_hz
         return max(1, int(MINIMAL_WORKLOAD_NS_AT_NOMINAL * scale))
 
-    def _one_switch(self, machine, cpu: int, core, target_hz: float, rng) -> tuple[int, bool]:
-        """Request ``target_hz`` and poll until performance matches.
+    def _one_switch(
+        self, machine, cpu: int, core, target_hz: float, rng
+    ) -> tuple[int, np.ndarray | None]:
+        """Request ``target_hz``, poll until performance matches, then probe.
 
-        Returns (latency_ns, valid).  The polling loop advances the
-        simulator in minimal-workload quanta; detection is therefore
-        quantized exactly like the real benchmark's runtime probe.
+        Returns (latency_ns, jitter): the relative jitter of the 100
+        validation probes, or None when the switch timed out and drew
+        none.  The polling loop advances the simulator in
+        minimal-workload quanta; detection is therefore quantized
+        exactly like the real benchmark's runtime probe.
         """
         sim = machine.sim
         t0 = sim.now_ns
@@ -156,19 +192,13 @@ class FrequencyTransitionExperiment:
             # trips.
             sim.run_quanta(quantum, (t0 + SAMPLE_TIMEOUT_NS - sim.now_ns) // quantum + 1)
             if sim.now_ns - t0 > SAMPLE_TIMEOUT_NS:
-                return sim.now_ns - t0, False
+                return sim.now_ns - t0, None
             quantum = self._poll_quantum_ns(core)
         latency_ns = sim.now_ns - t0
-        # Validation: 100 more performance probes must agree with the
-        # target level (95 % CI).  Perf probes carry small jitter.  IEEE +
-        # and * commute, so building them in place gives the values of
-        # ``target_hz * (1.0 + jitter)``.
-        probes = rng.normal(0.0, 1e-4, size=100)
-        probes += 1.0
-        probes *= target_hz
-        valid = within_interval(target_hz, probes)
-        sim.run_for(100 * self._poll_quantum_ns(core))
-        return latency_ns, valid
+        # Validation: 100 more performance probes, which carry small jitter.
+        jitter = rng.normal(0.0, 1e-4, size=VALIDATION_PROBES)
+        sim.run_for(VALIDATION_PROBES * self._poll_quantum_ns(core))
+        return latency_ns, jitter
 
     @staticmethod
     def _await_frequency(machine, core, target_hz: float) -> None:

@@ -95,7 +95,7 @@ class FclkController:
 
     # --- power -------------------------------------------------------------------
 
-    def extra_power_w(self) -> float:
+    def extra_power_w(self, fclk_hz: float | None = None) -> float:
         """I/O-die power relative to the *default* operating point.
 
         The paper's idle-staircase constants (Fig 7) were measured with
@@ -103,8 +103,8 @@ class FclkController:
         already inside the +81.2 W system-wake term.  This term is the
         *deviation* from that reference: higher I/O die P-states (lower
         fclk) "reduce power consumption but also lower memory bandwidth"
-        (§V-D), so it goes negative for P1/P2.
+        (§V-D), so it goes negative for P1/P2.  ``fclk_hz`` defaults to
+        the applied fclk.
         """
-        return self.cal.iodie_w_per_fclk_ghz * (
-            (self.io_die.fclk_hz - FCLK_COUPLED_CEILING_HZ) / ghz(1)
-        )
+        fclk = self.io_die.fclk_hz if fclk_hz is None else fclk_hz
+        return self.cal.iodie_w_per_fclk_ghz * ((fclk - FCLK_COUPLED_CEILING_HZ) / ghz(1))

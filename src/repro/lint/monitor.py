@@ -5,9 +5,11 @@ The static rules catch *code* that could go wrong; the monitor catches
 invariants after every event batch (``Simulator.run_until``) and every
 steady-state settle (``Machine.reconfigured``):
 
-1. **Power sanity** — every breakdown term is non-negative, and the
-   silicon share (C1 + active + dynamic + toggle power) fits inside the
-   per-package PPT envelope with margin.
+1. **Power sanity** — every absolute breakdown term is non-negative,
+   the I/O-die term (a deviation from the default fclk) lies between
+   its lowest-fclk floor and 0, and the silicon share (C1 + active +
+   dynamic + toggle power) fits inside the per-package PPT envelope
+   with margin.
 2. **P-state grid** — every applied core frequency lies on the 25 MHz
    P-state grid (or equals the current EDC cap in event mode) and within
    the SKU's [min P-state, boost ceiling] band.
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 from repro.cstate.states import depth_of
 from repro.errors import InvariantViolation
+from repro.iodie.fclk import FCLK_PSTATES_HZ
 from repro.units import (
     NS_PER_S,
     RAPL_COUNTER_WRAP,
@@ -231,12 +234,28 @@ class InvariantMonitor:
             "workload_dynamic_w",
             "toggle_w",
             "dram_active_w",
-            "iodie_w",
             "leakage_w",
         ):
             value = getattr(bd, name)
             if value < -1e-9:
                 found.append(f"power breakdown term {name} is negative ({value:.3f} W)")
+        # iodie_w is each awake die's deviation from the Auto/DDR4-3200
+        # fclk, the highest any mode yields, so it is never positive and
+        # never below every die at the lowest fclk P-state.
+        if machine.cstates.system_in_deep_sleep():
+            if bd.iodie_w != 0.0:
+                found.append(
+                    f"power breakdown term iodie_w is {bd.iodie_w:.3f} W "
+                    "while the system sleeps"
+                )
+        else:
+            lowest_hz = min(FCLK_PSTATES_HZ)
+            floor_w = sum(fc.extra_power_w(lowest_hz) for fc in machine.fclk_controllers)
+            if not floor_w - 1e-9 <= bd.iodie_w <= 1e-9:
+                found.append(
+                    f"power breakdown term iodie_w is {bd.iodie_w:.3f} W, "
+                    f"outside [{floor_w:.3f}, 0] W"
+                )
         n_pkg = len(machine.topology.packages)
         silicon_w = bd.c1_cores_w + bd.active_cores_w + bd.workload_dynamic_w + bd.toggle_w
         envelope_w = n_pkg * machine.sku.ppt_w * self.power_envelope_margin

@@ -39,30 +39,37 @@ class InterruptModel:
     """Tracks wake-up sources per logical CPU."""
 
     def __init__(self) -> None:
-        self._sources: dict[str, InterruptSource] = {}
+        # CPU id -> that CPU's sources by name, in registration order.  The
+        # menu governor asks once per idle thread per C-state refresh, so a
+        # CPU's rate must not scan the other CPUs' sources.
+        self._by_cpu: dict[int, dict[str, InterruptSource]] = {}
 
     def register(self, name: str, cpu_id: int, rate_hz: float) -> None:
         """Pin a periodic wake-up source (timer, NIC queue, ...)."""
         if rate_hz <= 0:
             raise ConfigurationError(f"{name}: rate must be positive, got {rate_hz}")
-        if name in self._sources:
+        if any(name in sources for sources in self._by_cpu.values()):
             raise ConfigurationError(f"interrupt source {name!r} already registered")
-        self._sources[name] = InterruptSource(name, cpu_id, rate_hz)
+        self._by_cpu.setdefault(cpu_id, {})[name] = InterruptSource(name, cpu_id, rate_hz)
 
     def unregister(self, name: str) -> None:
         """Remove a source (e.g. the device quiesced)."""
-        if name not in self._sources:
-            raise ConfigurationError(f"no interrupt source {name!r}")
-        del self._sources[name]
+        for sources in self._by_cpu.values():
+            if name in sources:
+                del sources[name]
+                return
+        raise ConfigurationError(f"no interrupt source {name!r}")
 
     def sources_on(self, cpu_id: int) -> list[InterruptSource]:
-        return [s for s in self._sources.values() if s.cpu_id == cpu_id]
+        """The CPU's sources in registration order (a copy)."""
+        return list(self._by_cpu.get(cpu_id, {}).values())
 
     def wakeup_rate_hz(self, cpu_id: int) -> float:
         """Total wake-ups per second an idle CPU sees."""
-        return IDLE_RESIDUAL_WAKEUPS_HZ + sum(
-            s.rate_hz for s in self.sources_on(cpu_id)
-        )
+        sources = self._by_cpu.get(cpu_id)
+        if not sources:
+            return IDLE_RESIDUAL_WAKEUPS_HZ
+        return IDLE_RESIDUAL_WAKEUPS_HZ + sum(s.rate_hz for s in sources.values())
 
     def idle_cycles_per_s(self, cpu_id: int) -> float:
         """Housekeeping cycle rate of an idle CPU (perf's view, §V-A)."""

@@ -5,7 +5,8 @@ import pytest
 
 from repro.core import ExperimentConfig, FrequencyTransitionExperiment, freq_transition
 from repro.core.experiment import machine_hook
-from repro.units import ghz, us
+from repro.units import ghz, ms, ns_to_us, us
+from repro.workloads import SPIN
 from tests.property.test_prop_stats import numpy_within_interval
 
 
@@ -70,11 +71,43 @@ class TestSec5BAnomalies:
         assert up.min_us < down.min_us  # 360 vs 390 us execution
 
 
-class _QuantumStepping(FrequencyTransitionExperiment):
-    """The reference polling loop: one ``run_for(quantum)`` per quantum,
-    probes built by allocation and judged with numpy's own mean and std."""
+class _SequentialReference(FrequencyTransitionExperiment):
+    """The reference §V-B loop, one sample at a time: one ``run_for(quantum)``
+    per polling quantum, each switch's probes built by allocation and judged
+    at once with numpy's own mean and std, and the keep/discard rule applied
+    before the next switch.  Only the set-up helpers are inherited."""
 
     timeouts = 0
+
+    def measure_pair(self, from_hz, to_hz, n_samples, *, min_wait_ms=0.0, max_wait_ms=10.0):
+        machine = self.config.build_machine()
+        machine.enable_event_mode()
+        rng = machine.rng.child("freq-transition-experiment")
+        cpu = 0
+        core = machine.topology.thread(cpu).core
+        machine.os.run(SPIN, [cpu])
+        machine.os.set_frequency(cpu, from_hz)
+        self._await_frequency(machine, core, from_hz)
+        machine.sim.run_for(int(rng.integers(0, ms(1))))
+
+        latencies = np.empty(n_samples, dtype=float)
+        n_invalid = 0
+        filled = 0
+        discard_next = False
+        while filled < n_samples:
+            latency_ns, valid = self._one_switch(machine, cpu, core, to_hz, rng)
+            if not valid or discard_next:
+                n_invalid += int(not valid)
+                discard_next = not valid
+            else:
+                latencies[filled] = ns_to_us(latency_ns)
+                filled += 1
+            self._one_switch(machine, cpu, core, from_hz, rng)
+            machine.sim.run_for(int(rng.uniform(ms(min_wait_ms), ms(max_wait_ms))))
+        machine.shutdown()
+        return freq_transition.TransitionDelayResult(
+            from_hz=from_hz, to_hz=to_hz, latencies_us=latencies, n_invalid=n_invalid
+        )
 
     def _one_switch(self, machine, cpu, core, target_hz, rng):
         sim = machine.sim
@@ -102,16 +135,18 @@ class TestPollingJumpsToNextEvent:
     )
     def test_matches_quantum_stepping_timeouts_included(self, monkeypatch, from_ghz, to_ghz):
         # A 900 us timeout cuts into the 390-1390 us transitions, so the
-        # timeout branch's jump cap is exercised too.
+        # timeout branch's jump cap and the masking of timed-out rows are
+        # exercised too; 300 samples cross two validation-round boundaries.
         monkeypatch.setattr(freq_transition, "SAMPLE_TIMEOUT_NS", us(900))
         runs = []
-        for cls in (FrequencyTransitionExperiment, _QuantumStepping):
+        for cls in (FrequencyTransitionExperiment, _SequentialReference):
             exp = cls(ExperimentConfig(seed=5))
             machines = []
             with machine_hook(machines.append):
                 res = exp.measure_pair(ghz(from_ghz), ghz(to_ghz), n_samples=300)
             runs.append((exp, res, machines[0].sim.now_ns))
         (_, jumped, jumped_end), (stepping, stepped, stepped_end) = runs
+        assert 300 > 2 * freq_transition.ROUND_SAMPLES
         assert stepping.timeouts > 0
         assert np.array_equal(jumped.latencies_us, stepped.latencies_us)
         assert jumped.n_invalid == stepped.n_invalid

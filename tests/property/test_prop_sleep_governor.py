@@ -1,12 +1,18 @@
-"""Properties of the sleep resolver and the menu governor."""
+"""Properties of the sleep resolver, the menu governor and its interrupt model."""
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
 from repro.cstate.package import PackageSleepState
+from repro.errors import ConfigurationError
 from repro.machine import Machine
 from repro.oslayer.cpuidle import MenuGovernor
-from repro.oslayer.interrupts import InterruptModel
+from repro.oslayer.interrupts import (
+    IDLE_RESIDUAL_WAKEUPS_HZ,
+    InterruptModel,
+    InterruptSource,
+)
 from repro.workloads import SPIN
 
 
@@ -73,3 +79,51 @@ def test_higher_rate_never_deepens_the_pick(rate_a, rate_b):
         return MenuGovernor(interrupts).select(0, "C2")
 
     assert order[pick(hi)] <= order[pick(lo)]
+
+
+_NAMES = ("timer", "nic0", "nic1", "ipi", "disk")
+_RATES = st.one_of(st.floats(min_value=1e-3, max_value=1e6), st.sampled_from([0.0, -1.0]))
+
+
+@given(
+    program=st.lists(
+        st.one_of(
+            st.tuples(
+                st.just("register"), st.sampled_from(_NAMES), st.integers(0, 3), _RATES
+            ),
+            st.tuples(st.just("unregister"), st.sampled_from(_NAMES)),
+        ),
+        max_size=30,
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_per_cpu_sources_equal_a_full_scan(program):
+    """After every register/unregister, each CPU's sources and wake-up rate
+    equal a scan over all sources in registration order."""
+    model = InterruptModel()
+    everything: list[InterruptSource] = []
+    for op in program:
+        name = op[1]
+        known = any(s.name == name for s in everything)
+        if op[0] == "register":
+            cpu, rate = op[2], op[3]
+            if known or rate <= 0:
+                with pytest.raises(ConfigurationError):
+                    model.register(name, cpu, rate)
+            else:
+                model.register(name, cpu, rate)
+                everything.append(InterruptSource(name, cpu, rate))
+        elif known:
+            model.unregister(name)
+            everything = [s for s in everything if s.name != name]
+        else:
+            with pytest.raises(ConfigurationError):
+                model.unregister(name)
+        for cpu in range(4):
+            want = [s for s in everything if s.cpu_id == cpu]
+            got = model.sources_on(cpu)
+            assert got == want
+            got.clear()  # a copy: procfs may keep it
+            assert model.sources_on(cpu) == want
+            rate = IDLE_RESIDUAL_WAKEUPS_HZ + sum(s.rate_hz for s in want)
+            assert model.wakeup_rate_hz(cpu).hex() == rate.hex()

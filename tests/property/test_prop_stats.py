@@ -13,7 +13,9 @@ from repro.core.analysis.stats import (
     confidence_interval,
     ecdf,
     mean_std,
+    mean_std_rows,
     overlap_fraction,
+    rows_within_interval,
     within_interval,
 )
 
@@ -39,9 +41,8 @@ def numpy_within_interval(value: float, samples, level: float = 0.95) -> bool:
     return lo <= value <= hi
 
 
-@st.composite
-def sample_sets(draw):
-    """2-1,000 float64 values, as an array of some layout or a list.
+def _value_source(draw):
+    """A function of ``size`` that returns float64 values of one kind.
 
     Magnitudes run from 1e-6 to 1e12; ``probes`` is fig3's validation
     shape ``t * (1 + N(0, 1e-4))``, whose near-equal values make the
@@ -50,7 +51,6 @@ def sample_sets(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     scale = draw(st.floats(min_value=1e-6, max_value=1e12))
     kind = draw(st.sampled_from(["probes", "spread", "offset"]))
-    layout = draw(st.sampled_from(["1-d", "2-d", "transposed", "strided", "list"]))
 
     def values(size):
         if kind == "probes":
@@ -58,6 +58,15 @@ def sample_sets(draw):
         if kind == "spread":
             return rng.uniform(-scale, scale, size=size)
         return scale + rng.normal(0.0, scale * 1e-3, size=size)
+
+    return values
+
+
+@st.composite
+def sample_sets(draw):
+    """2-1,000 float64 values, as an array of some layout or a list."""
+    values = _value_source(draw)
+    layout = draw(st.sampled_from(["1-d", "2-d", "transposed", "strided", "list"]))
 
     if layout in ("2-d", "transposed"):
         rows = draw(st.integers(2, 40))
@@ -112,6 +121,44 @@ def test_within_interval_equals_numpy_reference(samples, level, where, u):
     assert within_interval(value, samples, level) == numpy_within_interval(
         value, samples, level
     )
+
+
+@st.composite
+def probe_rounds(draw):
+    """1-300 rows of 2-200 values each, fig3's 100 among the widths."""
+    values = _value_source(draw)
+    width = draw(st.one_of(st.just(100), st.integers(2, 200)))
+    return values((draw(st.integers(1, 300)), width))
+
+
+@given(
+    rows=probe_rounds(),
+    level=st.one_of(st.just(0.95), st.floats(min_value=0.01, max_value=0.999)),
+    pick=st.integers(0, 299),
+    where=st.sampled_from(
+        ["lo", "hi", "below lo", "above lo", "below hi", "above hi", "mean"]
+    ),
+)
+@settings(max_examples=300, deadline=None)
+def test_rows_within_interval_equals_per_row_predicates(rows, level, pick, where):
+    # The value sits at one row's bound or one ulp beside it.
+    lo, hi = numpy_interval(rows[pick % len(rows)], level)
+    value = {
+        "lo": lo,
+        "hi": hi,
+        "below lo": np.nextafter(lo, -np.inf),
+        "above lo": np.nextafter(lo, np.inf),
+        "below hi": np.nextafter(hi, -np.inf),
+        "above hi": np.nextafter(hi, np.inf),
+        "mean": (lo + hi) / 2,
+    }[where]
+    means, stds = mean_std_rows(rows)
+    decisions = rows_within_interval(value, rows, level)
+    assert decisions.shape == (len(rows),)
+    for row, mean, std, ok in zip(rows, means.tolist(), stds.tolist(), decisions.tolist()):
+        assert [mean.hex(), std.hex()] == [v.hex() for v in mean_std(row)]
+        assert ok == within_interval(value, row, level)
+        assert ok == numpy_within_interval(value, row, level)
 
 
 @given(samples=arrays(np.float64, st.integers(2, 200), elements=finite_floats))

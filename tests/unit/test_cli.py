@@ -113,6 +113,11 @@ class TestCli:
         assert main(["fig10", "--seed", "1", "--scale", "0.02", "--no-cache"]) == 1
         assert "DEVIATES" in capsys.readouterr().out
 
+    def test_fig5_under_monitor_exits_zero(self, capsys):
+        # fig5 selects the lower I/O-die P-states, whose iodie_w is negative.
+        assert main(["fig5", "--monitor", "--no-cache"]) == 0
+        assert "0 with violations" in capsys.readouterr().out
+
     def test_entry_command_reproduces_golden_entry(self, tmp_path):
         path = tmp_path / "r.json"
         argv = ["fig7", "--seed", "2021", "--scale", "0.02", "--no-cache"]

@@ -10,6 +10,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import InvariantViolation
+from repro.iodie.fclk import FclkMode
 from repro.lint.monitor import InvariantMonitor
 from repro.machine import Machine
 from repro.power.model import PowerBreakdown
@@ -38,7 +39,7 @@ def _breakdown(**overrides) -> PowerBreakdown:
         workload_dynamic_w=0.0,
         toggle_w=0.0,
         dram_active_w=5.0,
-        iodie_w=20.0,
+        iodie_w=0.0,
         leakage_w=15.0,
     )
     base.update(overrides)
@@ -61,6 +62,42 @@ def test_negative_power_term_trips(machine, monitor):
     )
     (violation,) = monitor.check()
     assert "c1_cores_w is negative" in violation
+
+
+def _awake_at_lowest_fclk_iodie_w(machine) -> float:
+    """Wake the system, select fclk P2 and return the live iodie_w."""
+    machine.os.run(SPIN, [0])
+    machine.set_fclk_mode(FclkMode.P2)
+    return machine.power_model.breakdown(machine).iodie_w
+
+
+def test_iodie_term_at_its_floor_passes(machine, monitor):
+    floor_w = _awake_at_lowest_fclk_iodie_w(machine)
+    assert floor_w < 0.0
+    assert monitor.check() == []
+
+
+def test_sign_flipped_iodie_term_trips(machine, monitor):
+    floor_w = _awake_at_lowest_fclk_iodie_w(machine)
+    machine.power_model.breakdown = lambda m, temps=None: _breakdown(iodie_w=-floor_w)
+    (violation,) = monitor.check()
+    assert f"iodie_w is {-floor_w:.3f} W, outside [{floor_w:.3f}, 0] W" in violation
+
+
+def test_iodie_term_below_its_floor_trips(machine, monitor):
+    floor_w = _awake_at_lowest_fclk_iodie_w(machine)
+    machine.power_model.breakdown = lambda m, temps=None: _breakdown(
+        iodie_w=floor_w - 1e-6
+    )
+    (violation,) = monitor.check()
+    assert "outside" in violation and "iodie_w" in violation
+
+
+def test_iodie_term_while_asleep_must_be_zero(machine, monitor):
+    assert machine.cstates.system_in_deep_sleep()
+    machine.power_model.breakdown = lambda m, temps=None: _breakdown(iodie_w=-1.0)
+    (violation,) = monitor.check()
+    assert "iodie_w is -1.000 W while the system sleeps" in violation
 
 
 def test_ppt_envelope_trips(machine, monitor):
