@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint lint-changed update-schema-registry ordering-check selfcheck suite-parallel suite-traced golden serve service-smoke
+.PHONY: test lint lint-changed ordering-check selfcheck suite-parallel suite-traced golden serve service-smoke
 
 # The default gate: static analysis first (DET001/SIM001/... keep the
 # cache/parallel code deterministic), then the full pytest tree — which
@@ -9,18 +9,12 @@ export PYTHONPATH := src
 test: lint
 	$(PYTHON) -m pytest -x -q
 
-# Per-module rules plus the whole-program effects and contracts passes
-# (one `--deep` run against lint.json, one result cache) over src/repro,
-# then per-module rules over the rest of the tree.
+# Per-module rules plus the whole-program rules OBS001 and CON010 (one
+# `--deep` run against lint.json's layer DAG, one result cache) over
+# src/repro, then per-module rules over the rest of the tree.
 lint:
 	$(PYTHON) -m repro.lint src/repro --deep
 	$(PYTHON) -m repro.lint tests benchmarks examples
-
-# Re-snapshot the schema registry (the `schemas` section of lint.json)
-# after a deliberate schema_version bump; review the JSON diff like any
-# other contract change.
-update-schema-registry:
-	$(PYTHON) -m repro.lint src/repro --deep --update-schema-registry
 
 # Pre-commit convenience: the `lint` runs, findings reported only for
 # files changed vs git HEAD (falls back to a full run without git).

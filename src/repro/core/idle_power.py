@@ -45,11 +45,6 @@ class IdlePowerExperiment:
 
     # ------------------------------------------------------------------
 
-    def measure_baseline_w(self, machine=None) -> float:
-        """All threads in C2 (the 99.1 W floor)."""
-        machine = machine or self.config.build_machine()
-        return machine.measure(self.config.interval_s).ac_mean_w
-
     def sweep_c1(self, step_cpus: list[int] | None = None) -> IdleStaircaseResult:
         """Move CPUs from C2 to C1 one at a time (sysfs disable of C2)."""
         machine = self.config.build_machine()

@@ -1,5 +1,5 @@
 """I/O-die frequency domain (fclk) and its control policy (§III-C, §V-D)."""
 
-from repro.iodie.fclk import FclkController, FclkMode, FCLK_PSTATES_HZ
+from repro.iodie.fclk import FclkController, FclkMode
 
-__all__ = ["FclkController", "FclkMode", "FCLK_PSTATES_HZ"]
+__all__ = ["FclkController", "FclkMode"]

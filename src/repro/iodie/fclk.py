@@ -27,9 +27,6 @@ from repro.power.calibration import CALIBRATION, Calibration
 from repro.topology.components import IODie
 from repro.units import ghz
 
-#: Fixed fclk P-states exposed by the BIOS (P0, P1, P2).
-FCLK_PSTATES_HZ: tuple[float, ...] = CALIBRATION.fclk_pstates_hz
-
 #: The fabric-coupled ceiling: above this MEMCLK the domains decouple.
 FCLK_COUPLED_CEILING_HZ = ghz(1.467)
 
@@ -66,7 +63,7 @@ class FclkController:
         if mode is FclkMode.AUTO:
             return min(FCLK_COUPLED_CEILING_HZ, memclk_hz)
         try:
-            return FCLK_PSTATES_HZ[mode.value]
+            return self.cal.fclk_pstates_hz[mode.value]
         except (IndexError, TypeError):
             raise ConfigurationError(f"invalid fclk mode {mode!r}") from None
 

@@ -40,21 +40,14 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--deep",
         action="store_true",
-        help="also run the whole-program effects and contracts analyses "
-        "(OBS/PAR, CON rules) over one shared program, with one "
-        "digest-keyed result cache",
+        help="also run the whole-program rules (OBS001, CON010) over one "
+        "shared program, with one digest-keyed result cache",
     )
     parser.add_argument(
         "--manifest",
         metavar="FILE",
         help=f"lint manifest for --deep (default: {DEFAULT_MANIFEST} in "
         "the working directory, if present)",
-    )
-    parser.add_argument(
-        "--update-schema-registry",
-        action="store_true",
-        help="rewrite the manifest's schemas section from the analyzed "
-        "tree before checking (implies --deep)",
     )
     parser.add_argument(
         "--changed-only",
@@ -126,7 +119,6 @@ def main(argv: list[str] | None = None) -> int:
             rules,
             deep=args.deep,
             manifest=manifest,
-            update_schema_registry=args.update_schema_registry,
             changed_only=args.changed_only,
         )
     except LintError as err:

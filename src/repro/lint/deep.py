@@ -2,17 +2,15 @@
 
 One run takes the modules the engine already parsed, builds one
 :class:`~repro.lint.program.Program`, and runs both whole-program
-analyzers over it: effects (OBS001, PAR001) and contracts
-(CON010, CON020, CON021).  Their inputs come from one manifest
-(:mod:`repro.lint.manifest`).
+rules over it: the obs guard (OBS001) and the layer DAG (CON010).
+The DAG comes from the manifest (:mod:`repro.lint.manifest`).
 
-The raw findings are cached as one document under a key made of four
+The raw findings are cached as one document under a key made of three
 digests:
 
 * the ``repro.lint`` package's own sources, so changing an analyzer
   invalidates every cached result without a hand-bumped version;
 * the canonical manifest;
-* the CON021 tests corpus (the manifest's ``tests_root``);
 * every analyzed module's path and source.
 
 Inline suppressions are filtered after the cache, on hits and misses
@@ -28,20 +26,14 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Sequence, get_type_hints
 
-from repro.errors import CacheError, LintError
+from repro.errors import CacheError
 from repro.lint.contracts import CONTRACTS_RULE_IDS
 from repro.lint.contracts.layers import check_layers
-from repro.lint.contracts.schemas import (
-    check_registry,
-    extract_registry,
-    snapshot_schemas,
-)
 from repro.lint.effects import EFFECTS_RULE_IDS
 from repro.lint.effects.guards import check_guards
-from repro.lint.effects.parsafe import check_submissions
 from repro.lint.engine import ParsedModule, iter_python_files, parse_module, read_source
 from repro.lint.findings import Finding
-from repro.lint.manifest import Manifest, load_manifest, write_schemas
+from repro.lint.manifest import Manifest, load_manifest
 from repro.lint.program import Program, build_program
 
 #: Every rule the deep pass can emit.
@@ -60,28 +52,27 @@ class DeepReport:
 
     findings: list[Finding] = field(default_factory=list)
     suppressed: int = 0
-    #: Program and analyzer counts (modules, functions, layers, schemas),
+    #: Program and analyzer counts (modules, functions, layers),
     #: finding counts, cache status and wall time.
     stats: dict[str, Any] = field(default_factory=dict)
 
 
-def _tree_digest(root: str | None) -> str:
+def _tree_digest(root: str) -> str:
     """Digest of every ``.py`` file (relative path and bytes) under ``root``."""
     entries: list[list[str]] = []
-    if root is not None and os.path.isdir(root):
-        for dirpath, dirnames, filenames in os.walk(root):
-            dirnames.sort()
-            for name in sorted(filenames):
-                if name.endswith(".py"):
-                    path = os.path.join(dirpath, name)
-                    with open(path, "rb") as handle:
-                        digest = hashlib.sha256(handle.read()).hexdigest()
-                    entries.append([os.path.relpath(path, root), digest])
+    for dirpath, dirnames, filenames in os.walk(root):
+        dirnames.sort()
+        for name in sorted(filenames):
+            if name.endswith(".py"):
+                path = os.path.join(dirpath, name)
+                with open(path, "rb") as handle:
+                    digest = hashlib.sha256(handle.read()).hexdigest()
+                entries.append([os.path.relpath(path, root), digest])
     return hashlib.sha256(json.dumps(entries).encode()).hexdigest()
 
 
 def cache_key(modules: Sequence[ParsedModule], manifest: Manifest) -> str:
-    """The one cache key: lint sources, manifest, tests corpus, modules."""
+    """The one cache key: lint sources, manifest, modules."""
     sources = [
         [m.path, hashlib.sha256(m.source.encode("utf-8")).hexdigest()]
         for m in sorted(modules, key=lambda m: m.path)
@@ -89,7 +80,6 @@ def cache_key(modules: Sequence[ParsedModule], manifest: Manifest) -> str:
     parts = [
         _tree_digest(LINT_PACKAGE_DIR),
         hashlib.sha256(manifest.canonical().encode()).hexdigest(),
-        _tree_digest(manifest.tests_root),
         sources,
     ]
     return "lintdeep-" + hashlib.sha256(json.dumps(parts).encode()).hexdigest()
@@ -97,13 +87,7 @@ def cache_key(modules: Sequence[ParsedModule], manifest: Manifest) -> str:
 
 def _analyze(program: Program, manifest: Manifest) -> dict[str, Any]:
     """Run every analyzer; returns the cacheable document of raw findings."""
-    registry_findings, registry = check_registry(program, manifest)
-    raw = [
-        *check_guards(program),
-        *check_submissions(program),
-        *check_layers(program, manifest),
-        *registry_findings,
-    ]
+    raw = [*check_guards(program), *check_layers(program, manifest)]
     raw.sort(key=lambda f: (f.path, f.line, f.col, f.rule, f.message))
     return {
         "findings": [f.to_dict() for f in raw],
@@ -111,7 +95,6 @@ def _analyze(program: Program, manifest: Manifest) -> dict[str, Any]:
             "modules": len(program.modules),
             "functions": len(program.functions),
             "layers": len(manifest.layers.assign),
-            "schemas": len(registry.schemas()),
         },
     }
 
@@ -145,25 +128,12 @@ def _open_cache():
 
 
 def analyze_modules(
-    modules: Sequence[ParsedModule],
-    manifest: str | None = None,
-    *,
-    update_schema_registry: bool = False,
+    modules: Sequence[ParsedModule], manifest: str | None = None
 ) -> DeepReport:
-    """Whole-program analysis of parsed modules against ``manifest``.
-
-    ``manifest=None`` is the empty manifest.  ``update_schema_registry``
-    rewrites the manifest's ``schemas`` section from the tree *before*
-    checking, so the run that records a version bump comes back clean.
-    """
+    """Whole-program analysis of parsed modules against ``manifest``
+    (``None``: the empty manifest)."""
     started = time.perf_counter()  # lint: disable=DET001 (host-side analysis timing)
     analyzable = [m for m in modules if m.ctx is not None]
-    program: Program | None = None
-    if update_schema_registry:
-        if manifest is None:
-            raise LintError("--update-schema-registry needs a manifest file")
-        program = build_program(analyzable)
-        write_schemas(manifest, snapshot_schemas(extract_registry(program)))
     loaded = load_manifest(manifest)
 
     cache = _open_cache()
@@ -176,7 +146,7 @@ def analyze_modules(
             doc = None
     cache_hit = doc is not None and _replayable(doc)
     if not cache_hit:
-        doc = _analyze(program or build_program(analyzable), loaded)
+        doc = _analyze(build_program(analyzable), loaded)
         if cache is not None:
             try:
                 cache.put(key, doc)
@@ -201,11 +171,9 @@ def analyze_modules(
     return report
 
 
-def analyze_paths(
-    paths: Sequence[str], manifest: str | None = None, **kwargs: Any
-) -> DeepReport:
+def analyze_paths(paths: Sequence[str], manifest: str | None = None) -> DeepReport:
     """Parse every python file under ``paths`` and analyze them."""
     modules = [
         parse_module(read_source(path), path) for path in iter_python_files(paths)
     ]
-    return analyze_modules(modules, manifest, **kwargs)
+    return analyze_modules(modules, manifest)

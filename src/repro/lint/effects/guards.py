@@ -128,7 +128,7 @@ class _GuardWalker:
         self.local_types = resolver.local_class_types(func)
 
     def run(self) -> _FuncResult:
-        self._walk_body(self.func.body, {})
+        self._walk_body(self.func.node.body, {})
         return self.result
 
     # -- expression side ---------------------------------------------------

@@ -1,10 +1,8 @@
 """Call resolution for the whole-program effects rules.
 
 :class:`Resolver` pins a call expression in one module to a project
-function, a project class or an external dotted name.  OBS001
-(:mod:`repro.lint.effects.guards`) uses it to find the call sites of a
-helper, and PAR001 (:mod:`repro.lint.effects.parsafe`) to recognise
-submissions into :mod:`repro.parallel`.
+function or a project class.  OBS001 (:mod:`repro.lint.effects.guards`)
+uses it to find the call sites of a helper.
 
 Resolution keeps a zero-false-positive contract: a call it cannot pin
 down resolves to ``None``, and the rules stay silent on it instead of
@@ -23,8 +21,8 @@ from repro.lint.program import FuncInfo, Program, _dotted_parts
 class Resolved:
     """Outcome of resolving one call expression."""
 
-    kind: str  # "func" | "class" | "external"
-    target: str  # project qname or external dotted name
+    kind: str  # "func" | "class"
+    target: str  # project qname
     func: FuncInfo | None = None
 
 
@@ -38,7 +36,7 @@ class Resolver:
     def local_class_types(self, func: FuncInfo) -> dict[str, str]:
         """Locals provably holding instances: ``x = ClassName(...)``."""
         types: dict[str, str] = {}
-        for node in ast.walk(_body_holder(func)):
+        for node in ast.walk(func.node):
             if not (isinstance(node, ast.Assign) and len(node.targets) == 1):
                 continue
             target = node.targets[0]
@@ -75,7 +73,6 @@ class Resolver:
                     return Resolved("func", dotted, program.functions[dotted])
                 if dotted in program.classes:
                     return Resolved("class", dotted)
-                return Resolved("external", dotted)
             return None
         parts = _dotted_parts(node)
         if parts is None:
@@ -110,10 +107,4 @@ class Resolver:
             method = program.method_of(base, rest[0])
             if method is not None:
                 return Resolved("func", method.qname, method)
-        return Resolved("external", dotted)
-
-
-def _body_holder(func: FuncInfo) -> ast.AST:
-    if func.node is not None:
-        return func.node
-    return ast.Module(body=func.body, type_ignores=[])
+        return None

@@ -36,14 +36,14 @@ _SKIP_DIRS = {
 #: Engine-level rule: a ``# lint: disable=RULE`` that excused nothing.
 UNUSED_SUPPRESSION_RULE = "LINT001"
 
-#: Engine-level rule: an OBS/PAR/CON suppression without a ``reason=``.
+#: Engine-level rule: an OBS/CON suppression without a ``reason=``.
 SUPPRESSION_REASON_RULE = "LINT002"
 
 #: Rule-id prefixes whose suppressions must carry a ``reason=`` token.
-#: Effects and contracts findings gate the obs guard, process isolation
-#: and structural invariants; excusing one without a recorded
-#: justification defeats the review trail.
-REASON_REQUIRED_PREFIXES = ("OBS", "PAR", "CON")
+#: Effects and contracts findings gate the obs guard and the layer DAG;
+#: excusing one without a recorded justification defeats the review
+#: trail.
+REASON_REQUIRED_PREFIXES = ("OBS", "CON")
 
 
 @dataclass
@@ -186,12 +186,12 @@ def unused_suppression_findings(
 
 
 def suppression_reason_findings(parsed: ParsedModule) -> tuple[list[Finding], int]:
-    """LINT002 findings: OBS, PAR and CON suppressions must state a reason.
+    """LINT002 findings: OBS and CON suppressions must state a reason.
 
-    Any ``# lint: disable[-file]=`` comment naming an OBS, PAR or CON
-    rule must carry a ``reason=`` token in the same comment, e.g.::
+    Any ``# lint: disable[-file]=`` comment naming an OBS or CON rule
+    must carry a ``reason=`` token in the same comment, e.g.::
 
-        run_tasks([Task("t", fn)])  # lint: disable=PAR001 reason=fork only
+        import repro.obs  # lint: disable=CON010 reason=bootstrap shim
 
     Purely syntactic, so it runs whether or not ``--deep`` does.
     """
@@ -215,7 +215,7 @@ def suppression_reason_findings(parsed: ParsedModule) -> tuple[list[Finding], in
             rule=SUPPRESSION_REASON_RULE,
             message=(
                 f"suppression of {', '.join(needing)} lacks a 'reason=' "
-                "token; OBS, PAR and CON suppressions must record their "
+                "token; OBS and CON suppressions must record their "
                 "justification inline"
             ),
         )
@@ -285,7 +285,6 @@ def lint_paths(
     unused_check: bool = True,
     deep: bool = False,
     manifest: str | None = None,
-    update_schema_registry: bool = False,
     changed_only: bool = False,
 ) -> LintReport:
     """Lint every python file under ``paths``.
@@ -293,8 +292,7 @@ def lint_paths(
     With ``deep=True`` the whole-program effects and contracts
     analyzers (:mod:`repro.lint.deep`) run over the same parsed modules
     against the ``manifest`` file (``None``: the empty manifest) and
-    their findings join the report.  ``update_schema_registry`` implies
-    ``deep`` and rewrites the manifest's ``schemas`` section first.
+    their findings join the report.
 
     ``changed_only`` restricts reported findings to files changed vs
     ``git HEAD`` (plus untracked files).  Every file is still *parsed*
@@ -331,12 +329,10 @@ def lint_paths(
         report.suppressed += reason_suppressed
 
     checkable = {rule.rule_id for rule in rules} | {SUPPRESSION_REASON_RULE}
-    if deep or update_schema_registry:
+    if deep:
         from repro.lint.deep import DEEP_RULE_IDS, analyze_modules
 
-        deep_report = analyze_modules(
-            modules, manifest, update_schema_registry=update_schema_registry
-        )
+        deep_report = analyze_modules(modules, manifest)
         report.findings.extend(
             f for f in deep_report.findings if in_seeds(f.path)
         )

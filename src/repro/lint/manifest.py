@@ -1,17 +1,12 @@
 """The lint manifest, ``lint.json``: every committed input of ``lint --deep``.
 
-One reviewable JSON object with these sections:
+One reviewable JSON object with two sections:
 
 * ``version`` — manifest format version (must be 1).
 * ``layers`` — the import-boundary DAG for CON010: ``assign`` maps a
   layer name to module-name prefixes, ``allow`` maps a layer to the
   layers it may import at module scope.  Unassigned modules are
   unconstrained.
-* ``tests_root`` — directory scanned for validator references by the
-  CON021 reachability check; absent means CON021 is off.
-* ``schemas`` — the schema registry snapshot for CON020: schema id ->
-  ``{"version", "writer", "validator", "fields"}``.
-  ``--update-schema-registry`` rewrites this section and nothing else.
 
 Unknown keys are rejected at every level, so a stale or misspelled
 section fails closed instead of silently enforcing nothing.  Manifest
@@ -23,7 +18,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any
 
 from repro.errors import LintError
 
@@ -32,9 +26,8 @@ DEFAULT_MANIFEST = "lint.json"
 
 MANIFEST_VERSION = 1
 
-_TOP_KEYS = frozenset({"version", "layers", "tests_root", "schemas"})
+_TOP_KEYS = frozenset({"version", "layers"})
 _LAYER_KEYS = frozenset({"assign", "allow"})
-_SCHEMA_KEYS = frozenset({"version", "writer", "validator", "fields"})
 
 
 @dataclass
@@ -90,9 +83,6 @@ class Manifest:
 
     path: str | None = None
     layers: LayerDecl = field(default_factory=LayerDecl)
-    tests_root: str | None = None
-    #: schema id -> registry snapshot entry.
-    schemas: dict[str, dict[str, Any]] = field(default_factory=dict)
 
     @property
     def label(self) -> str:
@@ -100,15 +90,10 @@ class Manifest:
         return self.path or DEFAULT_MANIFEST
 
     def canonical(self) -> str:
-        """Canonical text of every section, plus the path manifest
+        """Canonical text of the layers, plus the path manifest
         findings point at, for the result-cache key."""
         return json.dumps(
-            {
-                "path": self.path,
-                "layers": [self.layers.assign, self.layers.allow],
-                "tests_root": self.tests_root,
-                "schemas": self.schemas,
-            },
+            {"path": self.path, "layers": [self.layers.assign, self.layers.allow]},
             sort_keys=True,
         )
 
@@ -154,60 +139,20 @@ def _parse_layers(doc: object, path: str) -> LayerDecl:
     return LayerDecl(assign=assign, allow=allow)
 
 
-def _parse_schemas(doc: object, path: str) -> dict[str, dict[str, Any]]:
-    schemas = _object(doc, "'schemas'", path)
-    for schema, entry in schemas.items():
-        _check_keys(
-            _object(entry, f"schemas[{schema!r}]", path),
-            _SCHEMA_KEYS,
-            f"schemas[{schema!r}]",
-            path,
-        )
-    return schemas
-
-
-def _read(path: str) -> dict:
+def load_manifest(path: str | None) -> Manifest:
+    """Parse ``path``; ``None`` is the empty manifest (nothing declared)."""
+    if path is None:
+        return Manifest()
     try:
         with open(path, encoding="utf-8") as handle:
             doc = json.load(handle)
     except (OSError, ValueError, RecursionError) as err:  # nesting too deep
         raise LintError(f"cannot read manifest {path}: {err}") from err
-    return _object(doc, "the top level", path)
-
-
-def load_manifest(path: str | None) -> Manifest:
-    """Parse ``path``; ``None`` is the empty manifest (nothing declared)."""
-    if path is None:
-        return Manifest()
-    doc = _read(path)
+    doc = _object(doc, "the top level", path)
     _check_keys(doc, _TOP_KEYS, "the top level", path)
     version = doc.get("version", MANIFEST_VERSION)
     if version != MANIFEST_VERSION:
         raise LintError(
             f"manifest {path}: version {version!r} is not {MANIFEST_VERSION}"
         )
-    tests_root = doc.get("tests_root")
-    if tests_root is not None and not isinstance(tests_root, str):
-        raise LintError(f"manifest {path}: tests_root must be a string")
-    return Manifest(
-        path=path,
-        layers=_parse_layers(doc.get("layers", {}), path),
-        tests_root=tests_root,
-        schemas=_parse_schemas(doc.get("schemas", {}), path),
-    )
-
-
-def write_schemas(path: str, schemas: dict[str, dict[str, Any]]) -> None:
-    """Rewrite only the ``schemas`` section of the manifest at ``path``.
-
-    The file is written in canonical form (``indent=2``, sorted keys),
-    so an update that records nothing new leaves it byte-identical.
-    """
-    doc = _read(path)
-    doc["schemas"] = schemas
-    try:
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(doc, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-    except OSError as err:
-        raise LintError(f"cannot write manifest {path}: {err}") from err
+    return Manifest(path=path, layers=_parse_layers(doc.get("layers", {}), path))

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 from repro.cstate.states import depth_of
 from repro.errors import InvariantViolation
-from repro.iodie.fclk import FCLK_PSTATES_HZ
 from repro.units import (
     NS_PER_S,
     RAPL_COUNTER_WRAP,
@@ -241,7 +240,8 @@ class InvariantMonitor:
                 found.append(f"power breakdown term {name} is negative ({value:.3f} W)")
         # iodie_w is each awake die's deviation from the Auto/DDR4-3200
         # fclk, the highest any mode yields, so it is never positive and
-        # never below every die at the lowest fclk P-state.
+        # never below every die at its own calibration's lowest fclk
+        # P-state.
         if machine.cstates.system_in_deep_sleep():
             if bd.iodie_w != 0.0:
                 found.append(
@@ -249,8 +249,10 @@ class InvariantMonitor:
                     "while the system sleeps"
                 )
         else:
-            lowest_hz = min(FCLK_PSTATES_HZ)
-            floor_w = sum(fc.extra_power_w(lowest_hz) for fc in machine.fclk_controllers)
+            floor_w = sum(
+                fc.extra_power_w(min(fc.cal.fclk_pstates_hz))
+                for fc in machine.fclk_controllers
+            )
             if not floor_w - 1e-9 <= bd.iodie_w <= 1e-9:
                 found.append(
                     f"power breakdown term iodie_w is {bd.iodie_w:.3f} W, "

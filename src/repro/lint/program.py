@@ -2,10 +2,9 @@
 
 :func:`build_program` links every parsed module into one
 :class:`Program`: functions and methods under stable qualified names,
-classes with their base-class chains, per-module import bindings, and
-the module-level statement bodies.  :mod:`repro.lint.deep` builds it
-once; the effects and contracts analyzers resolve names, calls and
-method lookups against it.
+classes with their base-class chains, and per-module import bindings.
+:mod:`repro.lint.deep` builds it once; the effects and contracts
+analyzers resolve names, calls and method lookups against it.
 
 Resolution is deliberately best-effort: anything the linker cannot pin
 down stays unresolved, and the analyzers treat it as unknown instead of
@@ -20,9 +19,6 @@ from dataclasses import dataclass, field
 from repro.lint.engine import ParsedModule
 from repro.lint.rules import module_name_for
 
-#: Name of the pseudo-function holding a module's top-level statements.
-MODULE_BODY = "<module>"
-
 
 @dataclass
 class Param:
@@ -33,13 +29,12 @@ class Param:
 
 @dataclass
 class FuncInfo:
-    """One function, method, or module body in the program."""
+    """One function or method in the program."""
 
     qname: str
     module: "ModuleInfo"
-    node: ast.AST | None  # FunctionDef/AsyncFunctionDef; None for <module>
+    node: ast.FunctionDef | ast.AsyncFunctionDef
     params: list[Param] = field(default_factory=list)
-    body: list[ast.stmt] = field(default_factory=list)
     cls: "ClassInfo | None" = None
     #: Names assigned anywhere in the body (plus params): the local scope.
     local_names: set[str] = field(default_factory=set)
@@ -64,7 +59,7 @@ class ClassInfo:
 
 @dataclass
 class ModuleInfo:
-    """One parsed module: bindings, definitions, module body."""
+    """One parsed module: bindings and definitions."""
 
     name: str
     parsed: ParsedModule
@@ -72,7 +67,6 @@ class ModuleInfo:
     bindings: dict[str, str] = field(default_factory=dict)
     functions: dict[str, FuncInfo] = field(default_factory=dict)
     classes: dict[str, ClassInfo] = field(default_factory=dict)
-    body: FuncInfo | None = None
 
 
 @dataclass
@@ -177,7 +171,6 @@ def _build_function(
         module=module,
         node=node,
         params=params,
-        body=list(node.body),
         cls=cls,
         local_names=_local_names(node, params),
     )
@@ -223,7 +216,6 @@ def build_program(parsed_modules: list[ParsedModule]) -> Program:
         tree = parsed.ctx.tree
         module.bindings = _module_bindings(name, tree)
 
-        body_stmts: list[ast.stmt] = []
         for stmt in tree.body:
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 func = _build_function(stmt, f"{name}.{stmt.name}", module, None)
@@ -231,17 +223,6 @@ def build_program(parsed_modules: list[ParsedModule]) -> Program:
             elif isinstance(stmt, ast.ClassDef):
                 cls = _build_class(stmt, f"{name}.{stmt.name}", module)
                 module.classes[stmt.name] = cls
-            else:
-                body_stmts.append(stmt)
-
-        body = FuncInfo(
-            qname=f"{name}.{MODULE_BODY}",
-            module=module,
-            node=None,
-            body=body_stmts,
-        )
-        body.local_names = _local_names_module(body_stmts)
-        module.body = body
         program.modules[name] = module
 
     # Register global tables and link base classes.
@@ -259,11 +240,6 @@ def build_program(parsed_modules: list[ParsedModule]) -> Program:
                 if resolved is not None:
                     cls.bases.append(resolved)
     return program
-
-
-def _local_names_module(stmts: list[ast.stmt]) -> set[str]:
-    holder = ast.Module(body=stmts, type_ignores=[])
-    return _local_names(holder, [])
 
 
 def _resolve_base(base_name: str, module: ModuleInfo, program: Program) -> str | None:

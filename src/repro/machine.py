@@ -525,13 +525,6 @@ class Machine:
                 self._obs_preheat_unconv.inc()
         return delta_c
 
-    def _evolve_thermals(self, duration_s: float) -> None:
-        for pkg in self.topology.packages:
-            p = self.power_model.package_power_w(self, pkg, self.thermal_state.temps_c)
-            self.thermal_state.temps_c[pkg.index] = self.thermal.evolve_c(
-                self.thermal_state.temps_c[pkg.index], p, duration_s
-            )
-
     # ------------------------------------------------------------------
     # steady-state measurement (the §IV 10 s interval workflow)
     # ------------------------------------------------------------------

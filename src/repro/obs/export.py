@@ -157,8 +157,8 @@ def _metadata_events(
 def _trace_envelope(
     events: list[dict[str, Any]], other: dict[str, Any]
 ) -> dict[str, Any]:
-    """The single ``repro.obs/trace`` envelope writer (CON020: one
-    schema, one emitting site — both export paths funnel through here)."""
+    """The single ``repro.obs/trace`` envelope writer: both export
+    paths funnel through here."""
     return {
         "schema": TRACE_SCHEMA_ID,
         "schema_version": TRACE_SCHEMA_VERSION,

@@ -11,9 +11,9 @@ Every job resource the service returns (submit response, status poll)
 is tagged ``"schema": "repro.service/job"`` so clients and tooling can
 reject foreign or stale documents, mirroring the other interchange
 formats in the tree (``repro.obs/metrics``, ``repro.obs/trace``,
-...).  The schema registry (the ``schemas`` section of ``lint.json``)
-pins the field set: adding or removing a field without bumping
-:data:`JOB_SCHEMA_VERSION` fails ``lint --deep``.
+...).  ``tests/unit/test_schema_pins.py`` pins the field set: adding
+or removing a field without bumping :data:`JOB_SCHEMA_VERSION` fails
+it.
 
 :func:`job_document` is the single writer site;
 :func:`validate_job_document` the single validator.  The suite *result*

@@ -263,13 +263,6 @@ class Simulator:
         """Number of non-cancelled events in the queue (O(1))."""
         return len(self._queue)
 
-    @property
-    def resident_events(self) -> int:
-        """Heap entries resident in the queue, including stale cancelled
-        ones awaiting lazy deletion or compaction (see
-        :class:`repro.sim.events.EventQueue`)."""
-        return self._queue.resident
-
 
 class PeriodicTask:
     """A self-rescheduling periodic callback.

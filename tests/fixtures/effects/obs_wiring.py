@@ -1,5 +1,5 @@
 """Seeded OBS001 bugs: obs uses outside the ``is None`` guard, plus the
-guarded / caller-guarded shapes that must stay silent."""
+guarded / caller-guarded shapes that must stay silent and two suppressions."""
 
 
 class Engine:
@@ -35,3 +35,11 @@ class Engine:
         if self._obs is None:
             return n
         return self._helper(n)
+
+    def run_suppressed(self, n):
+        self._obs_count.inc(n)  # lint: disable=OBS001 reason=demonstrates a justified suppression
+        return n
+
+    def run_suppressed_reasonless(self, n):
+        self._obs_count.inc(n)  # lint: disable=OBS001
+        return n

@@ -1,11 +1,20 @@
 """I/O-die fclk control: modes, coupling, mismatch, power."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.iodie.fclk import FCLK_PSTATES_HZ, FclkController, FclkMode
+from repro.iodie.fclk import FclkController, FclkMode
+from repro.lint.monitor import InvariantMonitor
+from repro.machine import Machine
+from repro.power.calibration import CALIBRATION
 from repro.topology import build_topology
 from repro.units import ghz
+from repro.workloads import SPIN
+
+#: A calibration whose fclk P2 differs from the default's 0.8 GHz.
+SLOW_P2 = replace(CALIBRATION, fclk_pstates_hz=(ghz(1.467), ghz(1.2), ghz(0.6)))
 
 
 @pytest.fixture
@@ -17,7 +26,8 @@ def io_die():
 class TestModes:
     def test_fixed_pstates(self, io_die):
         ctrl = FclkController(io_die)
-        for mode, expect in zip((FclkMode.P0, FclkMode.P1, FclkMode.P2), FCLK_PSTATES_HZ):
+        modes = (FclkMode.P0, FclkMode.P1, FclkMode.P2)
+        for mode, expect in zip(modes, CALIBRATION.fclk_pstates_hz):
             ctrl.apply(mode)
             assert io_die.fclk_hz == expect
 
@@ -90,3 +100,27 @@ class TestPower:
             ctrl.apply(mode)
             powers.append(ctrl.extra_power_w())
         assert powers == sorted(powers)
+
+
+class TestCalibratedPstates:
+    """The fixed P-states come from the machine's calibration."""
+
+    @pytest.fixture
+    def machine(self):
+        m = Machine("EPYC 7502", calibration=SLOW_P2)
+        yield m
+        m.shutdown()
+
+    def test_p2_applies_the_calibrated_fclk_on_both_dies(self, machine):
+        machine.set_fclk_mode(FclkMode.P2)
+        dies = [pkg.io_die for pkg in machine.topology.packages]
+        assert [die.fclk_hz for die in dies] == [ghz(0.6), ghz(0.6)]
+
+    def test_monitored_run_at_p2_records_no_violation(self, machine):
+        # The monitor's iodie_w floor follows the same calibration.
+        monitor = InvariantMonitor(machine, raise_on_violation=False).attach()
+        machine.os.run(SPIN, [0])
+        machine.set_fclk_mode(FclkMode.P2)
+        machine.measure()
+        assert monitor.checks_run > 0
+        assert monitor.violations == []

@@ -1,6 +1,5 @@
-"""Whole-program contracts analysis: fixture corpus, manifest health,
-the cache, and the acceptance mutation demo (schema field drift must surface
-exactly one finding).
+"""Whole-program contracts analysis: the CON010 fixture corpus,
+manifest health and the cache.
 
 The corpus runs through the one ``lint --deep`` driver, so these tests
 also prove the effects analyzer stays silent on it.
@@ -10,8 +9,6 @@ from __future__ import annotations
 
 import json
 import os
-import shutil
-from pathlib import Path
 
 import pytest
 
@@ -22,41 +19,25 @@ from repro.lint.engine import parse_module, read_source
 from repro.lint.manifest import load_manifest
 from repro.lint.sarif import rule_titles
 
-REPO_ROOT = Path(__file__).resolve().parents[2]
 FIXTURES = os.path.join("tests", "fixtures", "contracts")
 MANIFEST = os.path.join(FIXTURES, "lint.json")
 
 #: The fixture walk is an explicit file list: the lint walker prunes
-#: ``fixtures`` directories from subtree scans, and ``testsrc/`` is
-#: CON021 corpus data, not analyzed source.
+#: ``fixtures`` directories from subtree scans.
 FIXTURE_FILES = [
-    os.path.join(FIXTURES, name)
-    for name in (
-        "layer_high.py",
-        "layer_low.py",
-        "schema_mod.py",
-    )
+    os.path.join(FIXTURES, name) for name in ("layer_high.py", "layer_low.py")
 ]
 
 #: Every seeded true positive in the fixture corpus, by (rule, file, line).
 EXPECTED = {
     ("CON010", "layer_low.py", 10),  # module-scope import layer_high
     ("CON010", "layer_low.py", 11),  # module-scope from-import
-    ("CON020", "lint.json", 1),  # stale 'ghost' entry
-    ("CON020", "schema_mod.py", 17),  # alpha field drift, no version bump
-    ("CON020", "schema_mod.py", 37),  # second writer site for 'dual'
-    ("CON020", "schema_mod.py", 45),  # unregistered schema
-    ("CON020", "schema_mod.py", 49),  # writer with no validator
-    ("CON020", "schema_mod.py", 53),  # validator with no writer
-    ("CON021", "schema_mod.py", 41),  # validate_dual named by no test
 }
 
 #: Lines that look like positives but must stay silent (negatives).
 NEGATIVE_LINES = {
     ("layer_low.py", 14),  # TYPE_CHECKING import is exempt
     ("layer_low.py", 23),  # function-level lazy import is exempt
-    ("schema_mod.py", 33),  # the FIRST dual writer is not the extra one
-    ("schema_mod.py", 27),  # validate_alpha is test-covered
 }
 
 
@@ -71,7 +52,7 @@ class TestFixtureCorpus:
             (f.rule, os.path.basename(f.path), f.line) for f in report.findings
         }
         assert got == EXPECTED
-        assert len(report.findings) == 9
+        assert len(report.findings) == 2
 
     def test_all_rules_are_exercised(self):
         report = _run_fixture()
@@ -85,19 +66,14 @@ class TestFixtureCorpus:
     def test_severities(self):
         report = _run_fixture()
         by_rule = {f.rule: f.severity for f in report.findings}
-        assert by_rule["CON021"] == "warning"
-        for rule in ("CON010", "CON020"):
-            assert by_rule[rule] == "error"
+        assert by_rule == {"CON010": "error"}
 
     def test_stats_shape(self):
         report = _run_fixture()
         stats = report.stats
-        assert stats["modules"] == 3
+        assert stats["modules"] == 2
         assert stats["layers"] == 2
-        # alpha/dual/unregistered/noval/orphan; the stale ghost entry
-        # exists only in the snapshot, not in code.
-        assert stats["schemas"] == 5
-        assert stats["findings"] == 9
+        assert stats["findings"] == 2
 
 
 class TestManifestHealth:
@@ -119,6 +95,9 @@ class TestManifestHealth:
                 id="hot-entry-key",
             ),
             pytest.param({"cold": []}, "cold", id="cold"),
+            # So do the removed schema-registry sections.
+            pytest.param({"schemas": {}}, "schemas", id="schemas"),
+            pytest.param({"tests_root": "tests"}, "tests_root", id="tests_root"),
         ],
     )
     def test_unknown_top_level_key_fails_closed(self, tmp_path, doc, key):
@@ -169,32 +148,6 @@ class TestManifestHealth:
         )
 
 
-class TestUpdateSchemaRegistry:
-    def test_rewrites_only_the_schemas_section(self, tmp_path):
-        manifest = tmp_path / "lint.json"
-        shutil.copy(MANIFEST, manifest)
-        before = json.loads(manifest.read_text())
-        report = analyze_paths(
-            FIXTURE_FILES, str(manifest), update_schema_registry=True
-        )
-        after = json.loads(manifest.read_text())
-        assert {k: v for k, v in after.items() if k != "schemas"} == {
-            k: v for k, v in before.items() if k != "schemas"
-        }
-        assert "repro.fixture/ghost" not in after["schemas"]
-        # The recorded snapshot clears the stale entry and the field drift.
-        got = {(f.rule, os.path.basename(f.path), f.line) for f in report.findings}
-        assert ("CON020", "lint.json", 1) not in got
-        assert ("CON020", "schema_mod.py", 17) not in got
-        text = manifest.read_text()
-        analyze_paths(FIXTURE_FILES, str(manifest), update_schema_registry=True)
-        assert manifest.read_text() == text
-
-    def test_update_needs_a_manifest_file(self):
-        with pytest.raises(LintError, match="manifest"):
-            analyze_paths(FIXTURE_FILES, None, update_schema_registry=True)
-
-
 class TestCacheAndBaseline:
     """The corpus through the one deep cache.  There is no baseline: an
     inline ``reason=`` suppression is the only way to accept a finding."""
@@ -216,7 +169,7 @@ class TestCacheAndBaseline:
         manifest.write_text(read_source(MANIFEST))
         before = cache_key(modules, load_manifest(str(manifest)))
         doc = json.loads(manifest.read_text())
-        del doc["schemas"]["repro.fixture/ghost"]
+        doc["layers"]["allow"]["low"] = ["high"]
         manifest.write_text(json.dumps(doc))
         after = cache_key(modules, load_manifest(str(manifest)))
         assert before != after
@@ -225,46 +178,6 @@ class TestCacheAndBaseline:
 class TestSarifCatalogue:
     def test_merged_catalogue_covers_every_family(self):
         titles = rule_titles()
-        for rule_id in (
-            "CON010",
-            "CON020",
-            "CON021",
-            "OBS001",
-            "PAR001",
-            "DET001",
-            "LINT001",
-            "LINT002",
-        ):
+        for rule_id in ("CON010", "OBS001", "DET001", "LINT001", "LINT002"):
             assert rule_id in titles, rule_id
 
-
-def _copy_real_tree(tmp_path):
-    dest = tmp_path / "repro"
-    shutil.copytree(REPO_ROOT / "src" / "repro", dest)
-    return dest
-
-
-def _analyze_real_copy(dest):
-    return analyze_paths([str(dest)], str(REPO_ROOT / "lint.json"))
-
-
-class TestAcceptanceMutations:
-    """A mutation of the real tree yields exactly one finding with a
-    file/line witness."""
-
-    def test_schema_field_drift_without_bump_trips_con020(self, tmp_path):
-        dest = _copy_real_tree(tmp_path)
-        schema = dest / "service" / "schema.py"
-        text = schema.read_text()
-        anchor = '        "diagnostics_ready": job.diagnostics is not None,'
-        assert text.count(anchor) == 1
-        schema.write_text(
-            text.replace(anchor, anchor + '\n        "hostname": "x",')
-        )
-        report = _analyze_real_copy(dest)
-        assert len(report.findings) == 1
-        finding = report.findings[0]
-        assert finding.rule == "CON020"
-        assert "schema_version bump" in finding.message
-        assert "hostname" in finding.message
-        assert finding.path.endswith("schema.py") and finding.line > 0

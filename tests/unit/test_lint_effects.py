@@ -1,6 +1,5 @@
 """Whole-program effects analysis: fixtures, call resolution, guards,
-parallel safety, LINT002, the cache, the real tree and the
---changed-only plumbing.
+LINT002, the cache, the real tree and the --changed-only plumbing.
 
 The corpus runs through the one ``lint --deep`` driver, so these tests
 also prove the contracts analyzer stays silent on it.
@@ -8,6 +7,7 @@ also prove the contracts analyzer stays silent on it.
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 
@@ -25,6 +25,8 @@ from repro.lint.engine import (
 )
 from repro.lint.formatters import format_sarif
 from repro.lint.program import build_program
+from tests.unit.test_lint_contracts import FIXTURE_FILES as CONTRACTS_FILES
+from tests.unit.test_lint_contracts import MANIFEST as CONTRACTS_MANIFEST
 
 FIXTURES = os.path.join("tests", "fixtures", "effects")
 MANIFEST = os.path.join(FIXTURES, "lint.json")
@@ -33,10 +35,6 @@ MANIFEST = os.path.join(FIXTURES, "lint.json")
 EXPECTED = {
     ("OBS001", "obs_wiring.py", 11),  # unguarded obs use
     ("OBS001", "obs_wiring.py", 16),  # use on the proven-None branch
-    ("PAR001", "par_submit.py", 15),  # lambda callable
-    ("PAR001", "par_submit.py", 22),  # nested-function callable
-    ("PAR001", "par_submit.py", 27),  # open file handle argument
-    ("PAR001", "par_submit.py", 31),  # threading lock argument
 }
 
 #: Lines that look like positives but must stay silent (negatives).
@@ -44,10 +42,8 @@ NEGATIVE_LINES = {
     ("obs_wiring.py", 21),  # guarded use
     ("obs_wiring.py", 27),  # early-exit guard promotes non-null
     ("obs_wiring.py", 31),  # excused: every call site is guarded
-    ("par_submit.py", 35),  # module-level callable
-    ("par_submit.py", 39),  # functools.partial over module-level fn
-    ("par_submit.py", 43),  # suppressed with a reason
-    ("par_submit.py", 47),  # suppressed (LINT002's job, not PAR001's)
+    ("obs_wiring.py", 40),  # suppressed with a reason
+    ("obs_wiring.py", 44),  # suppressed (LINT002's job, not OBS001's)
 }
 
 
@@ -87,8 +83,7 @@ class TestFixtureCorpus:
     def test_severities(self):
         report = _run_fixture()
         by_rule = {f.rule: f.severity for f in report.findings}
-        for rule in ("OBS001", "PAR001"):
-            assert by_rule[rule] == "error"
+        assert by_rule == {"OBS001": "error"}
 
     def test_suppressions_are_counted(self):
         report = _run_fixture()
@@ -99,34 +94,38 @@ class TestResolver:
     def test_resolves_self_methods_and_imported_names(self):
         program, resolver = _resolver("obs_wiring")
         caller = program.functions["obs_wiring.Engine.run_caller_guarded"]
-        call = caller.body[-1].value
+        call = caller.node.body[-1].value
         resolved = resolver.resolve_call(call, caller, {})
         assert (resolved.kind, resolved.target) == (
             "func",
             "obs_wiring.Engine._helper",
         )
-        program, resolver = _resolver("par_submit")
-        builder = program.functions["par_submit.build_good"]
-        task = builder.body[-1].value
-        resolved = resolver.resolve_call(task, builder, {})
-        assert (resolved.kind, resolved.target) == (
-            "external",
-            "repro.parallel.pool.Task",
-        )
+        modules = [parse_module(read_source(p), p) for p in CONTRACTS_FILES]
+        program = build_program(modules)
+        resolver = Resolver(program, program.modules["layer_low"])
+        compute = program.functions["layer_low.compute"]
+        call = compute.node.body[-1].value  # layer_high.exporter(helper() + ...)
+        resolved = resolver.resolve_call(call, compute, {})
+        assert (resolved.kind, resolved.target) == ("func", "layer_high.exporter")
+        resolved = resolver.resolve_call(call.args[0].left, compute, {})
+        assert (resolved.kind, resolved.target) == ("func", "layer_high.helper")
+        # A name bound outside the analyzed program stays unresolved.
+        outside = ast.parse("TYPE_CHECKING()", mode="eval").body
+        assert resolver.resolve_call(outside, compute, {}) is None
 
 
 class TestSuppressionReason:
     def test_reasonless_effects_suppression_is_flagged(self):
-        path = os.path.join(FIXTURES, "par_submit.py")
+        path = os.path.join(FIXTURES, "obs_wiring.py")
         parsed = parse_module(read_source(path), path)
         findings, _ = suppression_reason_findings(parsed)
-        assert [(f.rule, f.line) for f in findings] == [("LINT002", 47)]
+        assert [(f.rule, f.line) for f in findings] == [("LINT002", 44)]
         assert findings[0].severity == "error"
         assert "reason=" in findings[0].message
 
     def test_reasoned_and_base_rule_suppressions_pass(self):
         src = (
-            "x = (1, 2)  # lint: disable=PAR001 reason=fork-only helper\n"
+            "x = (1, 2)  # lint: disable=OBS001 reason=metering helper\n"
             "import os  # lint: disable=IMP001\n"
         )
         findings, _ = suppression_reason_findings(parse_module(src, "m.py"))
@@ -183,7 +182,7 @@ class TestCache:
         assert not first.stats["cache_hit"]
         assert analyze_paths([FIXTURES], str(manifest)).stats["cache_hit"]
         doc = json.loads(manifest.read_text())
-        doc["tests_root"] = "edited"
+        doc["layers"] = {"assign": {"wiring": ["obs_wiring"]}, "allow": {}}
         manifest.write_text(json.dumps(doc))
         edited = analyze_paths([FIXTURES], str(manifest))
         assert not edited.stats["cache_hit"]
@@ -202,13 +201,19 @@ class TestRealTree:
 
 
 class TestChangedOnly:
+    """The effects corpus beside the CON010 corpus, whose findings sit
+    in files outside the seed."""
+
     def test_findings_restricted_to_changed_seeds(self, monkeypatch):
         import repro.lint.engine as engine
 
         seed = os.path.abspath(os.path.join(FIXTURES, "obs_wiring.py"))
         monkeypatch.setattr(engine, "changed_files", lambda: {seed})
         report = lint_paths(
-            [FIXTURES], deep=True, manifest=MANIFEST, changed_only=True
+            [FIXTURES, *CONTRACTS_FILES],
+            deep=True,
+            manifest=CONTRACTS_MANIFEST,
+            changed_only=True,
         )
         assert report.files_checked == 1
         paths = {os.path.basename(f.path) for f in report.findings}
@@ -219,9 +224,12 @@ class TestChangedOnly:
 
         monkeypatch.setattr(engine, "changed_files", lambda: None)
         report = lint_paths(
-            [FIXTURES], deep=True, manifest=MANIFEST, changed_only=True
+            [FIXTURES, *CONTRACTS_FILES],
+            deep=True,
+            manifest=CONTRACTS_MANIFEST,
+            changed_only=True,
         )
-        assert report.files_checked == 2
+        assert report.files_checked == 3
         got = {
             (f.rule, os.path.basename(f.path), f.line)
             for f in report.findings
@@ -239,7 +247,7 @@ class TestSarif:
         rule_ids = {r["id"] for r in run["tool"]["driver"]["rules"]}
         assert EFFECTS_RULE_IDS <= rule_ids and "LINT002" in rule_ids
         levels = {r["ruleId"]: r["level"] for r in run["results"]}
-        assert levels["OBS001"] == "error" and levels["PAR001"] == "error"
+        assert levels == {"OBS001": "error", "LINT002": "error"}
         lines = [
             r["locations"][0]["physicalLocation"]["region"]["startLine"]
             for r in run["results"]
@@ -256,18 +264,18 @@ class TestCli:
         )
         payload = json.loads(capsys.readouterr().out)
         assert status == 1  # seeded errors fail the run
-        assert payload["counts_by_rule"]["OBS001"] == 2
-        assert payload["counts_by_rule"]["PAR001"] == 4
+        assert payload["counts_by_rule"] == {"OBS001": 2, "LINT002": 1}
 
     @pytest.mark.parametrize(
         "select, status, counts",
         [
-            ("PAR001", 1, {"PAR001": 4}),
-            ("DET001", 0, {}),  # no OBS/PAR/LINT002 finding slips in
+            ("OBS001", 1, {"OBS001": 2}),
+            ("DET001", 0, {}),  # no OBS001/LINT002 finding slips in
             ("NOPE999", 2, None),
             ("HOT001", 2, None),  # a removed rule is unknown
+            ("PAR001", 2, None),
         ],
-        ids=["PAR001", "DET001", "NOPE999", "HOT001"],
+        ids=["OBS001", "DET001", "NOPE999", "HOT001", "PAR001"],
     )
     def test_select_filters_every_pass(self, select, status, counts, capsys):
         # --select takes any id --list-rules prints and keeps only those

@@ -10,6 +10,7 @@ always equal submission order.
 from __future__ import annotations
 
 import os
+import threading
 import time
 
 import pytest
@@ -229,3 +230,39 @@ class TestFaultInjection:
             "attempts": 1,
         }
         assert "boom" in doc["message"]
+
+
+class TestUnpicklableTasks:
+    """What cannot cross the process boundary fails its own task.
+
+    A lambda or nested-function ``fn`` and a lock or open-file argument
+    cannot be pickled into a worker: the pool reports each as a
+    structured ``"error"`` failure naming the pickling cause.
+    """
+
+    @pytest.mark.parametrize(
+        "case, cause",
+        [
+            ("lambda-fn", "<lambda>"),
+            ("nested-fn", "nested"),
+            ("lock-arg", "_thread.lock"),
+            ("file-arg", "TextIOWrapper"),
+        ],
+        ids=["lambda-fn", "nested-fn", "lock-arg", "file-arg"],
+    )
+    def test_reported_as_error_naming_the_cause(self, case, cause, tmp_path):
+        def nested(x):
+            return x
+
+        with open(tmp_path / "data.txt", "w") as handle:
+            task = {
+                "lambda-fn": Task("t", lambda x: x, (1,)),
+                "nested-fn": Task("t", nested, (1,)),
+                "lock-arg": Task("t", _double, (threading.Lock(),)),
+                "file-arg": Task("t", _double, (handle,)),
+            }[case]
+            (outcome,) = run_tasks([task], jobs=1, retries=0)
+        failure = outcome.failure
+        assert failure is not None and failure.kind == "error"
+        assert "pickle" in failure.message and cause in failure.message
+        assert failure.attempts == 1
