@@ -121,8 +121,11 @@ class DataPowerExperiment:
         machine.os.set_all_frequencies(ghz(2.5))
         rng = machine.rng.child(f"data-power-{instruction}")
 
+        blocks = {w: instruction_block(instruction, w) for w in WEIGHTS}
+        cpus = machine.os.all_cpus()
+
         # Pre-heat at the mid weight so the block sequence starts settled.
-        machine.os.run(instruction_block(instruction, 0.5), machine.os.all_cpus())
+        machine.os.run(blocks[0.5], cpus)
         machine.preheat()
 
         acc: dict[float, dict[str, list[float]]] = {
@@ -130,9 +133,7 @@ class DataPowerExperiment:
         }
         for _ in range(n):
             weight = float(rng.choice(WEIGHTS))
-            machine.os.run(
-                instruction_block(instruction, weight), machine.os.all_cpus()
-            )
+            machine.os.run(blocks[weight], cpus)
             rec = machine.measure(dur)
             acc[weight]["ac"].append(rec.ac_mean_w)
             acc[weight]["pkg"].append(float(sum(rec.rapl_pkg_w)))

@@ -23,7 +23,6 @@ class Resolved:
 
     kind: str  # "func" | "class"
     target: str  # project qname
-    func: FuncInfo | None = None
 
 
 class Resolver:
@@ -62,7 +61,7 @@ class Resolver:
             name = node.id
             if name in module.functions:
                 target = module.functions[name]
-                return Resolved("func", target.qname, target)
+                return Resolved("func", target.qname)
             if name in module.classes:
                 return Resolved("class", module.classes[name].qname)
             if name in func.local_names:
@@ -70,7 +69,7 @@ class Resolver:
             dotted = module.bindings.get(name)
             if dotted is not None:
                 if dotted in program.functions:
-                    return Resolved("func", dotted, program.functions[dotted])
+                    return Resolved("func", dotted)
                 if dotted in program.classes:
                     return Resolved("class", dotted)
             return None
@@ -81,30 +80,30 @@ class Resolver:
         if head == "self" and func.cls is not None and len(parts) == 2:
             method = program.method_of(func.cls.qname, parts[1])
             if method is not None:
-                return Resolved("func", method.qname, method)
+                return Resolved("func", method.qname)
             return None
         if head in local_types and len(parts) == 2:
             method = program.method_of(local_types[head], parts[1])
             if method is not None:
-                return Resolved("func", method.qname, method)
+                return Resolved("func", method.qname)
             return None
         if head in func.local_names:
             return None
         if head in module.classes and len(parts) == 2:
             method = program.method_of(module.classes[head].qname, parts[1])
             if method is not None:
-                return Resolved("func", method.qname, method)
+                return Resolved("func", method.qname)
             return None
         base = module.bindings.get(head)
         if base is None:
             return None
         dotted = ".".join([base, *rest])
         if dotted in program.functions:
-            return Resolved("func", dotted, program.functions[dotted])
+            return Resolved("func", dotted)
         if dotted in program.classes:
             return Resolved("class", dotted)
         if base in program.classes and len(rest) == 1:
             method = program.method_of(base, rest[0])
             if method is not None:
-                return Resolved("func", method.qname, method)
+                return Resolved("func", method.qname)
         return None

@@ -358,8 +358,8 @@ class Machine:
     def reconfigured(self) -> None:
         """Settle the machine after any configuration change.
 
-        Runs the EDC loop per package, resolves frequencies per CCX,
-        applies them (instantly, steady-state semantics) and updates the
+        Runs the EDC loop per package, resolves frequencies once per
+        distinct CCX input, applies them (instantly, steady-state semantics) and updates the
         L3 and observable-mean caches.  Configuration writers call
         :meth:`changed` instead, which batches settles.
         """
@@ -367,16 +367,20 @@ class Machine:
             self._obs_settles.inc()
         self._settle_pending = False
         self._observable_mean_hz.clear()
+        resolver = self.resolver
+        # Per distinct (cap, boost ceiling, CCX inputs): each position's
+        # target and observable mean, and the L3 clock.  Lives for this
+        # settle only.
+        settled_ccx: dict = {}
         for pkg, smu in zip(self.topology.packages, self.smus):
-            boost_decision = self.boost.ceiling_hz(
-                pkg, self.thermal_state.temps_c[pkg.index]
-            )
+            temp_c = self.thermal_state.temps_c[pkg.index]
+            boost_decision = self.boost.ceiling_hz(pkg, temp_c)
+            inputs = [resolver.ccx_inputs(ccx) for ccx in pkg.ccxs()]
             active_requests = [
-                self.boost.boosted_target_hz(
-                    self.resolver.core_request_hz(core), boost_decision
-                )
-                for core in pkg.cores()
-                if core.active_thread_count
+                self.boost.boosted_target_hz(vote, boost_decision)
+                for ccx_inputs in inputs
+                for vote, active, _ in ccx_inputs
+                if active
             ]
             cap = None
             if active_requests:
@@ -384,27 +388,32 @@ class Machine:
                 smu.run_edc_loop(requested)
                 smu.run_ppt_loop(
                     requested,
-                    self.thermal_state.temps_c[pkg.index],
+                    temp_c,
                     self.power_model.package_dram_traffic_gbs(pkg),
                 )
                 cap = smu.combined_cap_hz
             self._edc_caps[pkg.index] = cap
             boost_ceiling = boost_decision.ceiling_hz if self.boost.enabled else None
-            for ccd in pkg.ccds:
-                for ccx in ccd.ccxs:
-                    resolved = self.resolver.resolve_ccx(
+            for ccx, ccx_inputs in zip(pkg.ccxs(), inputs):
+                key = (cap, boost_ceiling, ccx_inputs)
+                settled = settled_ccx.get(key)
+                if settled is None:
+                    resolved = resolver.resolve_ccx(
                         ccx,
                         edc_cap_hz=cap,
                         boost_ceiling_hz=boost_ceiling,
                         nominal_hz=self.sku.nominal_freq_hz,
                     )
-                    for core, res in zip(ccx.cores, resolved):
-                        if not self.event_driven:
-                            core.applied_freq_hz = res.target_hz
-                        self._observable_mean_hz[core.global_index] = (
-                            res.observable_mean_hz
-                        )
-                    ccx.l3_freq_hz = self.resolver.l3_target_hz(ccx)
+                    settled = settled_ccx[key] = (
+                        [(res.target_hz, res.observable_mean_hz) for res in resolved],
+                        resolver.l3_target_hz(ccx),
+                    )
+                clocks, l3_hz = settled
+                for core, (target_hz, mean_hz) in zip(ccx.cores, clocks):
+                    if not self.event_driven:
+                        core.applied_freq_hz = target_hz
+                    self._observable_mean_hz[core.global_index] = mean_hz
+                ccx.l3_freq_hz = l3_hz
 
     def observable_mean_hz(self, core: Core) -> float:
         """Time-averaged clock a perf observer sees for ``core``."""
@@ -451,9 +460,7 @@ class Machine:
             )
             for pkg in self.topology.packages
         ]
-        core_powers = [
-            self.rapl_estimator.core_power_w(core) for core in self.topology.cores()
-        ]
+        core_powers = self.rapl_estimator.core_domain_w(self.topology.packages)
         self.rapl_msrs.tick(pkg_powers, core_powers, self.sim.now_ns)
 
     # ------------------------------------------------------------------
@@ -559,14 +566,11 @@ class Machine:
         n_samples = max(1, int(round(duration_s * self.ac_meter.sample_rate_hz)))
         sample_times = np.arange(n_samples) / self.ac_meter.sample_rate_hz
 
+        packages = self.topology.packages
         pkg_powers0 = [
-            self.power_model.package_power_w(self, pkg, temps0)
-            for pkg in self.topology.packages
+            self.power_model.package_power_w(self, pkg, temps0) for pkg in packages
         ]
-        trajectories = [
-            np.array(self.thermal.trajectory_c(temps0[i], pkg_powers0[i], sample_times))
-            for i in range(len(temps0))
-        ]
+        trajectories = self.thermal.trajectories_c(temps0, pkg_powers0, sample_times)
 
         # True AC power at each sample instant (leakage follows temps).
         base_bd = self.power_model.breakdown(self, None)
@@ -581,20 +585,21 @@ class Machine:
 
         # RAPL: estimator power integrated over the interval (per package
         # and per core), with small model noise, deposited in bulk.
+        # The noise draws of one call are the same numbers, in the same
+        # order, as one scalar draw per package and then per core.
         mean_temps = [float(np.mean(traj)) for traj in trajectories]
+        pkg_noise = self._rapl_noise.normal(0.0, 0.05, size=len(packages)).tolist()
         rapl_pkg_w = []
-        for pkg in self.topology.packages:
+        for pkg, noise in zip(packages, pkg_noise):
             traffic = self.power_model.package_dram_traffic_gbs(pkg)
             p = self.rapl_estimator.package_power_w(
                 pkg, mean_temps[pkg.index], dram_traffic_gbs=traffic
             )
-            p += self._rapl_noise.normal(0.0, 0.05)
+            p += noise
             rapl_pkg_w.append(max(0.0, p))
-        rapl_core_w = []
-        for core in self.topology.cores():
-            p = self.rapl_estimator.core_power_w(core, mean_temps[core.package.index])
-            p += self._rapl_noise.normal(0.0, 0.004)
-            rapl_core_w.append(max(0.0, p))
+        core_w = self.rapl_estimator.core_domain_w(packages, mean_temps)
+        core_noise = self._rapl_noise.normal(0.0, 0.004, size=len(core_w)).tolist()
+        rapl_core_w = [max(0.0, p + noise) for p, noise in zip(core_w, core_noise)]
         self.rapl_msrs.advance_bulk(
             [p * duration_s for p in rapl_pkg_w],
             [p * duration_s for p in rapl_core_w],
@@ -629,28 +634,41 @@ class Machine:
 
     def _advance_perf_counters(self, duration_s: float) -> None:
         """Accumulate aperf/mperf/instruction counters over an interval."""
-        for thread in self.topology.threads():
-            # Residency accounting runs for every thread (offline threads
-            # parked in C1 still accrue C1 time — §VI-B's smoking gun).
-            thread.cstate_time_ns[thread.effective_cstate] += duration_s * 1e9
-            if thread.effective_cstate != "C0":
-                thread.cstate_usage[thread.effective_cstate] += max(
-                    1, int(duration_s * 4)
-                )
-            if not thread.online:
-                continue
-            if thread.is_active:
-                mean_hz = self.observable_mean_hz(thread.core)
-                smt = thread.core.active_thread_count
-                thread.aperf_cycles += mean_hz * duration_s
-                thread.mperf_cycles += self.cal.nominal_freq_hz * duration_s
-                thread.instructions += (
-                    thread.workload.ipc(smt) / smt * mean_hz * duration_s
-                )
-            elif thread.effective_cstate == "C0":
-                thread.aperf_cycles += thread.core.applied_freq_hz * duration_s
-                thread.mperf_cycles += self.cal.nominal_freq_hz * duration_s
-            # C1/C2: counters halted (§VI-A observation).
+        residency = duration_s * 1e9  # ns, a float like cstate_time_ns
+        usage = max(1, int(duration_s * 4))
+        mperf = self.cal.nominal_freq_hz * duration_s
+        # Per distinct (observable clock, SMT count, thread workload):
+        # the aperf and instruction increments of an active thread.
+        by_point: dict[tuple, tuple[float, float]] = {}
+        for core in self.topology.cores():
+            smt = core.active_thread_count
+            mean_hz = self.observable_mean_hz(core) if smt else None
+            for thread in core.threads:
+                # Residency accounting runs for every thread (offline
+                # threads parked in C1 still accrue C1 time — §VI-B's
+                # smoking gun).
+                state = thread.effective_cstate
+                thread.cstate_time_ns[state] += residency
+                if state != "C0":
+                    thread.cstate_usage[state] += usage
+                if not thread.online:
+                    continue
+                workload = thread.workload
+                if workload is not None:
+                    key = (mean_hz, smt, id(workload))
+                    increments = by_point.get(key)
+                    if increments is None:
+                        increments = by_point[key] = (
+                            mean_hz * duration_s,
+                            workload.ipc(smt) / smt * mean_hz * duration_s,
+                        )
+                    thread.aperf_cycles += increments[0]
+                    thread.mperf_cycles += mperf
+                    thread.instructions += increments[1]
+                elif state == "C0":
+                    thread.aperf_cycles += core.applied_freq_hz * duration_s
+                    thread.mperf_cycles += mperf
+                # C1/C2: counters halted (§VI-A observation).
 
     # ------------------------------------------------------------------
     # BIOS-level reconfiguration

@@ -37,8 +37,10 @@ from repro.obs.tracer import SpanTracer
 #: In-memory record tail kept for log_document export.
 DEFAULT_MAX_RECORDS = 10_000
 
-#: Envelope keys a caller's **fields may not override.
-_RESERVED = ("t_wall_ns", "level", "event", "pid", "trace_id", "span_id")
+#: Envelope keys a caller's **fields may not override.  ``kind`` is the
+#: flight-recorder event's envelope key: every record enters the ring as
+#: a ``"log"`` event.
+_RESERVED = ("t_wall_ns", "level", "event", "pid", "trace_id", "span_id", "kind")
 
 
 class StructuredLogger:

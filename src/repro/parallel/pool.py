@@ -199,7 +199,7 @@ class _PoolObs:
             self.log.warning(
                 "pool.task.failed",
                 task=slot.task.name,
-                kind=slot.last_kind,
+                failure_kind=slot.last_kind,
                 attempts=slot.attempts,
                 phase=phase,
             )

@@ -100,6 +100,32 @@ class PowerModel:
             iodie_w = sum(fc.extra_power_w() for fc in machine.fclk_controllers)
         return wake, iodie_w
 
+    def _core_terms_w(
+        self, freq_hz: float, smt: int, wl, factor: float | None = None
+    ) -> tuple[float, float | None, float | None, float | None]:
+        """An active core's pause, second-thread, dynamic and toggle power.
+
+        A term the core does not draw is None.  ``factor`` is the
+        package's silicon-variation multiplier on the V²f scale.
+        """
+        cal = self.cal
+        scale = cal.v2f_scale(freq_hz)
+        if factor is not None:
+            scale *= factor
+        pause_w = cal.pause_core_nominal_w * scale
+        thread_w = cal.pause_thread_nominal_w * scale if smt == 2 else None
+        dyn_w = toggle_w = None
+        if wl is not None:
+            dyn_w = wl.power_coeff(smt) * cal.dyn_w_per_v2ghz * scale
+            if wl.toggle_width_bits:
+                toggle_w = (
+                    cal.toggle_w_per_v2ghz_256b
+                    * wl.toggle_rate
+                    * (wl.toggle_width_bits / 256.0)
+                    * scale
+                )
+        return pause_w, thread_w, dyn_w, toggle_w
+
     # ------------------------------------------------------------------
     # the model
     # ------------------------------------------------------------------
@@ -118,40 +144,43 @@ class PowerModel:
 
         wake, iodie_w = self._wake_and_iodie_w(machine)
 
-        # C1 cores: clock-gated but voltage-plane-awake cores.
-        c1_cores = sum(
-            1 for core in topo.cores() if core.deepest_common_cstate_is == "C1"
-        )
-        c1_w = c1_cores * cal.c1_per_core_w
-
         # Per-package silicon variation multipliers (1.0 by default).
         factors = getattr(machine, "pkg_power_factors", None)
 
+        # C1 cores: clock-gated but voltage-plane-awake cores.
+        c1_cores = 0
         active_w = 0.0
         dyn_w = 0.0
         toggle_w = 0.0
         any_active = False
-        for core in topo.cores():
-            smt = core.active_thread_count
-            if smt == 0:
-                continue
-            any_active = True
-            scale = cal.v2f_scale(core.applied_freq_hz)
-            if factors is not None:
-                scale *= factors[core.package.index]
-            active_w += cal.pause_core_nominal_w * scale
-            if smt == 2:
-                active_w += cal.pause_thread_nominal_w * scale
-            wl = core.active_workload
-            if wl is not None:
-                dyn_w += wl.power_coeff(smt) * cal.dyn_w_per_v2ghz * scale
-                if wl.toggle_width_bits:
-                    toggle_w += (
-                        cal.toggle_w_per_v2ghz_256b
-                        * wl.toggle_rate
-                        * (wl.toggle_width_bits / 256.0)
-                        * scale
+        # Per distinct (operating point, package) of an active core: its
+        # pause, second-thread, dynamic and toggle terms.
+        by_point: dict[tuple, tuple] = {}
+        for pkg in topo.packages:
+            factor = None if factors is None else factors[pkg.index]
+            for core in pkg.cores():
+                if core.deepest_common_cstate_is == "C1":
+                    c1_cores += 1
+                smt = core.active_thread_count
+                if smt == 0:
+                    continue
+                any_active = True
+                wl = core.active_workload
+                key = (core.applied_freq_hz, smt, id(wl), pkg.index)
+                terms = by_point.get(key)
+                if terms is None:
+                    terms = by_point[key] = self._core_terms_w(
+                        core.applied_freq_hz, smt, wl, factor
                     )
+                pause, second, dyn, toggle = terms
+                active_w += pause
+                if second is not None:
+                    active_w += second
+                if dyn is not None:
+                    dyn_w += dyn
+                if toggle is not None:
+                    toggle_w += toggle
+        c1_w = c1_cores * cal.c1_per_core_w
         if any_active:
             # The first-core adjustment is negative; at low frequencies it
             # can exceed a lone core's pause power.  Active power is
@@ -195,27 +224,28 @@ class PowerModel:
         shared = (wake * 0.6 + iodie_w) / n_pkg
 
         cal = self.cal
+        # Per distinct (C-state class, operating point) of an active core:
+        # the terms the core adds, in the order they add.
+        by_point: dict[tuple, tuple[float, ...]] = {}
         core_w = 0.0
         for core in pkg.cores():
+            c1 = core.deepest_common_cstate_is == "C1"
             smt = core.active_thread_count
-            if core.deepest_common_cstate_is == "C1":
-                core_w += cal.c1_per_core_w
             if smt == 0:
+                if c1:
+                    core_w += cal.c1_per_core_w
                 continue
-            scale = cal.v2f_scale(core.applied_freq_hz)
-            core_w += cal.pause_core_nominal_w * scale
-            if smt == 2:
-                core_w += cal.pause_thread_nominal_w * scale
             wl = core.active_workload
-            if wl is not None:
-                core_w += wl.power_coeff(smt) * cal.dyn_w_per_v2ghz * scale
-                if wl.toggle_width_bits:
-                    core_w += (
-                        cal.toggle_w_per_v2ghz_256b
-                        * wl.toggle_rate
-                        * (wl.toggle_width_bits / 256.0)
-                        * scale
-                    )
+            key = (c1, core.applied_freq_hz, smt, id(wl))
+            addends = by_point.get(key)
+            if addends is None:
+                addends = by_point[key] = ((cal.c1_per_core_w,) if c1 else ()) + tuple(
+                    w
+                    for w in self._core_terms_w(core.applied_freq_hz, smt, wl)
+                    if w is not None
+                )
+            for w in addends:
+                core_w += w
         pkg_idx = pkg.index
         leak = 0.0
         if pkg_temps_c is not None and pkg_idx < len(pkg_temps_c):

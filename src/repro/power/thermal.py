@@ -16,6 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.power.calibration import CALIBRATION, Calibration
 
 
@@ -55,11 +57,25 @@ class ThermalModel:
         eq = self.equilibrium_c(package_power_w)
         return eq + (temp_c - eq) * math.exp(-dt_s / self.time_constant_s)
 
-    def trajectory_c(self, temp_c: float, package_power_w: float, times_s) -> list[float]:
-        """Temperatures at each of ``times_s`` (seconds from now)."""
-        eq = self.equilibrium_c(package_power_w)
+    def trajectories_c(
+        self, temps_c: list[float], package_powers_w: list[float], times_s
+    ) -> list[np.ndarray]:
+        """Each package's temperatures at each of ``times_s`` (seconds from now).
+
+        Package ``i`` starts at ``temps_c[i]`` under constant power
+        ``package_powers_w[i]``.  The decay factor ``exp(-t/tau)`` of each
+        instant is computed once and shared by all packages.  Each
+        element is the same float as ``eq + (temp - eq) * math.exp(-t /
+        tau)``: the array operations round each product and sum as the
+        scalar ones do.
+        """
         tau = self.time_constant_s
-        return [eq + (temp_c - eq) * math.exp(-t / tau) for t in times_s]
+        decay = np.array([math.exp(-t / tau) for t in np.asarray(times_s).tolist()])
+        trajectories = []
+        for temp_c, power_w in zip(temps_c, package_powers_w):
+            eq = self.equilibrium_c(power_w)
+            trajectories.append(eq + (temp_c - eq) * decay)
+        return trajectories
 
     def settle(self, package_power_w: float) -> float:
         """Pre-heated temperature (the §V-E 15-minute warm-up)."""

@@ -78,6 +78,24 @@ class FrequencyResolver:
 
     # --- CCX-level resolution ----------------------------------------------
 
+    def ccx_inputs(self, ccx: CCX) -> tuple[tuple[float, bool, bool], ...]:
+        """All that :meth:`resolve_ccx` and :meth:`l3_target_hz` read of a CCX.
+
+        One ``(vote, active, clock runs)`` triple per core, in core
+        order.  Under one EDC cap and boost ceiling, CCXs with equal
+        inputs resolve to equal targets, observable means and L3 clocks,
+        position by position; the machine's settle resolves each
+        distinct input once.
+        """
+        return tuple(
+            (
+                self.core_request_hz(core),
+                core.active_thread_count != 0,
+                self._core_clock_runs(core),
+            )
+            for core in ccx.cores
+        )
+
     def resolve_ccx(
         self,
         ccx: CCX,
@@ -97,19 +115,17 @@ class FrequencyResolver:
         cores of the CCX whose clock runs, at their lifted requests.
         """
         boost = boost_ceiling_hz is not None and nominal_hz is not None
-        # One pass over the cores: each core's vote (boost-lifted),
+        # One pass over the inputs: each core's vote (boost-lifted),
         # activity, and its request as a neighbour (None when gated).
         requests = []
         active = []
         neighbours = []
-        for core in ccx.cores:
-            req = self.core_request_hz(core)
-            is_active = core.active_thread_count != 0
+        for req, is_active, runs in self.ccx_inputs(ccx):
             if boost and is_active and req >= nominal_hz - 1e3:
                 req = boost_ceiling_hz if boost_ceiling_hz > req else req
             requests.append(req)
             active.append(is_active)
-            neighbours.append(req if self._core_clock_runs(core) else None)
+            neighbours.append(req if runs else None)
         penalties: dict[tuple[float, float], float] = {}
         resolved = []
         for i, core in enumerate(ccx.cores):
@@ -147,11 +163,9 @@ class FrequencyResolver:
         supported L3 frequency, §III-C).
         """
         highest = None
-        for core in ccx.cores:
-            if self._core_clock_runs(core):
-                req = self.core_request_hz(core)
-                if highest is None or req > highest:
-                    highest = req
+        for req, _, runs in self.ccx_inputs(ccx):
+            if runs and (highest is None or req > highest):
+                highest = req
         if highest is None:
             return 400e6
         return snap_to_pstate_grid(highest)

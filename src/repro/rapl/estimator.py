@@ -21,6 +21,8 @@ structural gaps:
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+
 from repro.power.calibration import CALIBRATION, Calibration
 from repro.topology.components import Core, Package
 from repro.units import ghz
@@ -84,6 +86,32 @@ class RaplEstimator:
             power += max(0.0, self.CORE_LEAK_W_PER_K * (temp_c - cal.reference_temp_c))
         return power
 
+    def core_domain_w(
+        self, packages: Iterable[Package], pkg_temps_c: list[float] | None = None
+    ) -> list[float]:
+        """:meth:`core_power_w` of every core of ``packages``, in core order.
+
+        ``pkg_temps_c`` gives each core its package's temperature (None:
+        no leakage term).  Each distinct (clock, SMT count, workload,
+        temperature) is evaluated once.
+        """
+        powers = []
+        by_point: dict[tuple, float] = {}
+        for pkg in packages:
+            temp_c = None if pkg_temps_c is None else pkg_temps_c[pkg.index]
+            for core in pkg.cores():
+                key = (
+                    core.applied_freq_hz,
+                    core.active_thread_count,
+                    id(core.active_workload),
+                    temp_c,
+                )
+                power = by_point.get(key)
+                if power is None:
+                    power = by_point[key] = self.core_power_w(core, temp_c)
+                powers.append(power)
+        return powers
+
     # --- package domain --------------------------------------------------------
 
     def package_power_w(
@@ -99,14 +127,35 @@ class RaplEstimator:
         the model charges a token amount per GB/s, nowhere near the true
         DIMM power (that is the Fig 9a gap).
         """
-        cores = sum(self.core_power_w(core) for core in pkg.cores())
-        l3_active = sum(
-            self.UNCORE_L3_W
-            for core in pkg.cores()
-            if core.active_thread_count
-            for t in core.threads
-            if t.is_active and t.workload.l3_util > 0.3
-        )
+        # Per distinct operating point: the core term, and how many of the
+        # core's threads have L3 traffic.  The L3 count reads each active
+        # thread's own workload, so with two active threads the key holds
+        # the second thread's workload beside the first's.  A gated
+        # core's terms read nothing else: its key is None.
+        by_point: dict[tuple | None, tuple[float, int]] = {}
+        core_terms = []
+        l3_threads = 0
+        for core in pkg.cores():
+            smt = core.active_thread_count
+            if smt == 0:
+                key = None
+            else:
+                second = core.threads[1].workload if smt == 2 else None
+                key = (core.applied_freq_hz, smt, id(core.active_workload), id(second))
+            term = by_point.get(key)
+            if term is None:
+                term = by_point[key] = (
+                    self.core_power_w(core),
+                    sum(
+                        1
+                        for t in core.threads
+                        if t.is_active and t.workload.l3_util > 0.3
+                    ),
+                )
+            core_terms.append(term[0])
+            l3_threads += term[1]
+        cores = sum(core_terms)
+        l3_active = sum([self.UNCORE_L3_W] * l3_threads)
         uncore = self.UNCORE_BASE_W + self.UNCORE_PER_GBS_W * dram_traffic_gbs + l3_active
         power = cores + uncore
         if temp_c is not None:

@@ -63,12 +63,22 @@ class EdcManager:
         return static + coeff * ipc * (freq_hz / ghz(1)) * workload.edc_weight
 
     def package_demand_a(self, pkg: Package, freq_hz: float) -> float:
-        """Demand if every active core of ``pkg`` ran at ``freq_hz``."""
+        """Demand if every active core of ``pkg`` ran at ``freq_hz``.
+
+        Each distinct operating point (clock, SMT count, workload) is
+        evaluated once; the per-core currents add in core order.
+        """
+        currents: dict[tuple, float] = {}
         total = 0.0
         for core in pkg.cores():
             smt = core.active_thread_count
+            workload = core.active_workload
             f = freq_hz if smt else core.applied_freq_hz
-            total += self.core_current_a(core.active_workload, smt, f)
+            key = (f, smt, id(workload))
+            current = currents.get(key)
+            if current is None:
+                current = currents[key] = self.core_current_a(workload, smt, f)
+            total += current
         return total
 
     # --- control ------------------------------------------------------------

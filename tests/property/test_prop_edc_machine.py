@@ -1,6 +1,7 @@
 """Properties of the EDC loop and machine-level invariants."""
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
 from repro.machine import Machine
@@ -233,3 +234,59 @@ def test_batched_settle_matches_per_request_reference(boost, limit_w, program):
     finally:
         fast.shutdown()
         ref.shutdown()
+
+
+# ---------------------------------------------------------------------------
+# Machine-level bounds of the settle (§V-A, §V-E)
+# ---------------------------------------------------------------------------
+
+
+@given(program=st.lists(_OPS, min_size=1, max_size=8))
+@settings(max_examples=25, deadline=None)
+def test_applied_clock_never_exceeds_the_request_without_boost(program):
+    m = Machine("EPYC 7502", seed=3)
+    try:
+        for op in program:
+            _apply(m, op, reference=False)
+            for core in m.topology.cores():
+                assert core.applied_freq_hz <= m.resolver.core_request_hz(core), op
+    finally:
+        m.shutdown()
+
+
+@pytest.mark.parametrize("smt", [True, False])
+@pytest.mark.parametrize(
+    "freq, cap_smt, cap_first_threads",
+    [
+        (ghz(2.5), ghz(2.0), ghz(2.1)),
+        (ghz(2.2), ghz(2.0), ghz(2.1)),
+        (ghz(1.5), None, None),
+    ],
+)
+def test_firestarter_on_every_cpu_binds_the_edc_cap(freq, cap_smt, cap_first_threads, smt):
+    # §V-E: 2.0 GHz with both threads of every core busy, 2.1 GHz with one.
+    m = Machine("EPYC 7502", seed=1)
+    m.os.set_all_frequencies(freq)
+    m.os.run(FIRESTARTER, m.os.all_cpus() if smt else m.os.first_thread_cpus())
+    want = cap_smt if smt else cap_first_threads
+    for pkg, smu in zip(m.topology.packages, m.smus):
+        assert smu.edc_cap_hz == want
+        assert m.edc_cap_hz(pkg.index) == want
+        for core in pkg.cores():
+            assert core.applied_freq_hz == (freq if want is None else want)
+    m.shutdown()
+
+
+@given(
+    cpus=st.sets(st.integers(min_value=0, max_value=127), min_size=1),
+    freq=_FREQS,
+    boost=st.booleans(),
+)
+@settings(max_examples=20, deadline=None)
+def test_pause_loop_never_binds_the_edc_cap(cpus, freq, boost):
+    m = Machine("EPYC 7502", seed=1, boost_enabled=boost)
+    m.os.set_all_frequencies(freq)
+    m.os.run(PAUSE_LOOP, sorted(cpus))
+    assert [smu.edc_cap_hz for smu in m.smus] == [None, None]
+    assert [m.edc_cap_hz(pkg.index) for pkg in m.topology.packages] == [None, None]
+    m.shutdown()

@@ -27,6 +27,7 @@ from repro.obs.flightrec import (
     summarize_flightrec,
 )
 from repro.obs.metrics import MetricsRegistry
+from repro.parallel import Task, run_tasks
 from repro.obs.schema import (
     FLIGHTREC_SCHEMA_ID,
     sniff_schema,
@@ -86,6 +87,24 @@ def test_tracer_and_logger_feed_the_process_ring():
     assert "log" in kinds and "span" in kinds
     log_event = next(e for e in recorder().events() if e["kind"] == "log")
     assert log_event["trace_id"] == "feedbeef"
+
+
+def _raise_value_error() -> None:
+    raise ValueError("injected")  # EXC001: injected fault for the test
+
+
+def test_failed_pool_task_leaves_only_valid_events():
+    # The pool logs the failure's kind; the ring event's own kind stays "log".
+    (outcome,) = run_tasks(
+        [Task("t1", _raise_value_error)], jobs=1, retries=0, obs=Obs()
+    )
+    assert not outcome.ok
+    (failed,) = [
+        e for e in recorder().events() if e.get("event") == "pool.task.failed"
+    ]
+    assert failed["kind"] == "log"
+    assert failed["failure_kind"] == outcome.failure.kind
+    assert validate_flightrec_document(flightrec_document(recorder(), "probe")) == []
 
 
 def test_untraced_suite_feeds_only_the_entry_notes():

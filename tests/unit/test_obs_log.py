@@ -71,6 +71,8 @@ def test_level_and_field_validation():
         log.log("info", "")
     with pytest.raises(ConfigurationError):
         log.info("event", trace_id="spoofed")  # reserved envelope key
+    with pytest.raises(ConfigurationError):
+        log.info("event", kind="crash")  # the flight-recorder event's key
 
 
 def test_tail_bounds_memory_and_counts_drops():
@@ -85,7 +87,7 @@ def test_tail_bounds_memory_and_counts_drops():
 def test_stream_sink_emits_sorted_json_lines():
     stream = io.StringIO()
     log = make_logger(stream=stream)
-    log.warning("pool.task.failed", task="t1", kind="crash")
+    log.warning("pool.task.failed", task="t1", failure_kind="crash")
     line = stream.getvalue().strip()
     parsed = json.loads(line)
     assert parsed["event"] == "pool.task.failed"

@@ -39,7 +39,7 @@ class TestThermal:
 
     def test_trajectory_matches_pointwise_evolution(self):
         model = ThermalModel()
-        traj = model.trajectory_c(30.0, 100.0, [0.0, 5.0, 10.0])
+        (traj,) = model.trajectories_c([30.0], [100.0], [0.0, 5.0, 10.0])
         assert traj[0] == pytest.approx(30.0)
         assert traj[1] == pytest.approx(model.evolve_c(30.0, 100.0, 5.0))
         assert traj[2] == pytest.approx(model.evolve_c(30.0, 100.0, 10.0))
