@@ -118,14 +118,14 @@ class DataPowerExperiment:
         n = cfg.scaled(3000, minimum=90) if n_blocks is None else n_blocks
         dur = cfg.interval_s if block_s is None else block_s
         machine = cfg.build_machine()
-        machine.os.set_all_frequencies(ghz(2.5))
         rng = machine.rng.child(f"data-power-{instruction}")
-
         blocks = {w: instruction_block(instruction, w) for w in WEIGHTS}
         cpus = machine.os.all_cpus()
 
         # Pre-heat at the mid weight so the block sequence starts settled.
-        machine.os.run(blocks[0.5], cpus)
+        with machine.batch():
+            machine.os.set_all_frequencies(ghz(2.5))
+            machine.os.run(blocks[0.5], cpus)
         machine.preheat()
 
         acc: dict[float, dict[str, list[float]]] = {

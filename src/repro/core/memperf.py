@@ -65,8 +65,9 @@ class MemoryPerformanceExperiment:
                 series = np.zeros(len(counts))
                 for k, n in enumerate(counts):
                     cpus = machine.os.compact_cpus(n)
-                    machine.os.run(STREAM_TRIAD, cpus)
-                    machine.os.set_all_frequencies(ghz(2.5))
+                    with machine.batch():
+                        machine.os.run(STREAM_TRIAD, cpus)
+                        machine.os.set_all_frequencies(ghz(2.5))
                     bw = machine.bandwidth_model.node_bandwidth_gbs(
                         n, ghz(2.5), fc
                     ).bandwidth_gbs

@@ -83,10 +83,11 @@ class RaplQualityExperiment:
             for freq in self.FREQS_GHZ:
                 for placement in placements:
                     machine = cfg.build_machine()
-                    machine.os.set_all_frequencies(ghz(freq))
-                    cpus = self._place(machine, placement)
-                    if wl.name != "idle":
-                        machine.os.run(wl, cpus)
+                    with machine.batch():
+                        machine.os.set_all_frequencies(ghz(freq))
+                        cpus = self._place(machine, placement)
+                        if wl.name != "idle":
+                            machine.os.run(wl, cpus)
                     machine.preheat()
                     rec = machine.measure(dur)
                     result.points.append(

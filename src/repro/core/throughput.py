@@ -47,8 +47,9 @@ class ThroughputLimitExperiment:
         cfg = self.config
         machine = cfg.build_machine()
         cpus = machine.os.all_cpus() if smt else machine.os.first_thread_cpus()
-        machine.os.set_all_frequencies(ghz(2.5))  # nominal
-        machine.os.run(FIRESTARTER, cpus)
+        with machine.batch():
+            machine.os.set_all_frequencies(ghz(2.5))  # nominal
+            machine.os.run(FIRESTARTER, cpus)
         machine.preheat()  # the 15 min warm-up
 
         # perf stat, 1 s intervals over the run

@@ -73,9 +73,39 @@ class CStateController:
     # --- resolution -----------------------------------------------------------
 
     def refresh(self) -> None:
-        """Recompute requested/effective states for every thread."""
+        """Recompute requested/effective states for every thread.
+
+        An online idle thread whose CPU has no disabled state and no
+        wake-up source gets the same answer as every other such thread,
+        so that answer is decided once per call.  A running thread is in
+        C0.  Offline threads and the CPUs with a disabled state or a
+        wake-up source are resolved one by one.
+        """
+        own_state = {cpu_id for cpu_id, names in self._disabled.items() if names}
+        if self.governor is not None:
+            own_state.update(self.governor.interrupts.cpus_with_sources())
+        quiet_state = None
+        # Every OS call refreshes: read the fields behind the ``online``
+        # and ``workload`` properties without the property calls.
         for thread in self.topo.threads():
-            self._resolve_thread(thread)
+            if not thread._online or thread.cpu_id in own_state:
+                self._resolve_thread(thread)
+                continue
+            if thread._workload is not None:
+                state = "C0"
+            else:
+                if quiet_state is None:
+                    quiet_state = self._idle_state(thread.cpu_id)
+                state = quiet_state
+            thread.requested_cstate = state
+            thread.effective_cstate = state
+
+    def _idle_state(self, cpu_id: int) -> str:
+        """The state the OS requests for an online idle CPU."""
+        requested = self.deepest_enabled(cpu_id)
+        if self.governor is not None:
+            requested = self.governor.select(cpu_id, requested)
+        return requested
 
     def _resolve_thread(self, thread: HardwareThread) -> None:
         if not thread.online:
@@ -93,9 +123,7 @@ class CStateController:
             thread.requested_cstate = "C0"
             thread.effective_cstate = "C0"
             return
-        requested = self.deepest_enabled(thread.cpu_id)
-        if self.governor is not None:
-            requested = self.governor.select(thread.cpu_id, requested)
+        requested = self._idle_state(thread.cpu_id)
         thread.requested_cstate = requested
         thread.effective_cstate = requested
 

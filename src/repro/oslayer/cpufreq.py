@@ -56,18 +56,26 @@ class CpufreqPolicy:
 
     def set_speed(self, freq_hz: float) -> None:
         """sysfs ``scaling_setspeed``: only valid under userspace."""
+        self.check_governor()
+        self.check_frequency(freq_hz)
+        self._apply(freq_hz)
+
+    def check_governor(self) -> None:
+        """Raise unless the policy takes ``scaling_setspeed`` writes."""
         if self.governor is not Governor.USERSPACE:
             raise ConfigurationError(
                 f"scaling_setspeed requires the userspace governor "
                 f"(cpu{self.thread.cpu_id} uses {self.governor.value})"
             )
+
+    def check_frequency(self, freq_hz: float) -> None:
+        """Raise unless ``freq_hz`` is one of the available frequencies."""
         if not any(abs(freq_hz - f) < 1e3 for f in self.available_freqs_hz):
             mhz = ", ".join(f"{f/1e6:.0f}" for f in self.available_freqs_hz)
             raise PStateError(
                 f"cpu{self.thread.cpu_id}: {freq_hz/1e6:.0f} MHz not in "
                 f"available frequencies [{mhz}] MHz"
             )
-        self._apply(freq_hz)
 
     def _apply(self, freq_hz: float) -> None:
         self.thread.requested_freq_hz = freq_hz

@@ -40,8 +40,8 @@ class InterruptModel:
 
     def __init__(self) -> None:
         # CPU id -> that CPU's sources by name, in registration order.  The
-        # menu governor asks once per idle thread per C-state refresh, so a
-        # CPU's rate must not scan the other CPUs' sources.
+        # menu governor asks once per CPU with sources per C-state refresh,
+        # so a CPU's rate must not scan the other CPUs' sources.
         self._by_cpu: dict[int, dict[str, InterruptSource]] = {}
 
     def register(self, name: str, cpu_id: int, rate_hz: float) -> None:
@@ -59,6 +59,10 @@ class InterruptModel:
                 del sources[name]
                 return
         raise ConfigurationError(f"no interrupt source {name!r}")
+
+    def cpus_with_sources(self) -> list[int]:
+        """The CPUs that hold at least one source."""
+        return [cpu_id for cpu_id, sources in self._by_cpu.items() if sources]
 
     def sources_on(self, cpu_id: int) -> list[InterruptSource]:
         """The CPU's sources in registration order (a copy)."""

@@ -15,6 +15,7 @@ from repro.oslayer.hotplug import Hotplug
 from repro.oslayer.perf import PerfStat
 from repro.oslayer.procfs import ProcFs
 from repro.oslayer.sysfs import SysfsTree
+from repro.topology.components import bind_workload
 from repro.workloads.base import Workload
 
 
@@ -49,10 +50,26 @@ class Kernel:
         self.cpufreq_policy(cpu_id).set_speed(freq_hz)
 
     def set_all_frequencies(self, freq_hz: float) -> None:
-        """Set every logical CPU's request (the paper's baseline step)."""
-        with self.machine.batch():
-            for cpu_id in sorted(self.machine.topology.cpus):
-                self.set_frequency(cpu_id, freq_hz)
+        """Set every logical CPU's request (the paper's baseline step).
+
+        The frequency and every CPU's governor are checked before any
+        request is written, so a refused call leaves the machine as it
+        was.  The requests are then written and notified in ascending CPU
+        order inside one batch: one settle in steady-state mode, and
+        :meth:`set_frequency`'s per-request order in event mode.
+        """
+        machine = self.machine
+        policies = [self.cpufreq_policy(cpu_id) for cpu_id in sorted(machine.topology.cpus)]
+        # Every policy offers the SKU's frequencies: one check covers all.
+        policies[0].check_frequency(freq_hz)
+        for policy in policies:
+            policy.check_governor()
+        notify = machine.on_freq_request
+        with machine.batch():
+            for policy in policies:
+                thread = policy.thread
+                thread.requested_freq_hz = freq_hz
+                notify(thread)
 
     # --- scheduling / placement -------------------------------------------------
 
@@ -66,8 +83,7 @@ class Kernel:
         for thread in threads:
             if not thread.online:
                 raise ConfigurationError(f"cpu{thread.cpu_id} is offline")
-        for thread in threads:
-            thread.workload = workload
+        bind_workload(threads, workload)
         self.machine.cstates.refresh()
         self.machine.changed()
 
@@ -78,9 +94,7 @@ class Kernel:
         """
         topo = self.machine.topology
         ids = sorted(topo.cpus) if cpu_ids is None else cpu_ids
-        threads = [topo.thread(cpu_id) for cpu_id in ids]
-        for thread in threads:
-            thread.workload = None
+        bind_workload([topo.thread(cpu_id) for cpu_id in ids], None)
         self.machine.cstates.refresh()
         self.machine.changed()
 

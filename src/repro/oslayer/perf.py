@@ -80,13 +80,16 @@ class PerfStat:
         ``jitter_rel`` models interrupt/measurement noise on the counts
         (perf reads are not phase-aligned with the workload).
         """
+        topo = self.machine.topology
+        rates = [self._thread_rates(topo.thread(cpu_id)) for cpu_id in cpu_ids]
+        # One draw per sample, row by row: the same numbers, in the same
+        # order, as one scalar draw per sample.
+        draws = iter(self._rng.normal(0.0, jitter_rel, size=count * len(cpu_ids)).tolist())
         out: list[list[PerfSample]] = []
         for _ in range(count):
             row: list[PerfSample] = []
-            for cpu_id in cpu_ids:
-                thread = self.machine.topology.thread(cpu_id)
-                cyc_rate, inst_rate = self._thread_rates(thread)
-                noise = 1.0 + self._rng.normal(0.0, jitter_rel)
+            for cpu_id, (cyc_rate, inst_rate) in zip(cpu_ids, rates):
+                noise = 1.0 + next(draws)
                 row.append(
                     PerfSample(
                         cpu_id=cpu_id,

@@ -224,6 +224,9 @@ class PowerModel:
         shared = (wake * 0.6 + iodie_w) / n_pkg
 
         cal = self.cal
+        # The package's silicon-variation multiplier, as in breakdown().
+        factors = getattr(machine, "pkg_power_factors", None)
+        factor = None if factors is None else factors[pkg.index]
         # Per distinct (C-state class, operating point) of an active core:
         # the terms the core adds, in the order they add.
         by_point: dict[tuple, tuple[float, ...]] = {}
@@ -241,7 +244,7 @@ class PowerModel:
             if addends is None:
                 addends = by_point[key] = ((cal.c1_per_core_w,) if c1 else ()) + tuple(
                     w
-                    for w in self._core_terms_w(core.applied_freq_hz, smt, wl)
+                    for w in self._core_terms_w(core.applied_freq_hz, smt, wl, factor)
                     if w is not None
                 )
             for w in addends:

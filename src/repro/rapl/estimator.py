@@ -61,16 +61,24 @@ class RaplEstimator:
 
     # --- core domain -------------------------------------------------------
 
-    def core_power_w(self, core: Core, temp_c: float | None = None) -> float:
-        """Modelled power of one core (the per-core RAPL core domain)."""
+    def core_power_w(
+        self, core: Core, temp_c: float | None = None, *, freq_hz: float | None = None
+    ) -> float:
+        """Modelled power of one core (the per-core RAPL core domain).
+
+        ``freq_hz`` evaluates an active core at that clock instead of its
+        applied one.
+        """
         cal = self.cal
         smt = core.active_thread_count
         if smt == 0:
             power = self.GATED_CORE_W
         else:
             wl = core.active_workload
-            v = cal.voltage_at(core.applied_freq_hz)
-            v2f = v * v * (core.applied_freq_hz / ghz(1))
+            if freq_hz is None:
+                freq_hz = core.applied_freq_hz
+            v = cal.voltage_at(freq_hz)
+            v2f = v * v * (freq_hz / ghz(1))
             ipc = wl.ipc(smt)
             fp = wl.fp_util * (wl.simd_width_bits / 256.0 if wl.simd_width_bits else 0.25)
             dispatch = min(1.0, ipc / self.PEAK_IPC)
@@ -120,12 +128,15 @@ class RaplEstimator:
         temp_c: float | None = None,
         *,
         dram_traffic_gbs: float = 0.0,
+        active_freq_hz: float | None = None,
     ) -> float:
         """Modelled package power (the RAPL package domain).
 
         ``dram_traffic_gbs`` is the *activity* the fabric monitors see —
         the model charges a token amount per GB/s, nowhere near the true
-        DIMM power (that is the Fig 9a gap).
+        DIMM power (that is the Fig 9a gap).  ``active_freq_hz`` evaluates
+        every active core at that clock instead of its applied one (the
+        SMU's power loop asks about hypothetical operating points).
         """
         # Per distinct operating point: the core term, and how many of the
         # core's threads have L3 traffic.  The L3 count reads each active
@@ -138,14 +149,15 @@ class RaplEstimator:
         for core in pkg.cores():
             smt = core.active_thread_count
             if smt == 0:
-                key = None
+                key = freq_hz = None
             else:
+                freq_hz = core.applied_freq_hz if active_freq_hz is None else active_freq_hz
                 second = core.threads[1].workload if smt == 2 else None
-                key = (core.applied_freq_hz, smt, id(core.active_workload), id(second))
+                key = (freq_hz, smt, id(core.active_workload), id(second))
             term = by_point.get(key)
             if term is None:
                 term = by_point[key] = (
-                    self.core_power_w(core),
+                    self.core_power_w(core, freq_hz=freq_hz),
                     sum(
                         1
                         for t in core.threads

@@ -56,21 +56,13 @@ class PptManager:
     ) -> float:
         """Estimator power if every active core ran at ``freq_hz``.
 
-        Evaluated without mutating the package: core clocks are swapped
-        in and restored (the SMU evaluates its model the same way —
+        Reads the package without writing it: the estimator takes the
+        hypothetical clock (the SMU evaluates its model the same way —
         against hypothetical operating points).
         """
-        saved = [core.applied_freq_hz for core in pkg.cores()]
-        try:
-            for core in pkg.cores():
-                if core.has_active_thread:
-                    core.applied_freq_hz = freq_hz
-            return self.estimator.package_power_w(
-                pkg, temp_c, dram_traffic_gbs=dram_traffic_gbs
-            )
-        finally:
-            for core, f in zip(pkg.cores(), saved):
-                core.applied_freq_hz = f
+        return self.estimator.package_power_w(
+            pkg, temp_c, dram_traffic_gbs=dram_traffic_gbs, active_freq_hz=freq_hz
+        )
 
     # --- control ------------------------------------------------------------------
 

@@ -16,6 +16,8 @@ State conventions
   write to ``workload`` or ``online`` refreshes the core's
   ``active_thread_count`` and ``active_workload``, so the settle, power
   and RAPL terms read those two fields instead of walking the threads.
+  :func:`bind_workload` writes many threads and refreshes each touched
+  core once.
 * C-state bookkeeping (requested vs. effective idle state) lives on the
   thread; core/package aggregation lives in
   :class:`repro.cstate.controller.CStateController`.
@@ -23,7 +25,7 @@ State conventions
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator, Optional
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
 from repro.errors import TopologyError
 from repro.units import ghz
@@ -148,6 +150,23 @@ class Core:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Core {self.global_index} ccx={self.ccx.global_index}>"
+
+
+def bind_workload(
+    threads: Iterable[HardwareThread], workload: Optional["Workload"]
+) -> None:
+    """Bind ``workload`` (None: unbind) to every thread, then recount each
+    touched core once.
+
+    The end state equals one ``thread.workload = workload`` write per
+    thread.
+    """
+    touched: dict[Core, None] = {}
+    for thread in threads:
+        thread._workload = workload
+        touched[thread.core] = None
+    for core in touched:
+        core._refresh_activity()
 
 
 class CCX:

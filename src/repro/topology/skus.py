@@ -119,10 +119,11 @@ def build_topology(sku: SKU | str = "EPYC 7502", n_packages: int = 2) -> SystemT
     linux_cpu_numbering(topo)
     # All cores start at the minimum available frequency, matching the
     # paper's baseline ("other cores ... set to the minimum frequency").
+    min_hz = min(sku.available_freqs_hz)
     for thread in topo.threads():
-        thread.requested_freq_hz = min(sku.available_freqs_hz)
+        thread.requested_freq_hz = min_hz
     for core in topo.cores():
-        core.applied_freq_hz = min(sku.available_freqs_hz)
+        core.applied_freq_hz = min_hz
     for ccx in topo.ccxs():
-        ccx.l3_freq_hz = min(sku.available_freqs_hz)
+        ccx.l3_freq_hz = min_hz
     return topo

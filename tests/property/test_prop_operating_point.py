@@ -66,6 +66,7 @@ def _ref_pm_package_power_w(machine, pkg, pkg_temps_c):
         if smt == 0:
             continue
         scale = cal.v2f_scale(core.applied_freq_hz)
+        scale *= machine.pkg_power_factors[pkg.index]
         core_w += cal.pause_core_nominal_w * scale
         if smt == 2:
             core_w += cal.pause_thread_nominal_w * scale

@@ -133,6 +133,33 @@ class TestCpufreq:
             t.requested_freq_hz == ghz(2.2) for t in machine.topology.threads()
         )
 
+    @pytest.mark.parametrize(
+        "error, freq_ghz",
+        [(ConfigurationError, 2.2), (PStateError, 2.3)],
+        ids=["governor", "unavailable-frequency"],
+    )
+    def test_refused_set_all_frequencies_writes_nothing(self, machine, error, freq_ghz):
+        # cpu5 does not take setspeed writes: the call must refuse before
+        # cpu0-4 hold the new request, and before a batch exit settles it.
+        machine.os.run(SPIN, [0, 1, 2, 3, 4, 5])
+        machine.os.cpufreq_policy(5).set_governor("performance")
+        before = _frequency_state(machine)
+        with pytest.raises(error):
+            machine.os.set_all_frequencies(ghz(freq_ghz))
+        assert _frequency_state(machine) == before
+
+
+def _frequency_state(machine):
+    """Every request and every figure a settle writes."""
+    topo = machine.topology
+    return (
+        [t.requested_freq_hz for t in topo.threads()],
+        [(c.applied_freq_hz, machine.observable_mean_hz(c)) for c in topo.cores()],
+        [ccx.l3_freq_hz for ccx in topo.ccxs()],
+        [machine.edc_cap_hz(pkg.index) for pkg in topo.packages],
+        machine._settle_pending,
+    )
+
 
 class TestHotplug:
     def test_offline_removes_workload(self, machine):

@@ -129,6 +129,36 @@ class TestWorkloadPower:
         assert p0 > 100  # each package carries a real share
 
 
+def _firestarter_package_powers(variation_sigma):
+    machine = Machine("EPYC 7502", seed=5, variation_sigma=variation_sigma)
+    try:
+        machine.os.run(FIRESTARTER, machine.os.all_cpus())
+        temps = machine.thermal_state.temps_c
+        powers = [
+            machine.power_model.package_power_w(machine, pkg, temps)
+            for pkg in machine.topology.packages
+        ]
+        return machine.pkg_power_factors, powers
+    finally:
+        machine.shutdown()
+
+
+class TestSiliconVariation:
+    """The thermal model's package power carries the package's variation
+    factor, as the breakdown the AC meter sees does."""
+
+    def test_package_power_follows_the_factors(self):
+        factors, (p0, p1) = _firestarter_package_powers(0.05)
+        assert factors[0] > 1.0 > factors[1]
+        assert p0 > p1
+
+    def test_no_variation_leaves_package_power_unchanged(self):
+        factors, powers = _firestarter_package_powers(0.0)
+        assert factors == [1.0, 1.0]
+        # 126.27 W per package, as before package power read the factors.
+        assert [p.hex() for p in powers] == ["0x1.f9163b575a65dp+6"] * 2
+
+
 class TestBreakdownMemoization:
     """Every figure comes from live state: repeated calls agree, and every
     mutation path that feeds the power model shows at the next call."""
