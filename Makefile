@@ -9,18 +9,16 @@ export PYTHONPATH := src
 test: lint
 	$(PYTHON) -m pytest -x -q
 
-# Per-module rules plus the whole-program rules OBS001 and CON010 (one
-# `--deep` run against lint.json's layer DAG, one result cache) over
-# src/repro, then per-module rules over the rest of the tree.
+# Every rule over the whole tree in one run, CON010 against ./lint.json's
+# layer DAG. The run must include src/repro: the manifest's prefixes name
+# its modules, and a prefix that matches no linted module is a finding.
 lint:
-	$(PYTHON) -m repro.lint src/repro --deep
-	$(PYTHON) -m repro.lint tests benchmarks examples
+	$(PYTHON) -m repro.lint src/repro tests benchmarks examples
 
-# Pre-commit convenience: the `lint` runs, findings reported only for
-# files changed vs git HEAD (falls back to a full run without git).
+# Pre-commit convenience: the `lint` run over the files changed vs git
+# HEAD only (falls back to a full run without git).
 lint-changed:
-	$(PYTHON) -m repro.lint src/repro --deep --changed-only
-	$(PYTHON) -m repro.lint tests benchmarks examples --changed-only
+	$(PYTHON) -m repro.lint src/repro tests benchmarks examples --changed-only
 
 ordering-check:
 	$(PYTHON) -m repro.lint --ordering-check --ordering-seeds 1,2,3

@@ -3,13 +3,13 @@
 Two halves (DESIGN.md §7's determinism contract, enforced):
 
 * **Static**: ``python -m repro.lint src/ tests/`` parses every module and
-  applies simulator-aware rules — DET001 (no wall-clock/unseeded
-  randomness), UNIT001 (suffix-driven unit consistency), EXC001
-  (:class:`~repro.errors.ReproError` discipline), SIM001 (no simulator
-  re-entry from event callbacks).  ``--deep`` adds the whole-program
-  effects and contracts analyzers (:mod:`repro.lint.deep`, declared
-  inputs in ``lint.json``).  Findings support inline
-  ``# lint: disable=RULE`` suppressions and JSON/SARIF output.
+  applies simulator-aware rules, one module at a time — DET001 (no
+  wall-clock/unseeded randomness), UNIT001 (suffix-driven unit
+  consistency), EXC001 (:class:`~repro.errors.ReproError` discipline),
+  SIM001 (no simulator re-entry from event callbacks), OBS001 (every obs
+  use behind the ``is None`` guard) and CON010 (module-scope imports
+  respect the layer DAG declared in ``lint.json``).  Findings support
+  inline ``# lint: disable=RULE`` suppressions and JSON/SARIF output.
 * **Runtime**: :class:`~repro.lint.monitor.InvariantMonitor` hooks a
   :class:`~repro.machine.Machine` and asserts physical invariants after
   every event batch; :mod:`repro.lint.shuffle` re-runs scenarios under

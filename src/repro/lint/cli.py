@@ -38,15 +38,9 @@ def main(argv: list[str] | None = None) -> int:
         help="output format",
     )
     parser.add_argument(
-        "--deep",
-        action="store_true",
-        help="also run the whole-program rules (OBS001, CON010) over one "
-        "shared program, with one digest-keyed result cache",
-    )
-    parser.add_argument(
         "--manifest",
         metavar="FILE",
-        help=f"lint manifest for --deep (default: {DEFAULT_MANIFEST} in "
+        help=f"layer manifest for CON010 (default: {DEFAULT_MANIFEST} in "
         "the working directory, if present)",
     )
     parser.add_argument(
@@ -115,18 +109,14 @@ def main(argv: list[str] | None = None) -> int:
             None if select is None else sorted(select & set(rules_by_id()))
         )
         report = lint_paths(
-            args.paths,
-            rules,
-            deep=args.deep,
-            manifest=manifest,
-            changed_only=args.changed_only,
+            args.paths, rules, manifest=manifest, changed_only=args.changed_only
         )
     except LintError as err:
         print(f"repro-lint: {err}", file=sys.stderr)
         return 2
     if select is not None:
-        # Every pass reports through one list; a file that does not parse
-        # was checked by no rule, so its PARSE finding always stays.
+        # The engine-level rules run whatever is selected; a file that
+        # does not parse was checked by no rule, so its PARSE finding stays.
         report.findings = [
             f for f in report.findings if f.rule in select or f.rule == "PARSE"
         ]

@@ -7,7 +7,7 @@ import os
 import subprocess
 import tokenize
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from repro.errors import LintError
 from repro.lint.findings import (
@@ -19,7 +19,9 @@ from repro.lint.findings import (
     Finding,
     SuppressionIndex,
 )
-from repro.lint.rules import LintRule, ModuleContext, all_rules
+from repro.lint.layers import RULE_LAYER, layer_findings, manifest_findings
+from repro.lint.manifest import Manifest, load_manifest
+from repro.lint.rules import LintRule, ModuleContext, all_rules, module_name_for
 
 #: Pruned while walking directory arguments.  ``fixtures`` holds test
 #: *data* — deliberately-buggy inputs — linted only when named directly.
@@ -40,15 +42,14 @@ UNUSED_SUPPRESSION_RULE = "LINT001"
 SUPPRESSION_REASON_RULE = "LINT002"
 
 #: Rule-id prefixes whose suppressions must carry a ``reason=`` token.
-#: Effects and contracts findings gate the obs guard and the layer DAG;
-#: excusing one without a recorded justification defeats the review
-#: trail.
+#: OBS and CON findings gate the obs guard and the layer DAG; excusing
+#: one without a recorded justification defeats the review trail.
 REASON_REQUIRED_PREFIXES = ("OBS", "CON")
 
 
 @dataclass
 class ParsedModule:
-    """One source file, parsed once and shared by every analysis pass."""
+    """One source file, parsed once and shared by every rule."""
 
     path: str
     source: str
@@ -64,9 +65,6 @@ class LintReport:
     findings: list[Finding] = field(default_factory=list)
     files_checked: int = 0
     suppressed: int = 0
-    #: Statistics of the whole-program ``deep`` run, when it ran
-    #: (program and analyzer counts, cache status, wall time).
-    deep: dict[str, Any] | None = None
 
     @property
     def errors(self) -> list[Finding]:
@@ -128,7 +126,7 @@ def parse_module(source: str, path: str = "<string>") -> ParsedModule:
         parsed.parse_finding = Finding(
             path=path,
             line=err.lineno or 1,
-            col=(err.offset or 0) + 1,
+            col=err.offset or 1,
             rule="PARSE",
             message=f"syntax error: {err.msg}",
         )
@@ -137,21 +135,17 @@ def parse_module(source: str, path: str = "<string>") -> ParsedModule:
     return parsed
 
 
-def _apply_rules(
-    parsed: ParsedModule, rules: Sequence[LintRule]
+def _filter(
+    parsed: ParsedModule, findings: Iterable[Finding]
 ) -> tuple[list[Finding], int]:
-    """Run ``rules`` over one parsed module, filtering suppressions."""
-    if parsed.ctx is None:
-        assert parsed.parse_finding is not None
-        return [parsed.parse_finding], 0
+    """Split one module's findings into (kept, n_suppressed)."""
     kept: list[Finding] = []
     suppressed = 0
-    for rule in rules:
-        for finding in rule.check(parsed.ctx):
-            if parsed.suppressions.suppresses(finding):
-                suppressed += 1
-            else:
-                kept.append(finding)
+    for finding in findings:
+        if parsed.suppressions.suppresses(finding):
+            suppressed += 1
+        else:
+            kept.append(finding)
     return kept, suppressed
 
 
@@ -164,10 +158,8 @@ def unused_suppression_findings(
     disable=LINT001`` on the stale comment's line), which the second
     return value counts.
     """
-    kept: list[Finding] = []
-    suppressed = 0
-    for lineno, rule in parsed.suppressions.unused(checkable):
-        finding = Finding(
+    stale = [
+        Finding(
             path=parsed.path,
             line=lineno,
             col=1,
@@ -178,11 +170,9 @@ def unused_suppression_findings(
             ),
             severity=SEVERITY_WARNING,
         )
-        if parsed.suppressions.suppresses(finding):
-            suppressed += 1
-        else:
-            kept.append(finding)
-    return kept, suppressed
+        for lineno, rule in parsed.suppressions.unused(checkable)
+    ]
+    return _filter(parsed, stale)
 
 
 def suppression_reason_findings(parsed: ParsedModule) -> tuple[list[Finding], int]:
@@ -193,10 +183,9 @@ def suppression_reason_findings(parsed: ParsedModule) -> tuple[list[Finding], in
 
         import repro.obs  # lint: disable=CON010 reason=bootstrap shim
 
-    Purely syntactic, so it runs whether or not ``--deep`` does.
+    Purely syntactic, so it runs whatever rules are selected.
     """
-    kept: list[Finding] = []
-    suppressed = 0
+    found: list[Finding] = []
     for lineno, text in _comment_lines(parsed.source):
         match = _FILE_RE.search(text) or _LINE_RE.search(text)
         if match is None:
@@ -208,22 +197,20 @@ def suppression_reason_findings(parsed: ParsedModule) -> tuple[list[Finding], in
         )
         if not needing or "reason=" in text:
             continue
-        finding = Finding(
-            path=parsed.path,
-            line=lineno,
-            col=1,
-            rule=SUPPRESSION_REASON_RULE,
-            message=(
-                f"suppression of {', '.join(needing)} lacks a 'reason=' "
-                "token; OBS and CON suppressions must record their "
-                "justification inline"
-            ),
+        found.append(
+            Finding(
+                path=parsed.path,
+                line=lineno,
+                col=1,
+                rule=SUPPRESSION_REASON_RULE,
+                message=(
+                    f"suppression of {', '.join(needing)} lacks a 'reason=' "
+                    "token; OBS and CON suppressions must record their "
+                    "justification inline"
+                ),
+            )
         )
-        if parsed.suppressions.suppresses(finding):
-            suppressed += 1
-        else:
-            kept.append(finding)
-    return kept, suppressed
+    return _filter(parsed, found)
 
 
 def changed_files() -> set[str] | None:
@@ -255,6 +242,37 @@ def changed_files() -> set[str] | None:
     }
 
 
+def _lint_module(
+    parsed: ParsedModule,
+    rules: Sequence[LintRule],
+    manifest: Manifest,
+    unused_check: bool,
+) -> tuple[list[Finding], int]:
+    """Every check on one module: ``rules`` and CON010, LINT002, then
+    LINT001 over the suppressions those left unused."""
+    if parsed.ctx is None:
+        assert parsed.parse_finding is not None
+        kept, suppressed = [parsed.parse_finding], 0
+    else:
+        kept, suppressed = _filter(
+            parsed,
+            [
+                *(f for rule in rules for f in rule.check(parsed.ctx)),
+                *layer_findings(parsed.ctx, manifest),
+            ],
+        )
+    reasoned, reason_suppressed = suppression_reason_findings(parsed)
+    kept.extend(reasoned)
+    suppressed += reason_suppressed
+    if unused_check and parsed.ctx is not None:
+        checkable = {rule.rule_id for rule in rules}
+        checkable |= {SUPPRESSION_REASON_RULE, RULE_LAYER}
+        stale, stale_suppressed = unused_suppression_findings(parsed, checkable)
+        kept.extend(stale)
+        suppressed += stale_suppressed
+    return kept, suppressed
+
+
 def lint_source(
     source: str,
     path: str = "<string>",
@@ -262,18 +280,14 @@ def lint_source(
     *,
     unused_check: bool = True,
 ) -> tuple[list[Finding], int]:
-    """Lint one source string; returns (findings, n_suppressed)."""
+    """Lint one source string; returns (findings, n_suppressed).
+
+    No manifest applies, so CON010 constrains nothing.
+    """
     rules = list(rules) if rules is not None else all_rules()
-    parsed = parse_module(source, path)
-    kept, suppressed = _apply_rules(parsed, rules)
-    reasoned, reason_suppressed = suppression_reason_findings(parsed)
-    kept.extend(reasoned)
-    suppressed += reason_suppressed
-    if unused_check and parsed.ctx is not None:
-        checkable = {rule.rule_id for rule in rules} | {SUPPRESSION_REASON_RULE}
-        stale, stale_suppressed = unused_suppression_findings(parsed, checkable)
-        kept.extend(stale)
-        suppressed += stale_suppressed
+    kept, suppressed = _lint_module(
+        parse_module(source, path), rules, Manifest(), unused_check
+    )
     kept.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     return kept, suppressed
 
@@ -283,70 +297,40 @@ def lint_paths(
     rules: Iterable[LintRule] | None = None,
     *,
     unused_check: bool = True,
-    deep: bool = False,
     manifest: str | None = None,
     changed_only: bool = False,
 ) -> LintReport:
     """Lint every python file under ``paths``.
 
-    With ``deep=True`` the whole-program effects and contracts
-    analyzers (:mod:`repro.lint.deep`) run over the same parsed modules
-    against the ``manifest`` file (``None``: the empty manifest) and
-    their findings join the report.
+    Each module gets ``rules`` (default: every registered rule) and
+    CON010 against the layer DAG of the ``manifest`` file (``None``:
+    the empty manifest, which constrains nothing).  CON010's manifest
+    health matches the ``assign`` prefixes against the module names of
+    every file under ``paths``.
 
-    ``changed_only`` restricts reported findings to files changed vs
-    ``git HEAD`` (plus untracked files).  Every file is still *parsed*
-    — the whole-program passes need the complete module set — but
-    per-module rules run only on the changed seeds and whole-program
-    findings outside them are dropped, so a warm pre-commit run stays
-    fast and quiet.  Without git the full run happens.
+    ``changed_only`` lints only the files changed vs ``git HEAD`` (plus
+    untracked files), and reports manifest health only when the
+    manifest itself changed.  Without git the full run happens.
     """
     rules = list(rules) if rules is not None else all_rules()
-    report = LintReport()
-    modules: list[ParsedModule] = []
-    seeds: set[str] | None = None
-    if changed_only:
-        changed = changed_files()
-        if changed is not None:
-            seeds = changed
+    loaded = load_manifest(manifest)
+    files = iter_python_files(paths)
+    seeds = changed_files() if changed_only else None
 
     def in_seeds(path: str) -> bool:
         return seeds is None or os.path.abspath(path) in seeds
 
-    seeded: list[ParsedModule] = []
-    for path in iter_python_files(paths):
+    report = LintReport()
+    for path in filter(in_seeds, files):
         parsed = parse_module(read_source(path), path)
-        modules.append(parsed)
-        if not in_seeds(path):
-            continue
-        seeded.append(parsed)
-        findings, suppressed = _apply_rules(parsed, rules)
+        findings, suppressed = _lint_module(parsed, rules, loaded, unused_check)
         report.findings.extend(findings)
         report.suppressed += suppressed
         report.files_checked += 1
-        reasoned, reason_suppressed = suppression_reason_findings(parsed)
-        report.findings.extend(reasoned)
-        report.suppressed += reason_suppressed
-
-    checkable = {rule.rule_id for rule in rules} | {SUPPRESSION_REASON_RULE}
-    if deep:
-        from repro.lint.deep import DEEP_RULE_IDS, analyze_modules
-
-        deep_report = analyze_modules(modules, manifest)
-        report.findings.extend(
-            f for f in deep_report.findings if in_seeds(f.path)
-        )
-        report.suppressed += deep_report.suppressed
-        report.deep = deep_report.stats
-        checkable |= DEEP_RULE_IDS
-
-    if unused_check:
-        for parsed in seeded:
-            if parsed.ctx is None:
-                continue
-            stale, stale_suppressed = unused_suppression_findings(parsed, checkable)
-            report.findings.extend(stale)
-            report.suppressed += stale_suppressed
-
+    report.findings.extend(
+        f
+        for f in manifest_findings(loaded, map(module_name_for, files))
+        if in_seeds(f.path)
+    )
     report.findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     return report

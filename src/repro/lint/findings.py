@@ -27,6 +27,7 @@ class Finding:
 
     path: str
     line: int
+    #: 1-based, as the human, JSON and SARIF outputs all print it.
     col: int
     rule: str
     message: str
@@ -108,10 +109,6 @@ class SuppressionIndex:
             self.used.add((finding.line, finding.rule))
             return True
         return False
-
-    def mark_used(self, line: int, rule: str) -> None:
-        """Replay a recorded usage (e.g. from a cached analysis run)."""
-        self.used.add((line, rule))
 
     def unused(self, checkable: set[str]) -> list[tuple[int, str]]:
         """(line, rule) of declared-but-unused suppressions.

@@ -14,18 +14,22 @@ Deliberate escape hatches, matching the tree's established idiom:
 * ``if TYPE_CHECKING:`` blocks are annotation-only and exempt;
 * modules not matched by any ``assign`` prefix are unconstrained.
 
-Manifest-health findings ride under the same rule id: an ``allow``
-graph cycle (the DAG must be a DAG) and an ``assign`` prefix matching
-no analyzed module (a rename must not silently drop enforcement).
+The check reads one module at a time, so the engine runs it beside
+the registered rules; it takes the manifest, which a registered rule
+does not.  Manifest-health findings ride under the same rule id: an
+``allow`` graph cycle (the DAG must be a DAG) and an ``assign`` prefix
+matching no linted module (a rename must not silently drop
+enforcement).
 """
 
 from __future__ import annotations
 
 import ast
+from typing import Iterable
 
 from repro.lint.findings import Finding
 from repro.lint.manifest import Manifest
-from repro.lint.program import Program
+from repro.lint.rules import ModuleContext
 
 RULE_LAYER = "CON010"
 
@@ -90,79 +94,60 @@ def _module_level_imports(
     return out
 
 
-def check_layers(program: Program, manifest: Manifest) -> list[Finding]:
-    """CON010 findings over every analyzed module."""
+def layer_findings(ctx: ModuleContext, manifest: Manifest) -> list[Finding]:
+    """CON010 findings for one module's module-scope imports."""
     layers = manifest.layers
-    if not layers.assign:
+    src_layer = layers.layer_of(ctx.module)
+    if src_layer is None:
         return []
+    allowed = set(layers.allow.get(src_layer, ())) | {src_layer}
+    is_package = ctx.path.replace("\\", "/").endswith("/__init__.py")
     findings: list[Finding] = []
-    manifest_path = manifest.label
-
-    cycle = layers.cycle()
-    if cycle is not None:
+    for stmt, target in _module_level_imports(ctx.tree, ctx.module, is_package):
+        dst_layer = layers.layer_of(target)
+        if dst_layer is None or dst_layer in allowed:
+            continue
         findings.append(
-            Finding(
-                path=manifest_path,
-                line=1,
-                col=0,
-                rule=RULE_LAYER,
-                message=(
-                    "layer manifest health: allow graph has a cycle "
-                    f"({' -> '.join(cycle)}); the layer graph must be a DAG"
-                ),
+            ctx.finding(
+                stmt,
+                RULE_LAYER,
+                f"layer boundary violation: {ctx.module} (layer "
+                f"'{src_layer}') imports {target} (layer "
+                f"'{dst_layer}') at module scope; layer "
+                f"'{src_layer}' may import only "
+                f"{sorted(allowed - {src_layer}) or 'nothing'} — "
+                "move the import inside the function that needs it "
+                "or change the declared DAG",
             )
         )
+    return findings
 
-    matched_prefixes: set[str] = set()
-    for mod in program.modules.values():
-        for prefixes in layers.assign.values():
-            for prefix in prefixes:
-                if mod.name == prefix or mod.name.startswith(prefix + "."):
-                    matched_prefixes.add(prefix)
 
-    for mod in sorted(program.modules.values(), key=lambda m: m.name):
-        src_layer = layers.layer_of(mod.name)
-        if src_layer is None or mod.parsed.ctx is None:
-            continue
-        allowed = set(layers.allow.get(src_layer, ())) | {src_layer}
-        is_package = mod.parsed.path.replace("\\", "/").endswith("/__init__.py")
-        imports = _module_level_imports(mod.parsed.ctx.tree, mod.name, is_package)
-        for stmt, target in imports:
-            dst_layer = layers.layer_of(target)
-            if dst_layer is None or dst_layer in allowed:
-                continue
-            findings.append(
-                Finding(
-                    path=mod.parsed.path,
-                    line=stmt.lineno,
-                    col=stmt.col_offset,
-                    rule=RULE_LAYER,
-                    message=(
-                        f"layer boundary violation: {mod.name} (layer "
-                        f"'{src_layer}') imports {target} (layer "
-                        f"'{dst_layer}') at module scope; layer "
-                        f"'{src_layer}' may import only "
-                        f"{sorted(allowed - {src_layer}) or 'nothing'} — "
-                        "move the import inside the function that needs it "
-                        "or change the declared DAG"
-                    ),
-                )
-            )
-
+def manifest_findings(
+    manifest: Manifest, module_names: Iterable[str]
+) -> list[Finding]:
+    """CON010 manifest health: an ``allow`` cycle, and every ``assign``
+    prefix that matches none of ``module_names``."""
+    layers = manifest.layers
+    messages: list[str] = []
+    cycle = layers.cycle()
+    if cycle is not None:
+        messages.append(
+            "layer manifest health: allow graph has a cycle "
+            f"({' -> '.join(cycle)}); the layer graph must be a DAG"
+        )
+    names = set(module_names)
     for layer, prefixes in sorted(layers.assign.items()):
         for prefix in prefixes:
-            if prefix not in matched_prefixes:
-                findings.append(
-                    Finding(
-                        path=manifest_path,
-                        line=1,
-                        col=0,
-                        rule=RULE_LAYER,
-                        message=(
-                            f"layer manifest health: assign prefix "
-                            f"{prefix!r} (layer '{layer}') matches no "
-                            "analyzed module; fix the prefix or drop it"
-                        ),
-                    )
+            if not any(
+                name == prefix or name.startswith(prefix + ".") for name in names
+            ):
+                messages.append(
+                    f"layer manifest health: assign prefix {prefix!r} (layer "
+                    f"'{layer}') matches no linted module; fix the prefix or "
+                    "drop it"
                 )
-    return findings
+    return [
+        Finding(path=manifest.label, line=1, col=1, rule=RULE_LAYER, message=m)
+        for m in messages
+    ]

@@ -1,17 +1,18 @@
-"""The lint manifest, ``lint.json``: every committed input of ``lint --deep``.
+"""The lint manifest, ``lint.json``: CON010's layer DAG.
 
 One reviewable JSON object with two sections:
 
-* ``version`` — manifest format version (must be 1).
+* ``version`` — manifest format version (must be the integer 1).
 * ``layers`` — the import-boundary DAG for CON010: ``assign`` maps a
-  layer name to module-name prefixes, ``allow`` maps a layer to the
-  layers it may import at module scope.  Unassigned modules are
-  unconstrained.
+  layer name to a list of module-name prefixes, ``allow`` maps a layer
+  to the list of layers it may import at module scope.  Unassigned
+  modules are unconstrained.
 
-Unknown keys are rejected at every level, so a stale or misspelled
-section fails closed instead of silently enforcing nothing.  Manifest
-entries that match nothing in the analyzed tree are findings pointing at
-the manifest file, so a rename cannot silently drop enforcement.
+Unknown keys and values of the wrong type are rejected at every level,
+so a stale or misspelled section fails closed instead of silently
+enforcing nothing.  Manifest entries that match nothing in the linted
+tree are findings pointing at the manifest file, so a rename cannot
+silently drop enforcement.
 """
 
 from __future__ import annotations
@@ -89,14 +90,6 @@ class Manifest:
         """The path manifest-health findings point at."""
         return self.path or DEFAULT_MANIFEST
 
-    def canonical(self) -> str:
-        """Canonical text of the layers, plus the path manifest
-        findings point at, for the result-cache key."""
-        return json.dumps(
-            {"path": self.path, "layers": [self.layers.assign, self.layers.allow]},
-            sort_keys=True,
-        )
-
 
 def _check_keys(obj: dict, allowed: frozenset[str], where: str, path: str) -> None:
     unknown = sorted(set(obj) - allowed)
@@ -113,18 +106,24 @@ def _object(value: object, where: str, path: str) -> dict:
     return value
 
 
+def _names(section: str, doc: dict, path: str) -> dict[str, list[str]]:
+    """``layers.<section>``: an object mapping each layer to a list of
+    strings (JSON object keys are always strings)."""
+    raw = _object(doc.get(section, {}), f"layers.{section}", path)
+    for layer, names in raw.items():
+        if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
+            raise LintError(
+                f"manifest {path}: layers.{section}[{layer!r}] must be a list "
+                "of strings"
+            )
+    return raw
+
+
 def _parse_layers(doc: object, path: str) -> LayerDecl:
     doc = _object(doc, "'layers'", path)
     _check_keys(doc, _LAYER_KEYS, "'layers'", path)
-    assign_raw = _object(doc.get("assign", {}), "layers.assign", path)
-    allow_raw = _object(doc.get("allow", {}), "layers.allow", path)
-    assign = {
-        str(layer): [str(p) for p in prefixes]
-        for layer, prefixes in assign_raw.items()
-    }
-    allow = {
-        str(layer): [str(d) for d in deps] for layer, deps in allow_raw.items()
-    }
+    assign = _names("assign", doc, path)
+    allow = _names("allow", doc, path)
     for layer, deps in allow.items():
         if layer not in assign:
             raise LintError(
@@ -151,7 +150,8 @@ def load_manifest(path: str | None) -> Manifest:
     doc = _object(doc, "the top level", path)
     _check_keys(doc, _TOP_KEYS, "the top level", path)
     version = doc.get("version", MANIFEST_VERSION)
-    if version != MANIFEST_VERSION:
+    # `True == 1` and `1.0 == 1`: only the integer itself is version 1.
+    if type(version) is not int or version != MANIFEST_VERSION:
         raise LintError(
             f"manifest {path}: version {version!r} is not {MANIFEST_VERSION}"
         )

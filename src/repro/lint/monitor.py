@@ -129,30 +129,6 @@ class InvariantMonitor:
             "invariant.violations", "Invariant violations observed", "violations"
         )
 
-    def _emit_findings(self, found: list[str]) -> None:
-        self._obs_checks.inc()
-        if not found:
-            return
-        self._obs_violations.inc(len(found))
-        track = getattr(self.machine, "_obs_track", None)
-        for message in found:
-            if track is not None:
-                self._obs.tracer.instant(
-                    "invariant.violation",
-                    cat="invariant",
-                    track=track,
-                    sim_ns=self.machine.sim.now_ns,
-                    severity="error",
-                    message=message,
-                )
-            else:
-                self._obs.tracer.instant(
-                    "invariant.violation",
-                    cat="invariant",
-                    severity="error",
-                    message=message,
-                )
-
     # ------------------------------------------------------------------
     # checking
     # ------------------------------------------------------------------
@@ -185,7 +161,26 @@ class InvariantMonitor:
         self.checks_run += 1
         self.violations.extend(found)
         if self._obs is not None:
-            self._emit_findings(found)
+            self._obs_checks.inc()
+            self._obs_violations.inc(len(found))
+            track = getattr(self.machine, "_obs_track", None)
+            for message in found:
+                if track is not None:
+                    self._obs.tracer.instant(
+                        "invariant.violation",
+                        cat="invariant",
+                        track=track,
+                        sim_ns=self.machine.sim.now_ns,
+                        severity="error",
+                        message=message,
+                    )
+                else:
+                    self._obs.tracer.instant(
+                        "invariant.violation",
+                        cat="invariant",
+                        severity="error",
+                        message=message,
+                    )
         if found:
             # Freeze the flight-recorder ring so the event tail leading
             # up to the violation survives (bundle written only when

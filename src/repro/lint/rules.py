@@ -108,6 +108,7 @@ def _load_builtin_rules() -> None:
     from repro.lint import (  # noqa: F401
         rules_determinism,
         rules_exceptions,
+        rules_obs,
         rules_sim,
         rules_units,
     )

@@ -4,8 +4,9 @@ The instrumentation contract is that the uninstrumented path pays
 exactly one identity check: ``self._obs`` is either ``None`` or an
 attached bundle, and every metrics/tracer touch (``self._obs``,
 ``self._obs_dispatched``, ...) happens only where that check has already
-proven the bundle attached.  This pass machine-checks the contract with
-a straight-line dominance walk per function:
+proven the bundle attached.  This rule machine-checks the contract with
+a straight-line dominance walk over each module-level function and each
+method of a module-level class:
 
 * a ``Compare(X._obs, Is/IsNot, None)`` condition splits the state of
   the base expression into null / non-null branches (``and`` chains and
@@ -13,10 +14,6 @@ a straight-line dominance walk per function:
   promotes the rest of the function to non-null);
 * loads of ``X._obs`` members (``.tracer`` etc.) or of ``X._obs_*``
   attributes outside a non-null region are violations;
-* a method whose *only* unguarded uses hang off ``self`` is excused when
-  every resolved call site in the program sits inside a caller's
-  non-null region (a metering helper that only guarded code calls) —
-  but only if at least one call site resolves;
 * uses inside the *null* branch are always violations (the guard proves
   the bundle absent there).
 
@@ -28,13 +25,11 @@ from __future__ import annotations
 
 import ast
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Iterable
 
-from repro.lint.effects.resolver import Resolver
 from repro.lint.findings import Finding
-from repro.lint.program import FuncInfo, Program
-
-RULE_OBS_GUARD = "OBS001"
+from repro.lint.rules import LintRule, ModuleContext, register
 
 _NULL = "null"
 _NONNULL = "nonnull"
@@ -53,18 +48,16 @@ def _render(node: ast.expr) -> str | None:
     return None
 
 
-def _obs_root(node: ast.Attribute) -> tuple[str, str] | None:
-    """(guard render, base render) when ``node`` is an obs use.
+def _obs_guard(node: ast.Attribute) -> str | None:
+    """The ``X._obs`` guard render when ``node`` is an obs use.
 
     ``self._obs.tracer`` and ``self._obs_dispatched`` both guard on
-    ``self._obs``; the base render ("self") identifies the receiver for
-    the caller-guarded excusal.
+    ``self._obs``.
     """
     if node.attr == "_obs" or node.attr.startswith("_obs_"):
         base = _render(node.value)
-        if base is None:
-            return None
-        return (f"{base}._obs", base)
+        if base is not None:
+            return f"{base}._obs"
     return None
 
 
@@ -72,17 +65,7 @@ def _obs_root(node: ast.Attribute) -> tuple[str, str] | None:
 class _Use:
     node: ast.Attribute
     guard: str  # render of the X._obs expression that must be non-null
-    base: str  # render of the receiver (for self-rooted excusal)
     anti: bool  # inside the proven-null branch
-
-
-@dataclass
-class _FuncResult:
-    func: FuncInfo
-    unguarded: list[_Use] = field(default_factory=list)
-    #: callee qname -> [True if the call site sat in a non-null region
-    #: of the *callee receiver's* guard]
-    call_guard_states: dict[str, list[bool]] = field(default_factory=dict)
 
 
 def _guard_from_condition(cond: ast.expr) -> dict[str, tuple[str, str]]:
@@ -120,16 +103,12 @@ def _terminates(body: list[ast.stmt]) -> bool:
 class _GuardWalker:
     """Statement-ordered walk of one function tracking guard states."""
 
-    def __init__(self, func: FuncInfo, resolver: Resolver, program: Program):
-        self.func = func
-        self.resolver = resolver
-        self.program = program
-        self.result = _FuncResult(func)
-        self.local_types = resolver.local_class_types(func)
+    def __init__(self) -> None:
+        self.unguarded: list[_Use] = []
 
-    def run(self) -> _FuncResult:
-        self._walk_body(self.func.node.body, {})
-        return self.result
+    def run(self, func: ast.FunctionDef | ast.AsyncFunctionDef) -> list[_Use]:
+        self._walk_body(func.body, {})
+        return self.unguarded
 
     # -- expression side ---------------------------------------------------
 
@@ -138,37 +117,20 @@ class _GuardWalker:
             return
         for sub in ast.walk(node):
             if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
-                root = _obs_root(sub)
-                if root is None:
+                guard = _obs_guard(sub)
+                if guard is None:
                     continue
-                guard, base = root
                 state = env.get(guard, _UNKNOWN)
                 # A bare `X._obs` load is only a use when dereferenced
                 # (`X._obs.tracer`); the deref is the *parent* attribute,
-                # which also matches `_obs_root` via its `.value` — so a
+                # which also matches `_obs_guard` via its `.value` — so a
                 # lone `self._obs` comparison never lands here with
                 # attr == "_obs" dereferenced.  Guard comparisons are
                 # stripped by the caller before scanning.
                 if state == _NULL:
-                    self.result.unguarded.append(_Use(sub, guard, base, True))
+                    self.unguarded.append(_Use(sub, guard, True))
                 elif state != _NONNULL:
-                    self.result.unguarded.append(_Use(sub, guard, base, False))
-            elif isinstance(sub, ast.Call):
-                self._record_call_state(sub, env)
-
-    def _record_call_state(self, call: ast.Call, env: dict[str, str]) -> None:
-        resolved = self.resolver.resolve_call(call, self.func, self.local_types)
-        if resolved is None or resolved.kind != "func":
-            return
-        receiver = None
-        if isinstance(call.func, ast.Attribute):
-            receiver = _render(call.func.value)
-        if receiver is None:
-            return
-        state = env.get(f"{receiver}._obs", _UNKNOWN)
-        self.result.call_guard_states.setdefault(resolved.target, []).append(
-            state == _NONNULL
-        )
+                    self.unguarded.append(_Use(sub, guard, False))
 
     def _strip_guard_compares(self, node: ast.expr) -> ast.expr:
         """Replace `X._obs is None` compares with a constant so the obs
@@ -239,7 +201,7 @@ class _GuardWalker:
             self._walk_body(stmt.body, env)
             return
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            return  # nested scopes get their own walk (if registered)
+            return  # nested scopes are not walked
         if isinstance(stmt, ast.Assign):
             self._scan_expr(stmt.value, env)
             for target in stmt.targets:
@@ -299,53 +261,44 @@ class _GuardWalker:
                             del env[render]
 
 
-def check_guards(program: Program) -> list[Finding]:
-    """OBS001 findings for every registered function in the program."""
-    results: dict[str, _FuncResult] = {}
-    #: callee qname -> accumulated guard states across every caller.
-    call_states: dict[str, list[bool]] = {}
-    for module in program.modules.values():
-        resolver = Resolver(program, module)
-        funcs = list(module.functions.values())
-        for cls in module.classes.values():
-            funcs.extend(cls.methods.values())
-        for func in funcs:
-            result = _GuardWalker(func, resolver, program).run()
-            results[func.qname] = result
-            for callee, states in result.call_guard_states.items():
-                call_states.setdefault(callee, []).extend(states)
+def _functions(
+    tree: ast.Module,
+) -> Iterable[ast.FunctionDef | ast.AsyncFunctionDef]:
+    """Module-level functions and the methods of module-level classes."""
+    funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for stmt in tree.body:
+        if isinstance(stmt, funcs):
+            yield stmt
+        elif isinstance(stmt, ast.ClassDef):
+            yield from (node for node in stmt.body if isinstance(node, funcs))
 
-    findings: list[Finding] = []
-    for qname, result in results.items():
-        if not result.unguarded:
-            continue
-        self_param = result.func.params[0].name if result.func.params else None
-        callers = call_states.get(qname, [])
-        caller_guarded = bool(callers) and all(callers)
-        for use in result.unguarded:
-            if use.anti:
-                reason = (
-                    f"'{use.guard}' is proven None on this branch; the obs "
-                    "bundle cannot be attached here"
+
+@register
+class ObsGuardRule(LintRule):
+    rule_id = "OBS001"
+    title = "obs use not dominated by the 'is None' guard"
+
+    def check(self, ctx: ModuleContext) -> Iterable[Finding]:
+        if "_obs" not in ctx.source:
+            return []  # most modules: every obs use names `_obs` literally
+        findings: list[Finding] = []
+        for func in _functions(ctx.tree):
+            for use in _GuardWalker().run(func):
+                if use.anti:
+                    reason = (
+                        f"'{use.guard}' is proven None on this branch; the obs "
+                        "bundle cannot be attached here"
+                    )
+                else:
+                    reason = (
+                        f"not dominated by an '{use.guard} is None' guard; the "
+                        "disabled path must pay exactly one identity check"
+                    )
+                findings.append(
+                    ctx.finding(
+                        use.node,
+                        self.rule_id,
+                        f"obs use '{_render(use.node)}' {reason}",
+                    )
                 )
-            elif (
-                caller_guarded
-                and self_param is not None
-                and use.base.split(".")[0] == self_param
-            ):
-                continue  # every resolved call site is inside a guard
-            else:
-                reason = (
-                    f"not dominated by an '{use.guard} is None' guard; the "
-                    "disabled path must pay exactly one identity check"
-                )
-            findings.append(
-                Finding(
-                    path=result.func.path,
-                    line=use.node.lineno,
-                    col=use.node.col_offset,
-                    rule=RULE_OBS_GUARD,
-                    message=f"obs use '{_render(use.node)}' {reason}",
-                )
-            )
-    return findings
+        return findings

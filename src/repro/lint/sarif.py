@@ -1,11 +1,12 @@
 """Shared SARIF 2.1.0 writer and merged rule catalogue.
 
-One emitter for every pass: per-module rules, the effects and contracts
-whole-program analyses, and the engine-level LINT rules all
-publish their metadata through :func:`rule_catalogue`, and every lint
-invocation — single-pass or combined — produces a single SARIF run
-carrying the merged catalogue.  ``--list-rules`` prints the same table,
-so the CLI, the SARIF log, and the docs cannot drift apart.
+One emitter for every rule: the registered per-module rules and the
+engine-level CON010, LINT001 and LINT002 all publish their metadata
+through :func:`rule_catalogue`, and every lint invocation produces a
+single SARIF run carrying the merged catalogue.  ``--list-rules``
+prints the same table, so the CLI, the SARIF log, and the docs cannot
+drift apart.  ``startColumn`` is :attr:`Finding.col` unchanged: both
+are 1-based.
 """
 
 from __future__ import annotations
@@ -19,17 +20,15 @@ TOOL_URI = "https://example.invalid/repro-zen2"
 
 
 def rule_titles() -> dict[str, str]:
-    """rule id -> one-line title, across every pass this tool can run."""
-    from repro.lint.contracts import CONTRACTS_RULE_TITLES
-    from repro.lint.effects import EFFECTS_RULE_TITLES
+    """rule id -> one-line title, for every rule this tool can emit."""
     from repro.lint.engine import SUPPRESSION_REASON_RULE, UNUSED_SUPPRESSION_RULE
+    from repro.lint.layers import RULE_LAYER
     from repro.lint.rules import rules_by_id
 
     titles: dict[str, str] = {
         rule_id: cls.title for rule_id, cls in rules_by_id().items()
     }
-    titles.update(EFFECTS_RULE_TITLES)
-    titles.update(CONTRACTS_RULE_TITLES)
+    titles[RULE_LAYER] = "module-scope import crosses a declared layer boundary"
     titles[UNUSED_SUPPRESSION_RULE] = "unused lint suppression comment"
     titles[SUPPRESSION_REASON_RULE] = (
         "reason-requiring suppression without a reason= token"
@@ -61,7 +60,7 @@ def format_sarif(report: LintReport) -> str:
                         },
                         "region": {
                             "startLine": max(f.line, 1),
-                            "startColumn": f.col + 1,
+                            "startColumn": f.col,
                         },
                     }
                 }

@@ -41,27 +41,15 @@ def _isolated_cache_dir(tmp_path, monkeypatch):
 
 
 @pytest.fixture(scope="session")
-def deep_src_run(tmp_path_factory):
-    """(report, cache dir) of one ``lint --deep`` run over src/repro
-    against the committed lint.json, shared by every real-tree lint test.
-
-    The run gets its own result cache, which CLI tests reuse so their
-    deep part is a warm hit.
-    """
+def src_lint_report():
+    """One lint run over src/repro against the committed lint.json,
+    shared by every real-tree lint test."""
     from pathlib import Path
 
     from repro.lint import lint_paths
 
     root = Path(__file__).resolve().parents[1]
-    cache_dir = tmp_path_factory.mktemp("lint-cache")
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setenv("REPRO_CACHE_DIR", str(cache_dir))
-        report = lint_paths(
-            [str(root / "src" / "repro")],
-            deep=True,
-            manifest=str(root / "lint.json"),
-        )
-    return report, cache_dir
+    return lint_paths([str(root / "src" / "repro")], manifest=str(root / "lint.json"))
 
 
 @pytest.fixture(params=["reference"])

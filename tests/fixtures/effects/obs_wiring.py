@@ -1,5 +1,5 @@
 """Seeded OBS001 bugs: obs uses outside the ``is None`` guard, plus the
-guarded / caller-guarded shapes that must stay silent and two suppressions."""
+guarded shapes that must stay silent and two suppressions."""
 
 
 class Engine:
@@ -28,7 +28,7 @@ class Engine:
         return n
 
     def _helper(self, n):
-        self._obs_count.inc(n)  # OK: every resolved call site is guarded
+        self._obs_count.inc(n)  # BUG OBS001: a guarded caller does not excuse it
         return n
 
     def run_caller_guarded(self, n):

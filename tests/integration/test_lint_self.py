@@ -1,6 +1,7 @@
 """The linter eats its own dogfood: src/repro must be clean.
 
-The real-tree checks share one ``lint --deep`` run over src/repro.
+The real-tree checks share one lint run over src/repro against the
+committed lint.json.
 Also drives the CLI end-to-end on a deliberately bad fixture (all four
 rules must fire with a non-zero exit) and the event-order shuffle
 self-check (results must not depend on same-timestamp tie-breaking).
@@ -39,8 +40,8 @@ sim.schedule_after(5, cb)
 '''
 
 
-def test_src_repro_is_lint_clean(deep_src_run):
-    report, _ = deep_src_run
+def test_src_repro_is_lint_clean(src_lint_report):
+    report = src_lint_report
     assert report.files_checked > 100
     rendered = "\n".join(f.render() for f in report.findings)
     assert report.findings == [], f"unsuppressed lint findings:\n{rendered}"
@@ -77,17 +78,14 @@ def test_cli_bad_path_exits_two(capsys):
     assert lint_main(["/no/such/path-xyz"]) == 2
 
 
-def test_contracts_pass_is_clean_on_real_tree(deep_src_run):
-    report, _ = deep_src_run
-    assert not [f for f in report.findings if f.rule.startswith("CON")]
-    assert report.deep["layers"] == 9
+def test_contracts_pass_is_clean_on_real_tree(src_lint_report):
+    # That the run is not vacuous is shown by the injection test in
+    # tests/unit/test_lint_contracts.py, which uses the same lint.json.
+    assert not [f for f in src_lint_report.findings if f.rule.startswith("CON")]
 
 
-def test_cli_contracts_clean_tree_exits_zero(deep_src_run, monkeypatch, capsys):
-    # The contracts rules run in the deep pass; reusing the shared run's
-    # cache makes this a warm hit.
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(deep_src_run[1]))
-    rc = lint_main([str(SRC_REPRO), "--deep", "--manifest", MANIFEST])
+def test_cli_contracts_clean_tree_exits_zero(capsys):
+    rc = lint_main([str(SRC_REPRO), "--manifest", MANIFEST])
     out = capsys.readouterr().out
     assert rc == 0, out
     assert "0 finding(s)" in out

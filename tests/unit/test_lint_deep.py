@@ -1,6 +1,5 @@
-"""The one whole-program driver (``lint --deep``): the OBS001 and
-CON010 corpora in one shared program, the one result cache, and the
-CLI's manifest lookup."""
+"""The OBS001 and CON010 corpora in one lint run, the CLI's manifest
+lookup, and the removed ``--deep`` flag."""
 
 from __future__ import annotations
 
@@ -10,11 +9,7 @@ import shutil
 
 import pytest
 
-import repro.lint.deep as deep
-from repro.cache.store import ResultCache
-from repro.lint.deep import analyze_modules, analyze_paths, cache_key
-from repro.lint.engine import iter_python_files, parse_module, read_source
-from repro.lint.manifest import Manifest, load_manifest
+from repro.lint.engine import lint_paths, read_source
 from tests.unit.test_lint_contracts import EXPECTED as CONTRACTS_EXPECTED
 from tests.unit.test_lint_contracts import FIXTURE_FILES as CONTRACTS_FILES
 from tests.unit.test_lint_contracts import MANIFEST as CONTRACTS_MANIFEST
@@ -34,61 +29,17 @@ class TestJointCorpus:
                 }
             )
         )
-        report = analyze_paths([EFFECTS_FIXTURES, *CONTRACTS_FILES], str(merged))
+        report = lint_paths(
+            [EFFECTS_FIXTURES, *CONTRACTS_FILES], manifest=str(merged)
+        )
         got = {
-            (f.rule, os.path.basename(f.path), f.line) for f in report.findings
+            (f.rule, os.path.basename(f.path), f.line)
+            for f in report.findings
+            if f.rule in ("OBS001", "CON010")
         }
         assert got == EFFECTS_EXPECTED | CONTRACTS_EXPECTED
-        assert len(report.findings) == 4
+        assert report.counts_by_rule() == {"OBS001": 3, "CON010": 2, "LINT002": 1}
         assert report.suppressed == 2
-
-
-class TestCache:
-    """Cache-key inputs no single corpus covers; each corpus suite checks
-    the warm replay and its own edits."""
-
-    def test_lint_source_edit_invalidates(self, tmp_path, monkeypatch):
-        copy = tmp_path / "lint"
-        shutil.copytree(
-            deep.LINT_PACKAGE_DIR, copy, ignore=shutil.ignore_patterns("__pycache__")
-        )
-        monkeypatch.setattr(deep, "LINT_PACKAGE_DIR", str(copy))
-        before = cache_key([], Manifest())
-        with open(copy / "deep.py", "a", encoding="utf-8") as handle:
-            handle.write("# an analyzer change\n")
-        assert cache_key([], Manifest()) != before
-
-    def test_source_edit_invalidates(self):
-        src = "def f(t_ns):\n    return t_ns\n"
-        first = analyze_modules([parse_module(src, "m.py")])
-        again = analyze_modules([parse_module(src, "m.py")])
-        edited = analyze_modules([parse_module(src + "\nX = 1\n", "m.py")])
-        assert not first.stats["cache_hit"] and again.stats["cache_hit"]
-        assert not edited.stats["cache_hit"]
-
-    @pytest.mark.parametrize(
-        "doc",
-        [
-            {"findings": []},
-            {"findings": [{"path": "x"}], "counts": {}},
-        ],
-        ids=["no-counts", "partial-finding"],
-    )
-    def test_malformed_cached_document_is_a_miss(self, doc):
-        # Cache files come from outside the process: a document of the
-        # wrong shape is recomputed and overwritten, never replayed.
-        modules = [
-            parse_module(read_source(path), path)
-            for path in iter_python_files([EFFECTS_FIXTURES])
-        ]
-        cold = analyze_modules(modules, EFFECTS_MANIFEST)
-        key = cache_key(modules, load_manifest(EFFECTS_MANIFEST))
-        ResultCache().put(key, doc)
-        recomputed = analyze_modules(modules, EFFECTS_MANIFEST)
-        assert not recomputed.stats["cache_hit"]
-        assert recomputed.findings == cold.findings
-        assert recomputed.suppressed == cold.suppressed == 2
-        assert analyze_modules(modules, EFFECTS_MANIFEST).stats["cache_hit"]
 
 
 class TestCli:
@@ -103,10 +54,10 @@ class TestCli:
             shutil.copy(path, corpus)
         shutil.copy(CONTRACTS_MANIFEST, tmp_path / "lint.json")
         monkeypatch.chdir(tmp_path)
-        assert main(["corpus", "--deep", "--format", "json"]) == 1
+        assert main(["corpus", "--format", "json"]) == 1
         with_manifest = json.loads(capsys.readouterr().out)["counts_by_rule"]
         os.remove("lint.json")
-        main(["corpus", "--deep", "--format", "json"])
+        main(["corpus", "--format", "json"])
         without = json.loads(capsys.readouterr().out)["counts_by_rule"]
         assert with_manifest["CON010"] == 2
         assert "CON010" not in without
@@ -116,6 +67,14 @@ class TestCli:
 
         manifest = tmp_path / "lint.json"
         manifest.write_text("[" * 100_000 + "]" * 100_000)
-        argv = [EFFECTS_FIXTURES, "--deep", "--manifest", str(manifest)]
+        argv = [EFFECTS_FIXTURES, "--manifest", str(manifest)]
         assert main(argv) == 2
         assert "cannot read manifest" in capsys.readouterr().err
+
+    def test_deep_flag_is_a_usage_error(self, capsys):
+        from repro.lint.cli import main
+
+        with pytest.raises(SystemExit) as exited:
+            main([EFFECTS_FIXTURES, "--deep"])
+        assert exited.value.code == 2
+        assert "unrecognized arguments: --deep" in capsys.readouterr().err

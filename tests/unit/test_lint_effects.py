@@ -1,30 +1,26 @@
-"""Whole-program effects analysis: fixtures, call resolution, guards,
-LINT002, the cache, the real tree and the --changed-only plumbing.
+"""The obs guard rule OBS001: fixtures, LINT002, an injection into the
+real tree, the real tree itself and the --changed-only plumbing.
 
-The corpus runs through the one ``lint --deep`` driver, so these tests
-also prove the contracts analyzer stays silent on it.
+The corpus runs through ``lint_paths``, so these tests also prove the
+layer rule stays silent on it.
 """
 
 from __future__ import annotations
 
-import ast
 import json
 import os
 
 import pytest
 
-from repro.lint.deep import analyze_modules, analyze_paths
-from repro.lint.effects import EFFECTS_RULE_IDS
-from repro.lint.effects.resolver import Resolver
 from repro.lint.engine import (
-    iter_python_files,
     lint_paths,
+    lint_source,
     parse_module,
     read_source,
     suppression_reason_findings,
 )
 from repro.lint.formatters import format_sarif
-from repro.lint.program import build_program
+from repro.lint.rules import all_rules
 from tests.unit.test_lint_contracts import FIXTURE_FILES as CONTRACTS_FILES
 from tests.unit.test_lint_contracts import MANIFEST as CONTRACTS_MANIFEST
 
@@ -35,83 +31,52 @@ MANIFEST = os.path.join(FIXTURES, "lint.json")
 EXPECTED = {
     ("OBS001", "obs_wiring.py", 11),  # unguarded obs use
     ("OBS001", "obs_wiring.py", 16),  # use on the proven-None branch
+    ("OBS001", "obs_wiring.py", 31),  # unguarded, though its one caller guards
 }
 
 #: Lines that look like positives but must stay silent (negatives).
 NEGATIVE_LINES = {
     ("obs_wiring.py", 21),  # guarded use
     ("obs_wiring.py", 27),  # early-exit guard promotes non-null
-    ("obs_wiring.py", 31),  # excused: every call site is guarded
     ("obs_wiring.py", 40),  # suppressed with a reason
     ("obs_wiring.py", 44),  # suppressed (LINT002's job, not OBS001's)
 }
 
 
 def _run_fixture():
-    return analyze_paths([FIXTURES], MANIFEST)
+    return lint_paths([FIXTURES], manifest=MANIFEST)
 
 
-def _parse_fixtures():
-    return [
-        parse_module(read_source(path), path)
-        for path in iter_python_files([FIXTURES])
-    ]
-
-
-def _resolver(module_name: str):
-    program = build_program(_parse_fixtures())
-    return program, Resolver(program, program.modules[module_name])
+def _obs_and_layer(findings):
+    """(rule, file, line) of the OBS001 and CON010 findings: LINT002
+    keeps its own finding on line 44."""
+    return {
+        (f.rule, os.path.basename(f.path), f.line)
+        for f in findings
+        if f.rule in ("OBS001", "CON010")
+    }
 
 
 class TestFixtureCorpus:
     def test_every_seeded_bug_is_found(self):
-        report = _run_fixture()
-        got = {
-            (f.rule, os.path.basename(f.path), f.line) for f in report.findings
-        }
-        assert got == EXPECTED
+        assert _obs_and_layer(_run_fixture().findings) == EXPECTED
 
     def test_all_rules_are_exercised(self):
         report = _run_fixture()
-        assert {f.rule for f in report.findings} == EFFECTS_RULE_IDS
+        assert {f.rule for f in report.findings} == {"OBS001", "LINT002"}
 
     def test_negatives_stay_silent(self):
-        report = _run_fixture()
-        hits = {(os.path.basename(f.path), f.line) for f in report.findings}
-        assert not hits & NEGATIVE_LINES
+        found = _obs_and_layer(_run_fixture().findings)
+        assert not {(path, line) for _, path, line in found} & NEGATIVE_LINES
 
     def test_severities(self):
         report = _run_fixture()
         by_rule = {f.rule: f.severity for f in report.findings}
-        assert by_rule == {"OBS001": "error"}
+        assert by_rule == {"OBS001": "error", "LINT002": "error"}
 
     def test_suppressions_are_counted(self):
         report = _run_fixture()
         assert report.suppressed == 2
-
-
-class TestResolver:
-    def test_resolves_self_methods_and_imported_names(self):
-        program, resolver = _resolver("obs_wiring")
-        caller = program.functions["obs_wiring.Engine.run_caller_guarded"]
-        call = caller.node.body[-1].value
-        resolved = resolver.resolve_call(call, caller, {})
-        assert (resolved.kind, resolved.target) == (
-            "func",
-            "obs_wiring.Engine._helper",
-        )
-        modules = [parse_module(read_source(p), p) for p in CONTRACTS_FILES]
-        program = build_program(modules)
-        resolver = Resolver(program, program.modules["layer_low"])
-        compute = program.functions["layer_low.compute"]
-        call = compute.node.body[-1].value  # layer_high.exporter(helper() + ...)
-        resolved = resolver.resolve_call(call, compute, {})
-        assert (resolved.kind, resolved.target) == ("func", "layer_high.exporter")
-        resolved = resolver.resolve_call(call.args[0].left, compute, {})
-        assert (resolved.kind, resolved.target) == ("func", "layer_high.helper")
-        # A name bound outside the analyzed program stays unresolved.
-        outside = ast.parse("TYPE_CHECKING()", mode="eval").body
-        assert resolver.resolve_call(outside, compute, {}) is None
 
 
 class TestSuppressionReason:
@@ -145,8 +110,8 @@ class TestObsGuardInjection:
     def test_committed_run_until_is_silent(self):
         src = read_source(self.PATH)
         assert self.NEEDLE in src  # keep the probe honest as code drifts
-        report = analyze_modules([parse_module(src, self.PATH)])
-        assert report.findings == []
+        findings, _ = lint_source(src, self.PATH, all_rules(["OBS001"]))
+        assert findings == []
 
     def test_injected_unguarded_obs_call_fires(self):
         src = read_source(self.PATH)
@@ -154,54 +119,20 @@ class TestObsGuardInjection:
             self.NEEDLE,
             self.NEEDLE + "\n                self._obs_dispatched.inc(1)",
         )
-        report = analyze_modules([parse_module(injected, self.PATH)])
-        assert [f.rule for f in report.findings] == ["OBS001"]
-        assert "not dominated" in report.findings[0].message
-
-
-class TestCache:
-    def test_warm_run_replays_without_reanalysis(self):
-        cold_modules = _parse_fixtures()
-        cold = analyze_modules(cold_modules, MANIFEST)
-        warm_modules = _parse_fixtures()
-        warm = analyze_modules(warm_modules, MANIFEST)
-        assert not cold.stats["cache_hit"] and cold.findings
-        assert warm.stats["cache_hit"]
-        assert [f.to_dict() for f in warm.findings] == [
-            f.to_dict() for f in cold.findings
-        ]
-        assert warm.suppressed == cold.suppressed == 2  # replayed, not lost
-        assert [m.suppressions.used for m in warm_modules] == [
-            m.suppressions.used for m in cold_modules
-        ]
-
-    def test_manifest_edit_invalidates(self, tmp_path):
-        manifest = tmp_path / "lint.json"
-        manifest.write_text(read_source(MANIFEST))
-        first = analyze_paths([FIXTURES], str(manifest))
-        assert not first.stats["cache_hit"]
-        assert analyze_paths([FIXTURES], str(manifest)).stats["cache_hit"]
-        doc = json.loads(manifest.read_text())
-        doc["layers"] = {"assign": {"wiring": ["obs_wiring"]}, "allow": {}}
-        manifest.write_text(json.dumps(doc))
-        edited = analyze_paths([FIXTURES], str(manifest))
-        assert not edited.stats["cache_hit"]
+        findings, _ = lint_source(injected, self.PATH, all_rules(["OBS001"]))
+        assert [f.rule for f in findings] == ["OBS001"]
+        assert "not dominated" in findings[0].message
 
 
 class TestRealTree:
-    def test_src_is_clean_beyond_baseline(self, deep_src_run):
-        # There is no baseline: the real tree has no effects findings at all.
-        report, _ = deep_src_run
-        effects = [f for f in report.findings if f.rule in EFFECTS_RULE_IDS]
-        assert effects == [], "\n".join(f.render() for f in effects)
-
-    def test_scales_to_the_whole_package(self, deep_src_run):
-        stats = deep_src_run[0].deep
-        assert stats["modules"] > 100 and stats["functions"] > 500
+    def test_src_is_clean_beyond_baseline(self, src_lint_report):
+        # There is no baseline: the real tree has no OBS001 findings at all.
+        obs = [f for f in src_lint_report.findings if f.rule == "OBS001"]
+        assert obs == [], "\n".join(f.render() for f in obs)
 
 
 class TestChangedOnly:
-    """The effects corpus beside the CON010 corpus, whose findings sit
+    """The OBS001 corpus beside the CON010 corpus, whose findings sit
     in files outside the seed."""
 
     def test_findings_restricted_to_changed_seeds(self, monkeypatch):
@@ -211,7 +142,6 @@ class TestChangedOnly:
         monkeypatch.setattr(engine, "changed_files", lambda: {seed})
         report = lint_paths(
             [FIXTURES, *CONTRACTS_FILES],
-            deep=True,
             manifest=CONTRACTS_MANIFEST,
             changed_only=True,
         )
@@ -225,7 +155,6 @@ class TestChangedOnly:
         monkeypatch.setattr(engine, "changed_files", lambda: None)
         report = lint_paths(
             [FIXTURES, *CONTRACTS_FILES],
-            deep=True,
             manifest=CONTRACTS_MANIFEST,
             changed_only=True,
         )
@@ -233,19 +162,19 @@ class TestChangedOnly:
         got = {
             (f.rule, os.path.basename(f.path), f.line)
             for f in report.findings
-            if f.rule in EFFECTS_RULE_IDS
+            if f.rule == "OBS001"
         }
         assert got == EXPECTED
 
 
 class TestSarif:
     def test_sarif_catalogue_includes_effects_rules(self):
-        report = lint_paths([FIXTURES], deep=True, manifest=MANIFEST)
+        report = lint_paths([FIXTURES], manifest=MANIFEST)
         log = json.loads(format_sarif(report))
         assert log["version"] == "2.1.0"
         run = log["runs"][0]
         rule_ids = {r["id"] for r in run["tool"]["driver"]["rules"]}
-        assert EFFECTS_RULE_IDS <= rule_ids and "LINT002" in rule_ids
+        assert {"OBS001", "LINT002"} <= rule_ids
         levels = {r["ruleId"]: r["level"] for r in run["results"]}
         assert levels == {"OBS001": "error", "LINT002": "error"}
         lines = [
@@ -259,17 +188,15 @@ class TestCli:
     def test_effects_flags_and_exit_code(self, capsys):
         from repro.lint.cli import main
 
-        status = main(
-            [FIXTURES, "--deep", "--manifest", MANIFEST, "--format", "json"]
-        )
+        status = main([FIXTURES, "--manifest", MANIFEST, "--format", "json"])
         payload = json.loads(capsys.readouterr().out)
         assert status == 1  # seeded errors fail the run
-        assert payload["counts_by_rule"] == {"OBS001": 2, "LINT002": 1}
+        assert payload["counts_by_rule"] == {"OBS001": 3, "LINT002": 1}
 
     @pytest.mark.parametrize(
         "select, status, counts",
         [
-            ("OBS001", 1, {"OBS001": 2}),
+            ("OBS001", 1, {"OBS001": 3}),
             ("DET001", 0, {}),  # no OBS001/LINT002 finding slips in
             ("NOPE999", 2, None),
             ("HOT001", 2, None),  # a removed rule is unknown
@@ -279,10 +206,10 @@ class TestCli:
     )
     def test_select_filters_every_pass(self, select, status, counts, capsys):
         # --select takes any id --list-rules prints and keeps only those
-        # rules' findings, the --deep pass's included.
+        # rules' findings, the engine-level rules' included.
         from repro.lint.cli import main
 
-        argv = [FIXTURES, "--deep", "--manifest", MANIFEST, "--format", "json"]
+        argv = [FIXTURES, "--manifest", MANIFEST, "--format", "json"]
         assert main([*argv, "--select", select]) == status
         captured = capsys.readouterr()
         if counts is None:
@@ -295,5 +222,5 @@ class TestCli:
 
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule in sorted(EFFECTS_RULE_IDS) + ["LINT002"]:
+        for rule in ("OBS001", "LINT002"):
             assert rule in out

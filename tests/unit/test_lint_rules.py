@@ -13,7 +13,7 @@ import pytest
 
 from repro.errors import LintError
 from repro.lint import lint_paths, lint_source
-from repro.lint.formatters import format_human, format_json
+from repro.lint.formatters import format_human, format_json, format_sarif
 from repro.lint.rules import all_rules, rules_by_id
 
 
@@ -270,6 +270,7 @@ def test_rule_selection_and_unknown_rule():
         "UNIT001",
         "EXC001",
         "SIM001",
+        "OBS001",
     }
     only = all_rules(select=["DET001"])
     assert [r.rule_id for r in only] == ["DET001"]
@@ -298,6 +299,40 @@ def test_lint_paths_and_formatters(tmp_path):
 def test_lint_paths_missing_path():
     with pytest.raises(LintError):
         lint_paths(["/no/such/dir-xyz"])
+
+
+#: (rule, module source, text at the position the finding names).
+#: LINT002 names the whole line, so its position is the line start.
+COLUMN_CASES = [
+    ("DET001", "import time\n\n\ndef f():\n    x = time.time()\n", "time.time()"),
+    ("OBS001", "class E:\n    def f(self):\n        self._obs_n.inc(1)\n", "self._obs_n"),
+    ("CON010", "import os\n\nif os.sep:\n    import high\n", "import high"),
+    ("PARSE", "def f(:\n", ":"),
+    ("LINT002", "x = 1  # lint: disable=OBS001\n", "x = 1"),
+]
+
+
+@pytest.mark.parametrize(
+    "rule, source, needle", COLUMN_CASES, ids=[case[0] for case in COLUMN_CASES]
+)
+def test_human_sarif_and_source_columns_agree(rule, source, needle, tmp_path):
+    # `Finding.col` is 1-based; the human and SARIF outputs print it as is.
+    path = tmp_path / "low.py"
+    path.write_text(source)
+    manifest = tmp_path / "lint.json"
+    layers = {"assign": {"low": ["low"], "high": ["high"]}, "allow": {}}
+    manifest.write_text(json.dumps({"version": 1, "layers": layers}))
+    report = lint_paths([str(path)], manifest=str(manifest))
+    report.findings = [
+        f for f in report.findings if f.rule == rule and f.path == str(path)
+    ]
+    (finding,) = report.findings
+    col = source.splitlines()[finding.line - 1].index(needle) + 1
+    human = format_human(report).splitlines()[0]
+    assert human.startswith(f"{path}:{finding.line}:{col}: {rule} ")
+    (result,) = json.loads(format_sarif(report))["runs"][0]["results"]
+    region = result["locations"][0]["physicalLocation"]["region"]
+    assert region == {"startLine": finding.line, "startColumn": col}
 
 
 # ---------------------------------------------------------------------------
