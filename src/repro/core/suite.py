@@ -130,27 +130,7 @@ def _execute_entry(
     parallel workers always receive ``obs=None``).  The returned
     document is independent of ``obs`` — observability data lives in
     the obs bundle, never in the result.
-
-    Entry start/end always leave flight-recorder breadcrumbs (and the
-    entry name as ring context), so a crash bundle from any execution
-    mode names the experiment that was running.
     """
-    from repro.obs.flightrec import recorder
-
-    rec = recorder()
-    rec.context["entry"] = name
-    rec.note("suite.entry.start", entry=name, seed=cfg.seed)
-    try:
-        return _execute_entry_inner(name, cfg, monitor, obs)
-    finally:
-        rec.note("suite.entry.end", entry=name)
-        rec.context.pop("entry", None)
-
-
-def _execute_entry_inner(
-    name: str, cfg: ExperimentConfig, monitor: bool = False, obs=None
-) -> dict[str, Any]:
-    """The entry body behind the flight-recorder breadcrumbs."""
     if not monitor and obs is None:
         return table_to_dict(SUITE[name](cfg))
 

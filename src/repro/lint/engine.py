@@ -10,15 +10,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from repro.errors import LintError
-from repro.lint.findings import (
-    _FILE_RE,
-    _LINE_RE,
-    _comment_lines,
-    _split,
-    SEVERITY_WARNING,
-    Finding,
-    SuppressionIndex,
-)
+from repro.lint.findings import SEVERITY_WARNING, Finding, SuppressionIndex
 from repro.lint.layers import RULE_LAYER, layer_findings, manifest_findings
 from repro.lint.manifest import Manifest, load_manifest
 from repro.lint.rules import LintRule, ModuleContext, all_rules, module_name_for
@@ -186,16 +178,11 @@ def suppression_reason_findings(parsed: ParsedModule) -> tuple[list[Finding], in
     Purely syntactic, so it runs whatever rules are selected.
     """
     found: list[Finding] = []
-    for lineno, text in _comment_lines(parsed.source):
-        match = _FILE_RE.search(text) or _LINE_RE.search(text)
-        if match is None:
-            continue
+    for lineno, rules, has_reason in parsed.suppressions.comments:
         needing = sorted(
-            rule
-            for rule in _split(match.group(1))
-            if rule.startswith(REASON_REQUIRED_PREFIXES)
+            rule for rule in rules if rule.startswith(REASON_REQUIRED_PREFIXES)
         )
-        if not needing or "reason=" in text:
+        if not needing or has_reason:
             continue
         found.append(
             Finding(

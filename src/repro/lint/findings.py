@@ -87,18 +87,22 @@ class SuppressionIndex:
         #: (line, rule) pairs that suppressed at least one finding;
         #: file-level usage is recorded with line ``FILE_LEVEL``.
         self.used: set[tuple[int, str]] = set()
+        #: (line, rules, has ``reason=``) of every disable comment, in
+        #: source order (LINT002 reads these).
+        self.comments: list[tuple[int, set[str], bool]] = []
         for lineno, text in _comment_lines(source):
             file_match = _FILE_RE.search(text)
+            match = file_match or _LINE_RE.search(text)
+            if match is None:
+                continue
+            rules = _split(match.group(1))
+            self.comments.append((lineno, rules, "reason=" in text))
             if file_match:
-                for rule in _split(file_match.group(1)):
+                for rule in rules:
                     self.file_rules.add(rule)
                     self.file_rule_lines.setdefault(rule, lineno)
-                continue
-            line_match = _LINE_RE.search(text)
-            if line_match:
-                self.line_rules.setdefault(lineno, set()).update(
-                    _split(line_match.group(1))
-                )
+            else:
+                self.line_rules.setdefault(lineno, set()).update(rules)
 
     def suppresses(self, finding: Finding) -> bool:
         """Whether ``finding`` is excused; marks the suppression used."""

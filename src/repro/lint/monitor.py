@@ -181,18 +181,6 @@ class InvariantMonitor:
                         severity="error",
                         message=message,
                     )
-        if found:
-            # Freeze the flight-recorder ring so the event tail leading
-            # up to the violation survives (bundle written only when
-            # $REPRO_FLIGHTREC_DIR is set; no-op otherwise).
-            from repro.obs.flightrec import record_crash
-
-            trace_id = None
-            if self._obs is not None:
-                trace_id = self._obs.tracer.trace_id
-            record_crash(
-                f"invariant-violation:{found[0]}", trace_id=trace_id
-            )
         if found and self.raise_on_violation:
             raise InvariantViolation(found)
         return found

@@ -31,10 +31,14 @@ class ModuleContext:
         message: str,
         severity: str = SEVERITY_ERROR,
     ) -> Finding:
+        line = getattr(node, "lineno", 1)
+        # The AST counts UTF-8 bytes into the line; findings count
+        # characters, as SARIF's "unicodeCodePoints" column kind does.
+        prefix = self.line_text(line).encode()[: getattr(node, "col_offset", 0)]
         return Finding(
             path=self.path,
-            line=getattr(node, "lineno", 1),
-            col=getattr(node, "col_offset", 0) + 1,
+            line=line,
+            col=len(prefix.decode(errors="replace")) + 1,
             rule=rule,
             message=message,
             severity=severity,

@@ -6,7 +6,7 @@ through :func:`rule_catalogue`, and every lint invocation produces a
 single SARIF run carrying the merged catalogue.  ``--list-rules``
 prints the same table, so the CLI, the SARIF log, and the docs cannot
 drift apart.  ``startColumn`` is :attr:`Finding.col` unchanged: both
-are 1-based.
+are 1-based and count characters (``columnKind: unicodeCodePoints``).
 """
 
 from __future__ import annotations
@@ -80,7 +80,7 @@ def format_sarif(report: LintReport) -> str:
                         "rules": rule_catalogue(),
                     }
                 },
-                "columnKind": "utf16CodeUnits",
+                "columnKind": "unicodeCodePoints",
                 "originalUriBaseIds": {"SRCROOT": {"uri": "file:///"}},
                 "results": results,
             }

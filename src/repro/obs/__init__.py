@@ -29,14 +29,6 @@ from repro.obs.export import (
     summarize_trace,
     trace_document,
 )
-from repro.obs.flightrec import (
-    FlightRecorder,
-    dump_bundle,
-    flightrec_document,
-    record_crash,
-    recorder,
-    summarize_flightrec,
-)
 from repro.obs.log import StructuredLogger, log_document
 from repro.obs.metrics import (
     COUNT_BUCKETS,
@@ -47,8 +39,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
 )
 from repro.obs.schema import (
-    FLIGHTREC_SCHEMA_ID,
-    FLIGHTREC_SCHEMA_VERSION,
     LOG_SCHEMA_ID,
     LOG_SCHEMA_VERSION,
     METRICS_SCHEMA_ID,
@@ -56,7 +46,6 @@ from repro.obs.schema import (
     TRACE_SCHEMA_ID,
     TRACE_SCHEMA_VERSION,
     validate_document,
-    validate_flightrec_document,
     validate_log_document,
     validate_metrics_document,
     validate_trace_document,
@@ -76,31 +65,22 @@ __all__ = [
     "Histogram",
     "SpanTracer",
     "StructuredLogger",
-    "FlightRecorder",
     "mint_trace_id",
-    "recorder",
-    "record_crash",
     "trace_document",
     "merge_trace_documents",
     "log_document",
-    "flightrec_document",
-    "dump_bundle",
     "summarize_trace",
     "summarize_metrics",
-    "summarize_flightrec",
     "validate_document",
     "validate_metrics_document",
     "validate_trace_document",
     "validate_log_document",
-    "validate_flightrec_document",
     "METRICS_SCHEMA_ID",
     "METRICS_SCHEMA_VERSION",
     "TRACE_SCHEMA_ID",
     "TRACE_SCHEMA_VERSION",
     "LOG_SCHEMA_ID",
     "LOG_SCHEMA_VERSION",
-    "FLIGHTREC_SCHEMA_ID",
-    "FLIGHTREC_SCHEMA_VERSION",
     "LATENCY_BUCKETS_S",
     "COUNT_BUCKETS",
     "DEFAULT_MAX_EVENTS",

@@ -8,17 +8,12 @@ Subcommands:
   exits 1 listing every problem found (CI runs this on the traced
   smoke-suite artifacts);
 * ``merge OUT IN [IN ...]`` — merge trace documents into one
-  Perfetto-loadable file, remapping process ids so runs stay distinct;
-* ``report PATH [PATH ...]`` — digest crash flight-recorder bundles:
-  each PATH is a bundle file or a directory to scan for
-  ``flightrec-*.json`` (e.g. ``$REPRO_FLIGHTREC_DIR`` after a failure).
+  Perfetto-loadable file, remapping process ids so runs stay distinct.
 """
 
 from __future__ import annotations
 
 import argparse
-import glob
-import os
 import sys
 
 from repro.console import say
@@ -28,9 +23,7 @@ from repro.obs.export import (
     summarize_metrics,
     summarize_trace,
 )
-from repro.obs.flightrec import summarize_flightrec
 from repro.obs.schema import (
-    FLIGHTREC_SCHEMA_ID,
     LOG_SCHEMA_ID,
     METRICS_SCHEMA_ID,
     TRACE_SCHEMA_ID,
@@ -53,8 +46,6 @@ def _cmd_summarize(args: argparse.Namespace) -> int:
         say(summarize_trace(doc))
     elif schema == METRICS_SCHEMA_ID:
         say(summarize_metrics(doc))
-    elif schema == FLIGHTREC_SCHEMA_ID:
-        say(summarize_flightrec(doc))
     elif schema == LOG_SCHEMA_ID:
         records = doc.get("records") or []
         levels: dict[str, int] = {}
@@ -105,35 +96,6 @@ def _cmd_merge(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_report(args: argparse.Namespace) -> int:
-    paths: list[str] = []
-    for target in args.paths:
-        if os.path.isdir(target):
-            paths.extend(
-                sorted(glob.glob(os.path.join(target, "flightrec-*.json")))
-            )
-        else:
-            paths.append(target)
-    if not paths:
-        say("no flight-recorder bundles found")
-        return 0
-    status = 0
-    for i, path in enumerate(paths):
-        if i:
-            say()
-        doc = _load(path)
-        problems = validate_document(doc)
-        if problems or sniff_schema(doc) != FLIGHTREC_SCHEMA_ID:
-            status = 1
-            say(f"{path}: INVALID")
-            for problem in problems:
-                say(f"  {problem}")
-            continue
-        say(f"{path}:")
-        say(summarize_flightrec(doc))
-    return status
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-zen2 obs",
@@ -153,15 +115,6 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("out")
     p.add_argument("inputs", nargs="+", metavar="IN")
     p.set_defaults(fn=_cmd_merge)
-
-    p = sub.add_parser(
-        "report", help="digest crash flight-recorder bundles"
-    )
-    p.add_argument(
-        "paths", nargs="+", metavar="PATH",
-        help="bundle file, or directory to scan for flightrec-*.json",
-    )
-    p.set_defaults(fn=_cmd_report)
 
     args = parser.parse_args(argv)
     return args.fn(args)

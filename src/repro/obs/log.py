@@ -8,11 +8,9 @@ A :class:`StructuredLogger` emits one dict per event: a fixed envelope
 (``t_wall_ns``, ``level``, ``event``, ``pid``) plus trace correlation
 (``trace_id`` from the bound tracer, ``span_id`` of the innermost open
 span at the call site) plus the caller's free-form fields.  Every record
-goes three places:
+goes two places:
 
 * a bounded in-memory tail (for :func:`log_document` export);
-* the process :mod:`~repro.obs.flightrec` ring (so crashes replay the
-  recent log alongside spans);
 * optionally a sink — any ``.write()`` stream or a file path — as one
   JSON line per record (``jq``-able, ``sort_keys`` so identical events
   serialize identically).
@@ -37,10 +35,8 @@ from repro.obs.tracer import SpanTracer
 #: In-memory record tail kept for log_document export.
 DEFAULT_MAX_RECORDS = 10_000
 
-#: Envelope keys a caller's **fields may not override.  ``kind`` is the
-#: flight-recorder event's envelope key: every record enters the ring as
-#: a ``"log"`` event.
-_RESERVED = ("t_wall_ns", "level", "event", "pid", "trace_id", "span_id", "kind")
+#: Envelope keys a caller's **fields may not override.
+_RESERVED = ("t_wall_ns", "level", "event", "pid", "trace_id", "span_id")
 
 
 class StructuredLogger:
@@ -111,9 +107,6 @@ class StructuredLogger:
         if len(self._records) == self._records.maxlen:
             self.dropped += 1
         self._records.append(record)
-        from repro.obs.flightrec import recorder
-
-        recorder().push({"kind": "log", **record})
         sink = self._sink()
         if sink is not None:
             sink.write(json.dumps(record, sort_keys=True) + "\n")

@@ -5,10 +5,7 @@
 * ``repro.obs/trace`` v1 — the Chrome-trace-event (Perfetto-loadable)
   timeline produced by :mod:`repro.obs.export`;
 * ``repro.obs/log`` v1 — a batch of structured JSON-line log records
-  from :class:`~repro.obs.log.StructuredLogger`;
-* ``repro.obs/flightrec`` v1 — a crash-diagnostic bundle dumped by
-  :mod:`repro.obs.flightrec` (last-N ring events, metrics snapshot,
-  config and cache-key digests).
+  from :class:`~repro.obs.log.StructuredLogger`.
 
 Each validator takes a parsed JSON object and returns a list of
 human-readable problems (empty = conforming), re-deriving internal
@@ -31,18 +28,11 @@ TRACE_SCHEMA_VERSION = 1
 LOG_SCHEMA_ID = "repro.obs/log"
 LOG_SCHEMA_VERSION = 1
 
-FLIGHTREC_SCHEMA_ID = "repro.obs/flightrec"
-FLIGHTREC_SCHEMA_VERSION = 1
-
 _METRIC_TYPES = ("counter", "gauge", "histogram")
 _EVENT_PHASES = ("X", "i", "M")
 
 #: Severity levels a structured log record may carry, least to most.
 LOG_LEVELS = ("debug", "info", "warning", "error")
-
-#: Record kinds the flight-recorder ring accepts: tracer spans and
-#: instants, structured log records, and bare breadcrumb notes.
-FLIGHTREC_EVENT_KINDS = ("span", "instant", "log", "note")
 
 
 def _is_num(value: Any) -> bool:
@@ -329,72 +319,6 @@ def validate_log_document(doc: object) -> list[str]:
     return errors
 
 
-# ---------------------------------------------------------------------------
-# flight-recorder bundle
-# ---------------------------------------------------------------------------
-
-
-def validate_flightrec_document(doc: object) -> list[str]:
-    """Validate a ``repro.obs/flightrec`` v1 diagnostic bundle."""
-    errors: list[str] = []
-    if not isinstance(doc, dict):
-        return [f"document must be a JSON object, got {type(doc).__name__}"]
-    if doc.get("schema") != FLIGHTREC_SCHEMA_ID:
-        errors.append(
-            f"schema must be {FLIGHTREC_SCHEMA_ID!r}, got {doc.get('schema')!r}"
-        )
-    if doc.get("schema_version") != FLIGHTREC_SCHEMA_VERSION:
-        errors.append(
-            f"schema_version must be {FLIGHTREC_SCHEMA_VERSION}, "
-            f"got {doc.get('schema_version')!r}"
-        )
-    reason = doc.get("reason")
-    if not isinstance(reason, str) or not reason:
-        errors.append("reason must be a non-empty string")
-    if not _is_int(doc.get("pid")):
-        errors.append("pid must be an integer")
-    dropped = doc.get("dropped")
-    if not _is_int(dropped) or dropped < 0:
-        errors.append("dropped must be a non-negative integer")
-    trace_id = doc.get("trace_id")
-    if trace_id is not None and (
-        not isinstance(trace_id, str) or not trace_id
-    ):
-        errors.append("trace_id must be null or a non-empty string")
-    if not isinstance(doc.get("context"), dict):
-        errors.append("context must be an object")
-    events = doc.get("events")
-    if not isinstance(events, list):
-        errors.append("events must be a list")
-    else:
-        for i, ev in enumerate(events):
-            where = f"events[{i}]"
-            if not isinstance(ev, dict):
-                errors.append(f"{where} must be an object")
-                continue
-            if ev.get("kind") not in FLIGHTREC_EVENT_KINDS:
-                errors.append(
-                    f"{where}.kind must be one of {FLIGHTREC_EVENT_KINDS}"
-                )
-            if not isinstance(ev.get("name"), str) and not isinstance(
-                ev.get("event"), str
-            ):
-                errors.append(f"{where} must carry a name or event string")
-    metrics = doc.get("metrics")
-    if metrics is not None:
-        nested = validate_metrics_document(metrics)
-        errors.extend(f"metrics: {problem}" for problem in nested)
-    config = doc.get("config")
-    if config is not None and not isinstance(config, dict):
-        errors.append("config must be null or an object (the fingerprint)")
-    cache_keys = doc.get("cache_keys")
-    if not isinstance(cache_keys, list) or not all(
-        isinstance(k, str) and k for k in cache_keys
-    ):
-        errors.append("cache_keys must be a list of non-empty strings")
-    return errors
-
-
 def sniff_schema(doc: object) -> str | None:
     """The ``schema`` id of a parsed document, if it carries one."""
     if isinstance(doc, dict) and isinstance(doc.get("schema"), str):
@@ -411,10 +335,7 @@ def validate_document(doc: object) -> list[str]:
         return validate_trace_document(doc)
     if schema == LOG_SCHEMA_ID:
         return validate_log_document(doc)
-    if schema == FLIGHTREC_SCHEMA_ID:
-        return validate_flightrec_document(doc)
     return [
         f"unknown or missing schema id {schema!r}; expected one of "
-        f"{METRICS_SCHEMA_ID!r}, {TRACE_SCHEMA_ID!r}, {LOG_SCHEMA_ID!r}, "
-        f"{FLIGHTREC_SCHEMA_ID!r}"
+        f"{METRICS_SCHEMA_ID!r}, {TRACE_SCHEMA_ID!r}, {LOG_SCHEMA_ID!r}"
     ]

@@ -85,9 +85,6 @@ class SpanTracer:
         #: Request-scoped correlation id carried into exported documents
         #: and every structured log record (None = uncorrelated tracer).
         self.trace_id = trace_id
-        from repro.obs.flightrec import recorder
-
-        self._flightrec = recorder()
 
     # ------------------------------------------------------------------
     # identity / clocks
@@ -132,11 +129,6 @@ class SpanTracer:
         if len(self._records) == self.max_events:
             self.dropped += 1
         self._records.append(record)
-        # Mirror every committed record into the process flight recorder
-        # (one bounded-deque append; the record dict is shared, not
-        # copied).  Costs nothing on the obs-disabled path — no tracer,
-        # no commit.
-        self._flightrec.push(record)
 
     def begin(
         self,

@@ -64,32 +64,6 @@ class Task:
     args: tuple = ()
 
 
-def _task_shell(fn: Callable[..., Any], name: str, *args: Any) -> Any:
-    """Worker-side envelope run around every task.
-
-    Leaves start/end breadcrumbs (plus the task name as ring context) in
-    the worker's flight recorder, and when the task raises, freezes the
-    ring into a crash bundle — written only when ``$REPRO_FLIGHTREC_DIR``
-    is set — before re-raising the original exception unchanged, so the
-    parent's failure classification and message format are untouched.
-    Observability imports stay function-local: ``repro.parallel`` is a
-    leaf layer at module scope.
-    """
-    from repro.obs.flightrec import record_crash, recorder
-
-    rec = recorder()
-    rec.context["task"] = name
-    rec.note("pool.task.start", task=name)
-    try:
-        result = fn(*args)
-    except BaseException:
-        record_crash(f"task-failure:{name}")
-        raise
-    rec.note("pool.task.end", task=name)
-    rec.context.pop("task", None)
-    return result
-
-
 @dataclass(frozen=True)
 class TaskFailure:
     """Structured description of a task that exhausted its retries."""
@@ -280,13 +254,7 @@ def run_tasks(
     if not tasks:
         return []
 
-    # Every task runs inside _task_shell so worker crashes leave flight-
-    # recorder bundles; the wrapped Task keeps the caller's name, so
-    # outcomes and failure messages are unchanged.
-    slots = [
-        _Slot(task=Task(name=t.name, fn=_task_shell, args=(t.fn, t.name, *t.args)))
-        for t in tasks
-    ]
+    slots = [_Slot(task=t) for t in tasks]
     max_attempts = retries + 1
     worker_count = min(len(tasks), jobs or MAX_JOBS, MAX_JOBS)
 
@@ -325,17 +293,6 @@ def run_tasks(
                     attempts=slot.attempts,
                 )
             )
-            if slot.last_kind in ("timeout", "crash"):
-                # The worker never got to dump (it was killed or died),
-                # so record the failure from the parent's ring instead.
-                from repro.obs.flightrec import record_crash
-
-                record_crash(
-                    f"pool.{slot.last_kind}:{slot.task.name}",
-                    trace_id=(
-                        pobs.tracer.trace_id if pobs is not None else None
-                    ),
-                )
     return outcomes
 
 

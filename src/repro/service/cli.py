@@ -75,12 +75,6 @@ def main(argv: list[str] | None = None) -> int:
         "~/.cache/repro-zen2)",
     )
     parser.add_argument(
-        "--flightrec-dir",
-        default=None,
-        help="directory for crash flight-recorder bundles (sets "
-        "$REPRO_FLIGHTREC_DIR for this process and its pool workers)",
-    )
-    parser.add_argument(
         "--log-jsonl",
         default=None,
         help="append structured JSON-line logs to PATH ('-' for stderr)",
@@ -91,13 +85,6 @@ def main(argv: list[str] | None = None) -> int:
         from repro.service.smoke import run_smoke
 
         return run_smoke()
-
-    if args.flightrec_dir is not None:
-        import os
-
-        from repro.obs.flightrec import ENV_DIR
-
-        os.environ[ENV_DIR] = args.flightrec_dir
 
     from repro.obs import Obs
 

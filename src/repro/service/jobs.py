@@ -148,11 +148,9 @@ class Job:
     #: ``http.accept`` span and opening ``queue.wait``.
     t_accept_ns: int = 0
     #: The merged ``repro.obs/trace`` document, set by the runner thread
-    #: before the job turns terminal (``GET /v1/jobs/<id>/trace``).
+    #: before the job turns ``done`` or ``failed``
+    #: (``GET /v1/jobs/<id>/trace``).
     trace: dict[str, Any] | None = None
-    #: ``repro.obs/flightrec`` bundle captured when the job failed
-    #: (``GET /v1/jobs/<id>/diagnostics``).
-    diagnostics: dict[str, Any] | None = None
     #: Set once the job reaches a terminal state (long-poll wakeup).
     finished: asyncio.Event = field(default_factory=asyncio.Event)
 

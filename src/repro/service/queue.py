@@ -26,10 +26,8 @@ import asyncio
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from repro.cache import config_fingerprint
 from repro.errors import ServiceError
 from repro.obs import MetricsRegistry, Obs, mint_trace_id
-from repro.obs.flightrec import dump_bundle, flightrec_document, recorder
 from repro.service.jobs import Job, JobSpec, entry_keys, job_key
 
 
@@ -345,9 +343,6 @@ class JobQueue:
             result = await asyncio.to_thread(self._runner, job)
         except Exception as err:  # noqa: BLE001 - runner failures become job state
             message = f"{type(err).__name__}: {err}"
-            # Diagnostics attach before the state flips, so a client
-            # that sees "failed" can always fetch the bundle.
-            job.diagnostics = self._capture_diagnostics(job, message)
             job.finish("failed", error=message)
             self._m_jobs["failed"].inc()
             self._log(job, "error", "job.failed", job_id=job.id, error=message)
@@ -368,26 +363,6 @@ class JobQueue:
                 del self._inflight[job.key]
             loop = asyncio.get_running_loop()
             self._m_latency.observe(loop.time() - job.t_submit)
-
-    def _capture_diagnostics(self, job: Job, message: str) -> dict[str, Any]:
-        """Freeze the flight-recorder ring into the job's crash bundle.
-
-        The bundle carries the recent event tail, a metrics snapshot,
-        the job's config fingerprint, and its entry cache-key digests;
-        it is also written to ``$REPRO_FLIGHTREC_DIR`` when configured.
-        """
-        rec = recorder()
-        rec.note("service.job.failed", job_id=job.id, error=message)
-        doc = flightrec_document(
-            rec,
-            f"job-failure:{job.id}",
-            metrics=self._metrics.snapshot(),
-            config=config_fingerprint(job.spec.config),
-            cache_keys=list(entry_keys(job.spec).values()),
-            trace_id=job.trace_id,
-        )
-        dump_bundle(doc)
-        return doc
 
     async def drain(self) -> None:
         """Reject new work, finish everything admitted, stop the workers."""

@@ -1,11 +1,10 @@
-"""Schema id, writer, and validator for ``repro.service/job`` v3.
+"""Schema id, writer, and validator for ``repro.service/job`` v4.
 
-Version 2 added the observability fields: ``trace_id`` (the request's
-correlation id, null for untraced jobs) and ``diagnostics_ready``
-(whether a crash flight-recorder bundle is attached, i.e. whether
-``GET /v1/jobs/<id>/diagnostics`` will answer 200).  Version 3's
-``config`` fingerprint has one field fewer: the simulator has a single
-event engine, so a config no longer selects one.
+Version 2 added ``trace_id`` (the request's correlation id, null for
+untraced jobs).  Version 3's ``config`` fingerprint has one field
+fewer: the simulator has a single event engine, so a config no longer
+selects one.  Version 4 drops the crash-bundle flag: a failed traced
+job serves its trace at ``GET /v1/jobs/<id>/trace`` like a done one.
 
 Every job resource the service returns (submit response, status poll)
 is tagged ``"schema": "repro.service/job"`` so clients and tooling can
@@ -29,7 +28,7 @@ from typing import Any
 from repro.cache import config_fingerprint
 
 JOB_SCHEMA_ID = "repro.service/job"
-JOB_SCHEMA_VERSION = 3
+JOB_SCHEMA_VERSION = 4
 
 #: Lifecycle: ``queued`` -> ``running`` -> ``done`` | ``failed``.
 JOB_STATES = ("queued", "running", "done", "failed")
@@ -60,12 +59,11 @@ def job_document(job: Any) -> dict[str, Any]:
         "error": None if job.error is None else str(job.error),
         "result_ready": job.result is not None,
         "trace_id": None if job.trace_id is None else str(job.trace_id),
-        "diagnostics_ready": job.diagnostics is not None,
     }
 
 
 def validate_job_document(doc: object) -> list[str]:
-    """Validate a ``repro.service/job`` v3 document.
+    """Validate a ``repro.service/job`` v4 document.
 
     Returns human-readable problems (empty = conforming), like the other
     validators in the tree.
@@ -121,6 +119,4 @@ def validate_job_document(doc: object) -> list[str]:
         not isinstance(trace_id, str) or not trace_id
     ):
         errors.append("trace_id must be null or a non-empty string")
-    if not isinstance(doc.get("diagnostics_ready"), bool):
-        errors.append("diagnostics_ready must be a boolean")
     return errors

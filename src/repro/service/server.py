@@ -22,9 +22,8 @@ response ``Connection: close``:
                                             timeline of a ``"trace": true``
                                             job: HTTP accept, queue wait,
                                             pool phases, worker-side
-                                            experiment spans, one trace id
-``GET /v1/jobs/<id>/diagnostics``           ``repro.obs/flightrec`` crash
-                                            bundle of a failed job
+                                            experiment spans, one trace id;
+                                            served for a failed job too
 ``GET /healthz``                            liveness + drain state + depth
 ``GET /metrics``                            Prometheus text exposition
 ``GET /metrics.json``                       ``repro.obs/metrics`` v1 snapshot
@@ -50,7 +49,12 @@ from urllib.parse import parse_qs, urlsplit
 
 from repro.cache import ResultCache
 from repro.console import say
-from repro.core.suite import run_suite, suite_to_dict, suite_trace_document
+from repro.core.suite import (
+    SuiteResult,
+    run_suite,
+    suite_to_dict,
+    suite_trace_document,
+)
 from repro.errors import ReproError, ServiceError
 from repro.obs import Obs
 from repro.service.jobs import Job, JobSpec
@@ -117,17 +121,26 @@ class ExperimentService:
         merged end-to-end timeline (HTTP accept through worker-side
         dispatch) attaches to ``job.trace`` here, in the runner thread,
         before the queue flips the job terminal — so a client that sees
-        ``done`` can always fetch the trace."""
+        ``done`` or ``failed`` can always fetch the trace."""
         spec = job.spec
-        result = run_suite(
-            spec.config,
-            only=list(spec.entries),
-            parallel=self.pool_jobs,
-            cache=self.cache,
-            timeout_s=self.timeout_s,
-            retries=self.retries,
-            obs=job.obs if job.obs is not None else self.obs,
-        )
+        try:
+            result = run_suite(
+                spec.config,
+                only=list(spec.entries),
+                parallel=self.pool_jobs,
+                cache=self.cache,
+                timeout_s=self.timeout_s,
+                retries=self.retries,
+                obs=job.obs if job.obs is not None else self.obs,
+            )
+        except Exception:
+            if job.obs is not None:
+                # Spans end in ``finally``, so the tracer holds every
+                # span up to the exception: serve them as the serial
+                # shape of the suite timeline.
+                failed = SuiteResult(config=spec.config, obs=job.obs)
+                job.trace = suite_trace_document(failed, job_id=job.id)
+            raise
         if job.obs is not None:
             job.trace = suite_trace_document(result, job_id=job.id)
         return suite_to_dict(result)
@@ -304,8 +317,6 @@ class ExperimentService:
                 return self._get_result(rest[: -len("/result")])
             if rest.endswith("/trace"):
                 return self._get_trace(rest[: -len("/trace")])
-            if rest.endswith("/diagnostics"):
-                return self._get_diagnostics(rest[: -len("/diagnostics")])
             return await self._get_job(rest, url.query)
         if method != "GET":
             raise _HttpError(405, f"{method} not supported on {path}")
@@ -403,23 +414,6 @@ class ExperimentService:
                 409, f"job {job_id} is {job.state}; trace not ready"
             )
         return "/v1/jobs/{id}/trace", 200, _json_bytes(job.trace), {}
-
-    def _get_diagnostics(
-        self, job_id: str
-    ) -> tuple[str, int, bytes, dict[str, str]]:
-        job = self._lookup(job_id)
-        if job.diagnostics is None:
-            raise _HttpError(
-                404,
-                f"job {job_id} has no diagnostics bundle (only failed "
-                "jobs carry one)",
-            )
-        return (
-            "/v1/jobs/{id}/diagnostics",
-            200,
-            _json_bytes(job.diagnostics),
-            {},
-        )
 
     def _lookup(self, job_id: str) -> Job:
         job = self.queue.get(job_id)

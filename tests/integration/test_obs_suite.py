@@ -10,8 +10,14 @@ the suite → experiment → measure → dispatch span hierarchy.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import repro
 
 from repro.core.experiment import ExperimentConfig
 from repro.core.serialize import canonical_json
@@ -160,28 +166,41 @@ def test_worker_traces_merge_into_one_correlated_timeline():
     assert set(QUICK) <= spans
 
 
-def test_crash_mid_task_dumps_validating_bundle(tmp_path, monkeypatch):
-    from repro.obs.flightrec import recorder
-    from repro.obs.schema import validate_flightrec_document
-    from repro.parallel import Task, run_tasks
-    from tests.unit.test_parallel_pool import _boom, _double
+#: Runs the untraced serial suite, then the pool, in a fresh process and
+#: prints the ``repro.obs`` modules loaded after each step.
+_UNTRACED_PROBE = """
+import sys
+from operator import mul
 
-    monkeypatch.setenv("REPRO_FLIGHTREC_DIR", str(tmp_path))
-    recorder().clear()
-    outcomes = run_tasks(
-        [Task("ok", _double, (2,)), Task("bad", _boom, ())],
-        jobs=2,
-        retries=0,
+from repro.core.experiment import ExperimentConfig
+from repro.core.suite import run_suite
+from repro.parallel import Task, run_tasks
+
+
+def loaded():
+    return sorted(m for m in sys.modules if m.split(".")[:2] == ["repro", "obs"])
+
+
+result = run_suite(
+    ExperimentConfig(seed=2021, scale=0.02),
+    only=["sec5a_idle_sibling", "sec7_rapl_update_rate"],
+)
+assert result.all_ok
+print(loaded())
+(outcome,) = run_tasks([Task("mul", mul, (6, 7))], jobs=1)
+assert outcome.value == 42
+print(loaded())
+"""
+
+
+def test_untraced_path_loads_no_obs_module():
+    # obs=None is the off switch: neither the serial suite nor the pool
+    # may import an instrument it will not use.
+    src = str(Path(repro.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", _UNTRACED_PROBE],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
     )
-    by_name = {o.name: o for o in outcomes}
-    assert by_name["ok"].value == 4
-    assert not by_name["bad"].ok
-    bundles = sorted(tmp_path.glob("flightrec-*.json"))
-    assert bundles, "worker crash must leave a flight-recorder bundle"
-    doc = json.loads(bundles[0].read_text())
-    assert validate_flightrec_document(doc) == []
-    assert doc["reason"] == "task-failure:bad"
-    assert doc["context"].get("task") == "bad"
-    names = [e.get("name") for e in doc["events"] if e.get("kind") == "note"]
-    assert "pool.task.start" in names
-    recorder().clear()
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "[]"]

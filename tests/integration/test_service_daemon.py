@@ -27,7 +27,7 @@ from repro.cache import ResultCache
 from repro.core.experiment import ExperimentConfig
 from repro.core.serialize import dump_json
 from repro.core.suite import SUITE, run_suite, suite_to_dict
-from repro.obs import validate_metrics_document
+from repro.obs import validate_metrics_document, validate_trace_document
 from repro.service import ServiceLimits, validate_job_document
 import repro.service.server as server_module
 from repro.service.server import MAX_BODY_BYTES, MAX_HEADERS, ExperimentService
@@ -148,6 +148,71 @@ def test_concurrent_clients_one_run_per_config_byte_identical(tmp_path):
         golden = tmp_path / f"direct-{seed}.json"
         dump_json(direct, str(golden))
         assert chunk[0] == golden.read_bytes()
+
+
+def _injected_failure(cfg):
+    raise RuntimeError("injected entry failure")  # EXC001: injected fault, deliberately outside ReproError
+
+
+def test_failed_traced_job_serves_its_trace(monkeypatch):
+    # A one-entry job runs serially, so the entry's exception fails the
+    # whole job; the trace up to the exception is still served.
+    monkeypatch.setitem(SUITE, "fig7_idle_power", _injected_failure)
+
+    async def run_job(port, seed, trace):
+        body = {
+            "entries": ["fig7_idle_power"],
+            "config": {"seed": seed, "scale": SCALE},
+            "trace": trace,
+        }
+        status, _, content = await _http(port, "POST", "/v1/jobs", body)
+        assert status == 202, content
+        job_id = json.loads(content)["id"]
+        while True:
+            status, _, content = await _http(
+                port, "GET", f"/v1/jobs/{job_id}?wait_s=30"
+            )
+            doc = json.loads(content)
+            if doc["state"] in ("done", "failed"):
+                break
+        status, _, payload = await _http(port, "GET", f"/v1/jobs/{job_id}/trace")
+        return doc, status, payload
+
+    async def scenario():
+        service = ExperimentService(pool_jobs=2, retries=0)
+        port = await service.start(port=0)
+        traced = await run_job(port, 2021, True)
+        untraced = await run_job(port, 2022, False)
+        service.request_drain()
+        await service.wait_drained()
+        return traced, untraced
+
+    (doc, status, payload), (plain_doc, plain_status, _) = asyncio.run(
+        scenario()
+    )
+    assert validate_job_document(doc) == []
+    assert doc["state"] == "failed"
+    assert doc["error"] == "RuntimeError: injected entry failure"
+    assert status == 200, payload
+    trace = json.loads(payload)
+    assert validate_trace_document(trace) == []
+    assert trace["otherData"]["trace_id"] == doc["trace_id"]
+    assert trace["otherData"]["job_id"] == doc["id"]
+    spans = {
+        (e["name"], e.get("cat"))
+        for e in trace["traceEvents"]
+        if e.get("ph") == "X"
+    }
+    assert {
+        ("http.accept", "service"),
+        ("queue.wait", "service"),
+        ("suite", "suite"),
+        ("fig7_idle_power", "experiment"),
+    } <= spans
+
+    assert plain_doc["state"] == "failed"
+    assert plain_doc["trace_id"] is None
+    assert plain_status == 404
 
 
 def test_quota_rejection_and_draining_status_codes():

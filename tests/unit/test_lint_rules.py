@@ -301,6 +301,30 @@ def test_lint_paths_missing_path():
         lint_paths(["/no/such/dir-xyz"])
 
 
+def test_each_module_is_tokenized_once(tmp_path, monkeypatch):
+    # Suppressions and LINT002 read the comments of one tokenization.
+    import tokenize
+
+    calls = []
+    real = tokenize.generate_tokens
+
+    def spy(readline):
+        calls.append(readline)
+        return real(readline)
+
+    monkeypatch.setattr(tokenize, "generate_tokens", spy)
+    paths = []
+    for name in ("a.py", "b.py"):
+        path = tmp_path / name
+        path.write_text("x = 1  # lint: disable=OBS001\n")
+        paths.append(str(path))
+    report = lint_paths(paths)
+    assert len(calls) == 2
+    assert [(f.rule, f.path) for f in report.findings if f.rule == "LINT002"] == [
+        ("LINT002", path) for path in paths
+    ]
+
+
 #: (rule, module source, text at the position the finding names).
 #: LINT002 names the whole line, so its position is the line start.
 COLUMN_CASES = [
@@ -309,16 +333,20 @@ COLUMN_CASES = [
     ("CON010", "import os\n\nif os.sep:\n    import high\n", "import high"),
     ("PARSE", "def f(:\n", ":"),
     ("LINT002", "x = 1  # lint: disable=OBS001\n", "x = 1"),
+    ("DET001", 'import time\nx = "ééé"; t = time.time()\n', "time.time()"),
 ]
 
 
 @pytest.mark.parametrize(
-    "rule, source, needle", COLUMN_CASES, ids=[case[0] for case in COLUMN_CASES]
+    "rule, source, needle",
+    COLUMN_CASES,
+    ids=[rule + ("" if src.isascii() else "-nonascii") for rule, src, _ in COLUMN_CASES],
 )
 def test_human_sarif_and_source_columns_agree(rule, source, needle, tmp_path):
-    # `Finding.col` is 1-based; the human and SARIF outputs print it as is.
+    # `Finding.col` is 1-based and counts characters; the human and
+    # SARIF outputs print it as is.
     path = tmp_path / "low.py"
-    path.write_text(source)
+    path.write_text(source, encoding="utf-8")
     manifest = tmp_path / "lint.json"
     layers = {"assign": {"low": ["low"], "high": ["high"]}, "allow": {}}
     manifest.write_text(json.dumps({"version": 1, "layers": layers}))
@@ -330,7 +358,9 @@ def test_human_sarif_and_source_columns_agree(rule, source, needle, tmp_path):
     col = source.splitlines()[finding.line - 1].index(needle) + 1
     human = format_human(report).splitlines()[0]
     assert human.startswith(f"{path}:{finding.line}:{col}: {rule} ")
-    (result,) = json.loads(format_sarif(report))["runs"][0]["results"]
+    (run,) = json.loads(format_sarif(report))["runs"]
+    assert run["columnKind"] == "unicodeCodePoints"
+    (result,) = run["results"]
     region = result["locations"][0]["physicalLocation"]["region"]
     assert region == {"startLine": finding.line, "startColumn": col}
 

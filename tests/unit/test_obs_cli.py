@@ -76,8 +76,8 @@ def test_unreadable_file_is_a_clean_error(tmp_path):
 
 @pytest.mark.parametrize(
     "command",
-    [["validate"], ["summarize"], ["merge", "out.json"], ["report"]],
-    ids=["validate", "summarize", "merge", "report"],
+    [["validate"], ["summarize"], ["merge", "out.json"]],
+    ids=["validate", "summarize", "merge"],
 )
 def test_deeply_nested_file_is_a_clean_error(tmp_path, monkeypatch, command):
     monkeypatch.chdir(tmp_path)

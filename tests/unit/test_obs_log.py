@@ -71,8 +71,6 @@ def test_level_and_field_validation():
         log.log("info", "")
     with pytest.raises(ConfigurationError):
         log.info("event", trace_id="spoofed")  # reserved envelope key
-    with pytest.raises(ConfigurationError):
-        log.info("event", kind="crash")  # the flight-recorder event's key
 
 
 def test_tail_bounds_memory_and_counts_drops():

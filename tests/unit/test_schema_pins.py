@@ -1,4 +1,4 @@
-"""The five schema-versioned documents, pinned in one table.
+"""The four schema-versioned documents, pinned in one table.
 
 Each family's document is built by its real writer, sent through JSON,
 and held to its validator, its ``schema_version`` and its top-level
@@ -15,7 +15,6 @@ import pytest
 import repro.obs.schema as obs_schema
 import repro.service.schema as service_schema
 from repro.obs import Obs
-from repro.obs.flightrec import flightrec_document, recorder
 from repro.service.jobs import Job, JobSpec, job_key
 
 
@@ -25,19 +24,6 @@ def _obs() -> Obs:
     with obs.span("pins.write"):
         obs.log.info("pins.written", family="all")
     return obs
-
-
-def _flightrec_document() -> dict:
-    rec = recorder()
-    rec.clear()  # drop what earlier code in this process recorded
-    obs = _obs()  # its span and log record land in the process ring
-    return flightrec_document(
-        rec,
-        "task-failure:pins",
-        metrics=obs.metrics_snapshot(),
-        config={"seed": 0},
-        cache_keys=["k1"],
-    )
 
 
 def _job_document() -> dict:
@@ -72,31 +58,12 @@ PINS = {
         lambda: _obs().log_document(),
         obs_schema.validate_log_document,
     ),
-    "repro.obs/flightrec": (
-        1,
-        [
-            "cache_keys",
-            "config",
-            "context",
-            "dropped",
-            "events",
-            "metrics",
-            "pid",
-            "reason",
-            "schema",
-            "schema_version",
-            "trace_id",
-        ],
-        _flightrec_document,
-        obs_schema.validate_flightrec_document,
-    ),
     "repro.service/job": (
-        3,
+        4,
         [
             "clients",
             "config",
             "dedup",
-            "diagnostics_ready",
             "entries",
             "error",
             "id",

@@ -364,7 +364,6 @@ class TestJobSchema:
             {"result_ready": True, "state": "running"},
             {"trace_id": ""},
             {"trace_id": 7},
-            {"diagnostics_ready": "no"},
         ):
             doc = {**base, **mutation}
             assert validate_job_document(doc) != [], mutation
