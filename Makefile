@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint lint-changed ordering-check selfcheck suite-parallel suite-traced golden serve service-smoke
+.PHONY: test lint lint-changed selfcheck suite-parallel suite-traced golden serve service-smoke
 
 # The default gate: static analysis first (DET001/SIM001/... keep the
 # cache/parallel code deterministic), then the full pytest tree — which
@@ -19,9 +19,6 @@ lint:
 # HEAD only (falls back to a full run without git).
 lint-changed:
 	$(PYTHON) -m repro.lint src/repro tests benchmarks examples --changed-only
-
-ordering-check:
-	$(PYTHON) -m repro.lint --ordering-check --ordering-seeds 1,2,3
 
 selfcheck:
 	$(PYTHON) -m repro.cli selfcheck

@@ -1,8 +1,7 @@
 """``python -m repro.lint`` / ``repro-lint`` / ``repro-zen2 lint``.
 
-Exit codes: 0 clean, 1 unsuppressed error findings (or a failed
-ordering check), 2 usage errors (bad paths, a bad manifest, bad
-``--ordering-seeds``).
+Exit codes: 0 clean, 1 unsuppressed error findings, 2 usage errors
+(bad paths, a bad manifest, an unknown rule or flag).
 """
 
 from __future__ import annotations
@@ -60,36 +59,12 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help="print the rule catalogue and exit",
     )
-    parser.add_argument(
-        "--ordering-check",
-        action="store_true",
-        help="also run the event-order shuffle race detector (re-runs the "
-        "machine selfcheck under randomized same-timestamp tie-breaking)",
-    )
-    parser.add_argument(
-        "--ordering-seeds",
-        default="1,2,3",
-        metavar="S1,S2,...",
-        help="shuffle seeds for --ordering-check (default: 1,2,3)",
-    )
     args = parser.parse_args(argv)
 
     if args.list_rules:
         for rule_id, title in sorted(rule_titles().items()):
             say(f"{rule_id}  {title}")
         return 0
-
-    try:
-        seeds = tuple(int(seed) for seed in args.ordering_seeds.split(","))
-    except ValueError:
-        seeds = ()
-    if not seeds:
-        print(
-            "repro-lint: --ordering-seeds needs a comma-separated list of "
-            f"integers, got {args.ordering_seeds!r}",
-            file=sys.stderr,
-        )
-        return 2
 
     manifest = args.manifest
     if manifest is None and os.path.exists(DEFAULT_MANIFEST):
@@ -123,17 +98,7 @@ def main(argv: list[str] | None = None) -> int:
 
     formatters = {"json": format_json, "sarif": format_sarif, "human": format_human}
     say(formatters[args.format](report))
-    status = 0 if report.clean else 1
-
-    if args.ordering_check:
-        from repro.lint.shuffle import selfcheck_ordering
-
-        ordering = selfcheck_ordering(seeds=seeds)
-        say(ordering.render())
-        if not ordering.deterministic:
-            status = 1
-
-    return status
+    return 0 if report.clean else 1
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -9,9 +9,14 @@ rule per run (rules may keep per-file scratch state).
 from __future__ import annotations
 
 import ast
+import re
 from typing import Iterable, Type
 
 from repro.lint.findings import SEVERITY_ERROR, Finding
+
+#: The line ends the AST counts; ``str.splitlines`` also splits on
+#: ``\f``, ``\v``, U+2028 and others, which can sit inside a string.
+_LINE_END = re.compile(r"\r\n|\r|\n")
 
 
 class ModuleContext:
@@ -20,7 +25,7 @@ class ModuleContext:
     def __init__(self, path: str, source: str, tree: ast.Module) -> None:
         self.path = path
         self.source = source
-        self.lines = source.splitlines()
+        self.lines = _LINE_END.split(source)
         self.tree = tree
         self.module = module_name_for(path)
 

@@ -123,22 +123,13 @@ class Machine:
         dram: str = "DDR4-3200",
         boost_enabled: bool = False,
         variation_sigma: float = 0.0,
-        event_order_shuffle: int | None = None,
         obs=None,
     ) -> None:
         self.sku = sku_by_name(sku) if isinstance(sku, str) else sku
         self.cal = calibration
         self.quirks = quirks if quirks is not None else Quirks()
         self.rng = RngFactory(seed)
-        # Event-order shuffle mode (repro.lint.shuffle): randomize
-        # same-timestamp tie-breaking with a seeded stream so ordering
-        # races surface as result differences, reproducibly per seed.
-        if event_order_shuffle is None:
-            self.sim = Simulator()
-        else:
-            self.sim = Simulator(
-                tiebreak_rng=self.rng.child(f"event-order-shuffle/{event_order_shuffle}")
-            )
+        self.sim = Simulator()
         self.topology = build_topology(self.sku, n_packages)
 
         self.cstates = CStateController(

@@ -29,7 +29,7 @@ from repro.obs.export import (
     summarize_trace,
     trace_document,
 )
-from repro.obs.log import StructuredLogger, log_document
+from repro.obs.log import StructuredLogger
 from repro.obs.metrics import (
     COUNT_BUCKETS,
     LATENCY_BUCKETS_S,
@@ -39,14 +39,11 @@ from repro.obs.metrics import (
     MetricsRegistry,
 )
 from repro.obs.schema import (
-    LOG_SCHEMA_ID,
-    LOG_SCHEMA_VERSION,
     METRICS_SCHEMA_ID,
     METRICS_SCHEMA_VERSION,
     TRACE_SCHEMA_ID,
     TRACE_SCHEMA_VERSION,
     validate_document,
-    validate_log_document,
     validate_metrics_document,
     validate_trace_document,
 )
@@ -68,19 +65,15 @@ __all__ = [
     "mint_trace_id",
     "trace_document",
     "merge_trace_documents",
-    "log_document",
     "summarize_trace",
     "summarize_metrics",
     "validate_document",
     "validate_metrics_document",
     "validate_trace_document",
-    "validate_log_document",
     "METRICS_SCHEMA_ID",
     "METRICS_SCHEMA_VERSION",
     "TRACE_SCHEMA_ID",
     "TRACE_SCHEMA_VERSION",
-    "LOG_SCHEMA_ID",
-    "LOG_SCHEMA_VERSION",
     "LATENCY_BUCKETS_S",
     "COUNT_BUCKETS",
     "DEFAULT_MAX_EVENTS",
@@ -163,10 +156,6 @@ class Obs:
     def metrics_snapshot(self) -> dict[str, Any]:
         """The ``repro.obs/metrics`` v1 JSON document."""
         return self.metrics.snapshot()
-
-    def log_document(self) -> dict[str, Any]:
-        """The ``repro.obs/log`` v1 document for the retained log tail."""
-        return log_document(self.log.records())
 
     def to_prometheus(self) -> str:
         """The Prometheus text exposition of all metric families."""

@@ -24,7 +24,6 @@ from repro.obs.export import (
     summarize_trace,
 )
 from repro.obs.schema import (
-    LOG_SCHEMA_ID,
     METRICS_SCHEMA_ID,
     TRACE_SCHEMA_ID,
     sniff_schema,
@@ -46,16 +45,6 @@ def _cmd_summarize(args: argparse.Namespace) -> int:
         say(summarize_trace(doc))
     elif schema == METRICS_SCHEMA_ID:
         say(summarize_metrics(doc))
-    elif schema == LOG_SCHEMA_ID:
-        records = doc.get("records") or []
-        levels: dict[str, int] = {}
-        for rec in records:
-            if isinstance(rec, dict):
-                level = str(rec.get("level", "?"))
-                levels[level] = levels.get(level, 0) + 1
-        mix = ", ".join(f"{k}={n}" for k, n in sorted(levels.items()))
-        say(f"log: {len(records)} record(s) from pid {doc.get('pid')}"
-            + (f" ({mix})" if mix else ""))
     else:
         print(f"error: {args.file}: unknown schema {schema!r}", file=sys.stderr)
         return 1

@@ -7,17 +7,13 @@
 A :class:`StructuredLogger` emits one dict per event: a fixed envelope
 (``t_wall_ns``, ``level``, ``event``, ``pid``) plus trace correlation
 (``trace_id`` from the bound tracer, ``span_id`` of the innermost open
-span at the call site) plus the caller's free-form fields.  Every record
-goes two places:
-
-* a bounded in-memory tail (for :func:`log_document` export);
-* optionally a sink — any ``.write()`` stream or a file path — as one
-  JSON line per record (``jq``-able, ``sort_keys`` so identical events
-  serialize identically).
+span at the call site) plus the caller's free-form fields.  A record
+goes to the sink, if one is set — any ``.write()`` stream or a file
+path — as one JSON line (``jq``-able, ``sort_keys`` so identical events
+serialize identically); the logger keeps nothing in memory.
 
 ``repro.service`` and ``repro.parallel`` log through the Obs bundle's
-``obs.log``; the export envelope is schema-tagged ``repro.obs/log`` v1
-with :func:`log_document` as its single writer.
+``obs.log``.
 """
 
 from __future__ import annotations
@@ -25,15 +21,13 @@ from __future__ import annotations
 import json
 import os
 import time
-from collections import deque
 from typing import Any, Callable, TextIO
 
 from repro.errors import ConfigurationError
-from repro.obs.schema import LOG_LEVELS, LOG_SCHEMA_ID, LOG_SCHEMA_VERSION
 from repro.obs.tracer import SpanTracer
 
-#: In-memory record tail kept for log_document export.
-DEFAULT_MAX_RECORDS = 10_000
+#: Severity levels a structured log record may carry, least to most.
+LOG_LEVELS = ("debug", "info", "warning", "error")
 
 #: Envelope keys a caller's **fields may not override.
 _RESERVED = ("t_wall_ns", "level", "event", "pid", "trace_id", "span_id")
@@ -48,13 +42,8 @@ class StructuredLogger:
         tracer: SpanTracer | None = None,
         stream: TextIO | None = None,
         path: str | None = None,
-        max_records: int = DEFAULT_MAX_RECORDS,
         clock: Callable[[], int] | None = None,
     ) -> None:
-        if max_records < 1:
-            raise ConfigurationError(
-                f"max_records must be >= 1, got {max_records}"
-            )
         if stream is not None and path is not None:
             raise ConfigurationError("pass either stream= or path=, not both")
         self._tracer = tracer
@@ -62,11 +51,9 @@ class StructuredLogger:
         self._epoch_ns = (
             tracer.epoch_ns if tracer is not None else self._clock()
         )
-        self._records: deque[dict[str, Any]] = deque(maxlen=max_records)
         self._stream = stream
         self._path = path
         self._file: TextIO | None = None
-        self.dropped = 0
 
     # ------------------------------------------------------------------
     # recording
@@ -104,9 +91,6 @@ class StructuredLogger:
             ),
         }
         record.update(fields)
-        if len(self._records) == self._records.maxlen:
-            self.dropped += 1
-        self._records.append(record)
         sink = self._sink()
         if sink is not None:
             sink.write(json.dumps(record, sort_keys=True) + "\n")
@@ -125,29 +109,8 @@ class StructuredLogger:
     def error(self, event: str, **fields: Any) -> dict[str, Any]:
         return self.log("error", event, **fields)
 
-    # ------------------------------------------------------------------
-    # access / export
-    # ------------------------------------------------------------------
-
-    def records(self) -> list[dict[str, Any]]:
-        """The retained record tail, oldest first."""
-        return list(self._records)
-
     def close(self) -> None:
         """Close a path-opened sink (idempotent; streams stay open)."""
         if self._file is not None:
             self._file.close()
             self._file = None
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-
-def log_document(records: list[dict[str, Any]]) -> dict[str, Any]:
-    """The ``repro.obs/log`` v1 envelope (this schema's one writer)."""
-    return {
-        "schema": LOG_SCHEMA_ID,
-        "schema_version": LOG_SCHEMA_VERSION,
-        "pid": os.getpid(),
-        "records": list(records),
-    }

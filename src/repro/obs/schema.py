@@ -3,9 +3,7 @@
 * ``repro.obs/metrics`` v1 — the JSON snapshot of a
   :class:`~repro.obs.metrics.MetricsRegistry`;
 * ``repro.obs/trace`` v1 — the Chrome-trace-event (Perfetto-loadable)
-  timeline produced by :mod:`repro.obs.export`;
-* ``repro.obs/log`` v1 — a batch of structured JSON-line log records
-  from :class:`~repro.obs.log.StructuredLogger`.
+  timeline produced by :mod:`repro.obs.export`.
 
 Each validator takes a parsed JSON object and returns a list of
 human-readable problems (empty = conforming), re-deriving internal
@@ -25,14 +23,8 @@ METRICS_SCHEMA_VERSION = 1
 TRACE_SCHEMA_ID = "repro.obs/trace"
 TRACE_SCHEMA_VERSION = 1
 
-LOG_SCHEMA_ID = "repro.obs/log"
-LOG_SCHEMA_VERSION = 1
-
 _METRIC_TYPES = ("counter", "gauge", "histogram")
 _EVENT_PHASES = ("X", "i", "M")
-
-#: Severity levels a structured log record may carry, least to most.
-LOG_LEVELS = ("debug", "info", "warning", "error")
 
 
 def _is_num(value: Any) -> bool:
@@ -265,60 +257,6 @@ def _check_nesting(
     return []
 
 
-# ---------------------------------------------------------------------------
-# structured-log document
-# ---------------------------------------------------------------------------
-
-
-def _check_log_record(rec: Any, where: str, errors: list[str]) -> None:
-    if not isinstance(rec, dict):
-        errors.append(f"{where} must be an object")
-        return
-    if rec.get("level") not in LOG_LEVELS:
-        errors.append(f"{where}.level must be one of {LOG_LEVELS}")
-    event = rec.get("event")
-    if not isinstance(event, str) or not event:
-        errors.append(f"{where}.event must be a non-empty string")
-    t_wall = rec.get("t_wall_ns")
-    if not _is_int(t_wall) or t_wall < 0:
-        errors.append(f"{where}.t_wall_ns must be a non-negative integer")
-    if not _is_int(rec.get("pid")):
-        errors.append(f"{where}.pid must be an integer")
-    trace_id = rec.get("trace_id")
-    if trace_id is not None and (
-        not isinstance(trace_id, str) or not trace_id
-    ):
-        errors.append(f"{where}.trace_id must be null or a non-empty string")
-    span_id = rec.get("span_id")
-    if span_id is not None and (not _is_int(span_id) or span_id < 1):
-        errors.append(f"{where}.span_id must be null or a positive integer")
-
-
-def validate_log_document(doc: object) -> list[str]:
-    """Validate a ``repro.obs/log`` v1 document."""
-    errors: list[str] = []
-    if not isinstance(doc, dict):
-        return [f"document must be a JSON object, got {type(doc).__name__}"]
-    if doc.get("schema") != LOG_SCHEMA_ID:
-        errors.append(
-            f"schema must be {LOG_SCHEMA_ID!r}, got {doc.get('schema')!r}"
-        )
-    if doc.get("schema_version") != LOG_SCHEMA_VERSION:
-        errors.append(
-            f"schema_version must be {LOG_SCHEMA_VERSION}, "
-            f"got {doc.get('schema_version')!r}"
-        )
-    if not _is_int(doc.get("pid")):
-        errors.append("pid must be an integer")
-    records = doc.get("records")
-    if not isinstance(records, list):
-        errors.append("records must be a list")
-        return errors
-    for i, rec in enumerate(records):
-        _check_log_record(rec, f"records[{i}]", errors)
-    return errors
-
-
 def sniff_schema(doc: object) -> str | None:
     """The ``schema`` id of a parsed document, if it carries one."""
     if isinstance(doc, dict) and isinstance(doc.get("schema"), str):
@@ -333,9 +271,7 @@ def validate_document(doc: object) -> list[str]:
         return validate_metrics_document(doc)
     if schema == TRACE_SCHEMA_ID:
         return validate_trace_document(doc)
-    if schema == LOG_SCHEMA_ID:
-        return validate_log_document(doc)
     return [
-        f"unknown or missing schema id {schema!r}; expected one of "
-        f"{METRICS_SCHEMA_ID!r}, {TRACE_SCHEMA_ID!r}, {LOG_SCHEMA_ID!r}"
+        f"unknown or missing schema id {schema!r}; expected "
+        f"{METRICS_SCHEMA_ID!r} or {TRACE_SCHEMA_ID!r}"
     ]

@@ -117,11 +117,13 @@ class ExperimentService:
         what a direct ``run_suite`` + ``suite_to_dict`` of the same
         configuration produces — execution mode never leaks into it.
 
-        A traced job runs under its own per-request obs bundle; the
-        merged end-to-end timeline (HTTP accept through worker-side
-        dispatch) attaches to ``job.trace`` here, in the runner thread,
-        before the queue flips the job terminal — so a client that sees
-        ``done`` or ``failed`` can always fetch the trace."""
+        A traced job runs under its own per-request obs bundle and an
+        untraced one under none, so it adds nothing to the service's
+        tracer or registry.  The merged end-to-end timeline (HTTP accept
+        through worker-side dispatch) attaches to ``job.trace`` here, in
+        the runner thread, before the queue flips the job terminal — so
+        a client that sees ``done`` or ``failed`` can always fetch the
+        trace."""
         spec = job.spec
         try:
             result = run_suite(
@@ -131,7 +133,7 @@ class ExperimentService:
                 cache=self.cache,
                 timeout_s=self.timeout_s,
                 retries=self.retries,
-                obs=job.obs if job.obs is not None else self.obs,
+                obs=job.obs,
             )
         except Exception:
             if job.obs is not None:

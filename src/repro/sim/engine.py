@@ -40,15 +40,12 @@ def _as_int_ns(value: Any, what: str) -> int:
 class Simulator:
     """Integer-nanosecond discrete-event simulator.
 
-    ``tiebreak_rng`` (a seeded generator from
-    :class:`repro.sim.rng.RngFactory`) enables event-order shuffle mode:
-    same-timestamp ties fire in a seeded-random order instead of
-    scheduling order.  See :mod:`repro.lint.shuffle`.
+    Same-timestamp events fire in scheduling order (:class:`EventQueue`).
     """
 
-    def __init__(self, *, tiebreak_rng=None, obs=None) -> None:
+    def __init__(self, *, obs=None) -> None:
         self._now_ns = 0
-        self._queue = EventQueue(tiebreak_rng=tiebreak_rng)
+        self._queue = EventQueue()
         self._running = False
         # Observability: None unless a repro.obs.Obs is attached;
         # unattached, dispatch pays two identity checks per run_until.

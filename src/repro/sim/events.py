@@ -55,7 +55,7 @@ class Event:
     def __init__(
         self,
         time_ns: int,
-        seq: int | tuple[int, int],
+        seq: int,
         callback: Callable[[], Any],
         queue: "EventQueue | None" = None,
     ) -> None:
@@ -88,13 +88,6 @@ class Event:
 class EventQueue:
     """A stable min-heap of :class:`Event` objects.
 
-    With ``tiebreak_rng`` set (a seeded :class:`numpy.random.Generator`,
-    derived via :class:`repro.sim.rng.RngFactory`), same-timestamp ties
-    are broken by a random draw instead of scheduling order — the
-    event-order shuffle mode :mod:`repro.lint.shuffle` uses to detect
-    ordering races.  Each shuffled ordering is itself reproducible; the
-    scheduling counter still backs the draw so the order stays total.
-
     Invariants (relied on by tests and the dispatch loop):
 
     * ``len(queue)`` equals the number of pushed, not-yet-popped,
@@ -108,10 +101,9 @@ class EventQueue:
     #: O(n) rebuild costs more than the lazy-deletion pops it saves.
     COMPACT_MIN_RESIDENT = 64
 
-    def __init__(self, *, tiebreak_rng=None) -> None:
-        self._heap: list[tuple[int, int | tuple[int, int], Event]] = []
+    def __init__(self) -> None:
+        self._heap: list[tuple[int, int, Event]] = []
         self._counter = itertools.count()
-        self._tiebreak_rng = tiebreak_rng
         self._live = 0
         #: Number of threshold-triggered heap compactions so far.
         self.compactions = 0
@@ -131,12 +123,7 @@ class EventQueue:
         """Schedule ``callback`` at absolute time ``time_ns``."""
         if time_ns < 0:
             raise SimulationError(f"cannot schedule at negative time {time_ns}")
-        rng = self._tiebreak_rng
-        seq: int | tuple[int, int] = (
-            next(self._counter)
-            if rng is None
-            else (int(rng.integers(1 << 62)), next(self._counter))
-        )
+        seq = next(self._counter)
         event = Event(time_ns, seq, callback, self)
         heappush(self._heap, (time_ns, seq, event))
         self._live += 1

@@ -3,8 +3,7 @@
 The real-tree checks share one lint run over src/repro against the
 committed lint.json.
 Also drives the CLI end-to-end on a deliberately bad fixture (all four
-rules must fire with a non-zero exit) and the event-order shuffle
-self-check (results must not depend on same-timestamp tie-breaking).
+rules must fire with a non-zero exit).
 """
 
 from __future__ import annotations
@@ -12,9 +11,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-import pytest
-
-from repro.lint import lint_paths, selfcheck_ordering
+from repro.lint import lint_paths
 from repro.lint.cli import main as lint_main
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -90,25 +87,3 @@ def test_cli_contracts_clean_tree_exits_zero(capsys):
     assert rc == 0, out
     assert "0 finding(s)" in out
 
-
-def test_selfcheck_is_event_order_independent():
-    report = selfcheck_ordering(seeds=(1, 2, 3))
-    assert len(report.digests) == 4  # stable + three shuffles
-    assert report.deterministic, report.render()
-
-
-def test_cli_ordering_check(capsys):
-    assert lint_main(["--ordering-check", "--ordering-seeds", "1,2"]) == 0
-    out = capsys.readouterr().out
-    assert "order-independent" in out
-
-
-@pytest.mark.parametrize("seeds", ["1,x", ","])
-def test_cli_bad_ordering_seeds_exit_two(seeds, monkeypatch, capsys):
-    # Rejected before any lint work starts, and never an empty check.
-    def no_lint(*args, **kwargs):
-        pytest.fail("linted before the seeds were checked")
-
-    monkeypatch.setattr("repro.lint.cli.lint_paths", no_lint)
-    assert lint_main(["--ordering-check", "--ordering-seeds", seeds]) == 2
-    assert "--ordering-seeds" in capsys.readouterr().err

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from repro.errors import SimulationError
 from repro.sim.engine import Simulator
 from repro.sim.events import EventQueue
-from repro.sim.rng import RngFactory
 
 
 @given(times=st.lists(st.integers(min_value=0, max_value=10**9), min_size=1, max_size=200))
@@ -118,13 +117,11 @@ def _schedule(sim, nodes, period, log):
         min_size=1,
         max_size=25,
     ),
-    shuffle=st.none() | st.integers(min_value=0, max_value=2**32 - 1),
 )
 @settings(max_examples=150)
-def test_run_quanta_equals_run_for_per_quantum(nodes, period, start, polls, shuffle):
+def test_run_quanta_equals_run_for_per_quantum(nodes, period, start, polls):
     def build():
-        rng = None if shuffle is None else RngFactory(shuffle).child("tiebreak")
-        sim, log = Simulator(tiebreak_rng=rng), []
+        sim, log = Simulator(), []
         sim.run_until(start)
         _schedule(sim, nodes, period, log)
         return sim, log

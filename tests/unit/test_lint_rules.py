@@ -152,6 +152,8 @@ def test_exc001_flags_unjustified_builtins(source):
         'def f():\n    raise MyError("x")\n',
         "try:\n    pass\nexcept ValueError as err:\n    raise err\n",
         "def f():\n    raise\n",  # bare re-raise
+        # U+2028 inside a string ends no line: the comment is on line 2.
+        's = "a\u2028b"\nraise ValueError("x")  # EXC001: argument validation\n',
     ],
 )
 def test_exc001_allows_hierarchy_and_justified(source):
@@ -334,13 +336,19 @@ COLUMN_CASES = [
     ("PARSE", "def f(:\n", ":"),
     ("LINT002", "x = 1  # lint: disable=OBS001\n", "x = 1"),
     ("DET001", 'import time\nx = "ééé"; t = time.time()\n', "time.time()"),
+    ("DET001", 'import time\ns = "a\x0cb"\nx = "éé"; t = time.time()\n', "time.time()"),
 ]
 
 
 @pytest.mark.parametrize(
     "rule, source, needle",
     COLUMN_CASES,
-    ids=[rule + ("" if src.isascii() else "-nonascii") for rule, src, _ in COLUMN_CASES],
+    ids=[
+        rule
+        + ("" if src.isascii() else "-nonascii")
+        + ("-formfeed" if "\f" in src else "")
+        for rule, src, _ in COLUMN_CASES
+    ],
 )
 def test_human_sarif_and_source_columns_agree(rule, source, needle, tmp_path):
     # `Finding.col` is 1-based and counts characters; the human and
@@ -355,7 +363,7 @@ def test_human_sarif_and_source_columns_agree(rule, source, needle, tmp_path):
         f for f in report.findings if f.rule == rule and f.path == str(path)
     ]
     (finding,) = report.findings
-    col = source.splitlines()[finding.line - 1].index(needle) + 1
+    col = source.split("\n")[finding.line - 1].index(needle) + 1
     human = format_human(report).splitlines()[0]
     assert human.startswith(f"{path}:{finding.line}:{col}: {rule} ")
     (run,) = json.loads(format_sarif(report))["runs"]

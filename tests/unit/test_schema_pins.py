@@ -1,4 +1,4 @@
-"""The four schema-versioned documents, pinned in one table.
+"""The three schema-versioned documents, pinned in one table.
 
 Each family's document is built by its real writer, sent through JSON,
 and held to its validator, its ``schema_version`` and its top-level
@@ -22,7 +22,7 @@ def _obs() -> Obs:
     obs = Obs()
     obs.counter("pins.documents", "documents written").inc()
     with obs.span("pins.write"):
-        obs.log.info("pins.written", family="all")
+        obs.instant("pins.written")
     return obs
 
 
@@ -51,12 +51,6 @@ PINS = {
         ["displayTimeUnit", "otherData", "schema", "schema_version", "traceEvents"],
         lambda: _obs().trace_document(),
         obs_schema.validate_trace_document,
-    ),
-    "repro.obs/log": (
-        1,
-        ["pid", "records", "schema", "schema_version"],
-        lambda: _obs().log_document(),
-        obs_schema.validate_log_document,
     ),
     "repro.service/job": (
         4,

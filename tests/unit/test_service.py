@@ -399,3 +399,19 @@ class TestServiceHelpers:
         assert json.dumps(via_service, sort_keys=True) == json.dumps(
             direct, sort_keys=True
         )
+
+    def test_untraced_jobs_record_nothing_into_the_service_obs(self):
+        # An untraced job runs with obs=None: it adds no span to the
+        # daemon's tracer and no series to the shared registry, so
+        # /metrics holds only the service's own families however many
+        # jobs run.
+        from repro.service.jobs import Job
+        from repro.service.server import ExperimentService
+
+        service = ExperimentService(pool_jobs=1)
+        for seed in (7, 8, 9):
+            spec = _spec(seed=seed, entries=("fig7_idle_power",))
+            service._execute(Job(id=f"job-{seed:06d}", spec=spec, key=job_key(spec)))
+        assert service.obs.tracer.records() == []
+        families = {m["name"] for m in service.obs.metrics_snapshot()["metrics"]}
+        assert families and all(name.startswith("service.") for name in families)

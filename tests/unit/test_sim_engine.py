@@ -4,8 +4,6 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.sim.engine import Simulator
-from repro.sim.events import EventQueue
-from repro.sim.rng import RngFactory
 from repro.units import ms, us
 
 
@@ -218,19 +216,3 @@ class TestTieBreaking:
                 break
             event.callback()
         assert drain_seen == run_seen == ["b", "d", "a", "c"]
-
-    def test_shuffle_mode_ties_are_seeded_not_fifo(self):
-        def order(seed):
-            rng = RngFactory(seed).child("event-order-shuffle/1")
-            queue = EventQueue(tiebreak_rng=rng)
-            fired = []
-            for i in range(16):
-                queue.push(100, lambda i=i: fired.append(i))
-            while queue:
-                queue.pop().callback()
-            return fired
-
-        shuffled = order(7)
-        assert sorted(shuffled) == list(range(16))
-        assert shuffled != list(range(16))  # the shuffle actually shuffles
-        assert order(7) == shuffled  # and repeats for the same seed

@@ -139,11 +139,6 @@ class TestLiveCountAccounting:
         rng = RngFactory(11).child("interleave")
         _interleaved_ops(q, rng)
 
-    def test_interleaved_ops_shuffle_mode(self):
-        q = EventQueue(tiebreak_rng=RngFactory(11).child("tiebreak"))
-        rng = RngFactory(11).child("interleave")
-        _interleaved_ops(q, rng)
-
 
 class TestCompaction:
     def test_mass_cancel_does_not_leave_stale_entries(self):
